@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Tuple
 
-from .errors import PreconditionError, ReductionError
+from .errors import PreconditionError, ReductionError, SchemaError
 from .fock import FockVector, Mode
 from .heisenberg import (LambdaSequence, QuadraticElement, act_mode2,
                          quadratic_act, require_positive_support)
@@ -63,29 +63,17 @@ def _mode_candidates(a: FockVector) -> Tuple[int, List[int]]:
 
 def _case_and_element(lam: LambdaSequence, i0: int, m2: int,
                       n2: int) -> Tuple[str, QuadraticElement]:
-    sector = lam.sector
-    mode_m = Mode(m2, sector)
-    mode_n = Mode(n2, sector)
     if n2 > m2:
-        j0 = _index_pairing_nonzero(lam, n2)
-        case = CASE_HIGH
-        q = QuadraticElement(i0, j0, mode_m, mode_n,
-                             lam.pair2(m2, i0) * lam.pair2(n2, j0))
+        case, j0 = CASE_HIGH, _index_pairing_nonzero(lam, n2)
     elif n2 < m2:
-        j0 = _index_pairing_nonzero(lam, n2)
-        case = CASE_LOW
-        q = QuadraticElement(i0, j0, mode_m, mode_n,
-                             lam.pair2(m2, i0) * lam.pair2(n2, j0))
+        case, j0 = CASE_LOW, _index_pairing_nonzero(lam, n2)
     elif lam.pair2(m2, i0):
-        case = CASE_DIAG
-        q = QuadraticElement(i0, i0, mode_m, mode_m,
-                             lam.pair2(m2, i0) * lam.pair2(m2, i0))
+        case, j0 = CASE_DIAG, i0
     else:
-        j0 = _index_pairing_nonzero(lam, m2, skip=i0)
-        case = CASE_OFFDIAG
-        q = QuadraticElement(i0, j0, mode_m, mode_m,
-                             lam.pair2(m2, i0) * lam.pair2(m2, j0))
-    return case, q
+        case, j0 = CASE_OFFDIAG, _index_pairing_nonzero(lam, m2, skip=i0)
+    shift = lam.pair2(m2, i0) * lam.pair2(n2, j0)
+    return case, QuadraticElement(i0, j0, Mode(m2, lam.sector),
+                                  Mode(n2, lam.sector), shift)
 
 
 def _index_pairing_nonzero(lam: LambdaSequence, n2: int, skip: int = 0) -> int:
@@ -143,7 +131,7 @@ def verify_certificate(lam: LambdaSequence, a: FockVector,
     """
     try:
         lam._check_vector(a)
-    except PreconditionError:
+    except (PreconditionError, SchemaError):
         return False
     current = a
     for step in cert.steps:

@@ -12,7 +12,8 @@ Subcommands::
     dump       --kind K --input FILE         parse and re-emit a canonical document
 
 All output is JSON on stdout.  Exit status: 0 success, 1 schema error,
-2 mathematical precondition violated, 3 identity/verification failure.
+2 mathematical precondition violated, 3 identity/verification failure,
+4 internal error (an unexpected exception; one line on stderr).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .fock import FockVector, Sector
 from .heisenberg import (LambdaSequence, QuadraticElement, act_mode2,
                          commutator_check, quadratic_act)
 from .sampling import random_fock, random_lambda
+from .scalars import Scalar
 from .serialize import (certificate_from_json, certificate_to_json,
                         cmn_to_json, fiber_to_json, fock_from_json,
                         fock_to_json, lambda_from_json, lambda_to_json,
@@ -43,6 +45,7 @@ EXIT_OK = 0
 EXIT_SCHEMA = 1
 EXIT_PRECONDITION = 2
 EXIT_CHECK_FAILED = 3
+EXIT_INTERNAL = 4
 
 
 def _load_json(path: str):
@@ -68,27 +71,25 @@ def cmd_type(args) -> int:
     return EXIT_OK
 
 
+def _one_vector(path, rank: int, where: str, exact: bool):
+    rows = vectors_from_json(_load_json(path), rank, where, numeric=not exact)
+    if len(rows) != 1:
+        raise SchemaError(f"{where} file must hold exactly one vector")
+    return rows[0]
+
+
 def cmd_fiber(args) -> int:
     zeta = whittaker_type_from_json(_load_json(args.zeta))
     rank = args.l
     sphere = params = top = None
     if args.sphere:
-        rows = vectors_from_json(_load_json(args.sphere), rank, "sphere",
-                                 numeric=not args.exact)
-        if len(rows) != 1:
-            raise SchemaError("sphere file must hold exactly one vector")
-        sphere = rows[0]
+        sphere = _one_vector(args.sphere, rank, "sphere", args.exact)
     if args.top:
-        rows = vectors_from_json(_load_json(args.top), rank, "top",
-                                 numeric=not args.exact)
-        if len(rows) != 1:
-            raise SchemaError("top file must hold exactly one vector")
-        top = rows[0]
+        top = _one_vector(args.top, rank, "top", args.exact)
     if args.params:
         params = vectors_from_json(_load_json(args.params), rank - 1, "params",
                                    numeric=not args.exact)
     if rank == 1 and sphere is None and top is None:
-        from .scalars import Scalar
         signs = ([Scalar(1)], [Scalar(-1)]) if args.exact \
             else ([1.0 + 0j], [-1.0 + 0j])
         points = [solve_fiber(zeta, 1, sphere_point=s, free_params=params,
@@ -150,79 +151,80 @@ def cmd_dump(args) -> int:
 
 
 def cmd_relations(args) -> int:
+    if args.l < 1 or args.bound < 1:
+        raise PreconditionError("relations needs --l >= 1 and --bound >= 1")
     rng = Random(args.seed)
-    rank = args.l
+    both = (Sector.UNTWISTED, Sector.TWISTED)
+    light = max(1, args.trials // 5)
+    plan = (("commutator", _commutator_trial, both, args.trials),
+            ("quadratic", _quadratic_trial, both, args.trials),
+            ("virasoro", _virasoro_trial, both, light),
+            ("binom", _binom_trial, (Sector.UNTWISTED,), light))
     suites = {}
-
-    failures = 0
-    checked = 0
-    for sector in (Sector.UNTWISTED, Sector.TWISTED):
-        for _ in range(args.trials):
-            lam = random_lambda(rng, rank, sector)
-            f = random_fock(rng, rank, sector, max_degree=6)
-            i = rng.randint(1, rank)
-            j = rng.randint(1, rank)
-            m, n = _random_mode_pair(rng, sector, args.bound)
-            checked += 1
-            if not commutator_check(i, j, m, n, f, lam):
-                failures += 1
-    suites["commutator"] = {"checked": checked, "failures": failures}
-
-    failures = 0
-    checked = 0
-    for sector in (Sector.UNTWISTED, Sector.TWISTED):
-        for _ in range(args.trials):
-            lam = random_lambda(rng, rank, sector)
-            f = random_fock(rng, rank, sector, max_degree=6)
-            m, _ = _random_mode_pair(rng, sector, args.bound)
-            n, _ = _random_mode_pair(rng, sector, args.bound)
-            m, n = abs(m), abs(n)
-            if not m or not n:
-                continue
-            q = QuadraticElement.build(lam, rng.randint(1, rank),
-                                       rng.randint(1, rank), m, n)
-            composed = act_mode2(lam, q.i, q.m.doubled,
-                                 act_mode2(lam, q.j, q.n.doubled, f))
-            checked += 1
-            if quadratic_act(lam, q, f) != composed - f.scaled(q.shift):
-                failures += 1
-    suites["quadratic"] = {"checked": checked, "failures": failures}
-
-    failures = 0
-    checked = 0
-    for sector in (Sector.UNTWISTED, Sector.TWISTED):
-        for _ in range(max(1, args.trials // 5)):
-            lam = random_lambda(rng, rank, sector, max_r=2)
-            f = random_fock(rng, rank, sector, max_degree=4, max_terms=2)
-            m = rng.randint(-args.bound, args.bound)
-            n = rng.randint(-args.bound, args.bound)
-            checked += 1
-            if not virasoro_bracket_check(m, n, f, lam, limit=args.bound):
-                failures += 1
-    suites["virasoro"] = {"checked": checked, "failures": failures}
-
-    failures = 0
-    checked = 0
-    for _ in range(max(1, args.trials // 5)):
-        bound_m = rng.randint(0, 2)
-        lam = LambdaSequence.zero(rank)
-        if bound_m > 0 and rng.random() < 0.7:
-            lam = random_lambda(rng, rank, Sector.UNTWISTED, max_r=bound_m)
-        u = random_fock(rng, rank, Sector.UNTWISTED, max_degree=bound_m,
-                        max_terms=2, nonzero=False)
-        p, q = rng.randint(0, 2), rng.randint(0, 2)
-        n = rng.randint(-2, 2 * bound_m + 2)
-        checked += 1
-        if not binom_mode_identity_check(rng.randint(1, rank),
-                                         rng.randint(1, rank),
-                                         p, q, n, u, lam, bound_m):
-            failures += 1
-    suites["binom"] = {"checked": checked, "failures": failures}
-
+    for name, trial, sectors, count in plan:
+        checked = failures = 0
+        for sector in sectors:
+            for _ in range(count):
+                ok = trial(rng, args, sector)
+                if ok is None:
+                    continue
+                checked += 1
+                if not ok:
+                    failures += 1
+        suites[name] = {"checked": checked, "failures": failures}
     all_pass = all(s["failures"] == 0 for s in suites.values())
-    _emit({"schema": "relations-report/1", "seed": args.seed, "l": rank,
+    _emit({"schema": "relations-report/1", "seed": args.seed, "l": args.l,
            "bound": args.bound, "suites": suites, "all_pass": all_pass})
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+
+
+# Each trial draws its inputs from rng and reports whether its identity held,
+# or None when the draw gives nothing to check.
+
+def _commutator_trial(rng, args, sector):
+    lam = random_lambda(rng, args.l, sector)
+    f = random_fock(rng, args.l, sector, max_degree=6)
+    i = rng.randint(1, args.l)
+    j = rng.randint(1, args.l)
+    m, n = _random_mode_pair(rng, sector, args.bound)
+    return commutator_check(i, j, m, n, f, lam)
+
+
+def _quadratic_trial(rng, args, sector):
+    lam = random_lambda(rng, args.l, sector)
+    f = random_fock(rng, args.l, sector, max_degree=6)
+    m, _ = _random_mode_pair(rng, sector, args.bound)
+    n, _ = _random_mode_pair(rng, sector, args.bound)
+    m, n = abs(m), abs(n)
+    if not m or not n:
+        return None
+    q = QuadraticElement.build(lam, rng.randint(1, args.l),
+                               rng.randint(1, args.l), m, n)
+    composed = act_mode2(lam, q.i, q.m.doubled,
+                         act_mode2(lam, q.j, q.n.doubled, f))
+    return quadratic_act(lam, q, f) == composed - f.scaled(q.shift)
+
+
+def _virasoro_trial(rng, args, sector):
+    lam = random_lambda(rng, args.l, sector, max_r=2)
+    f = random_fock(rng, args.l, sector, max_degree=4, max_terms=2)
+    m = rng.randint(-args.bound, args.bound)
+    n = rng.randint(-args.bound, args.bound)
+    return virasoro_bracket_check(m, n, f, lam, limit=args.bound)
+
+
+def _binom_trial(rng, args, sector):
+    bound_m = rng.randint(0, 2)
+    lam = LambdaSequence.zero(args.l)
+    if bound_m > 0 and rng.random() < 0.7:
+        lam = random_lambda(rng, args.l, sector, max_r=bound_m)
+    u = random_fock(rng, args.l, sector, max_degree=bound_m,
+                    max_terms=2, nonzero=False)
+    p, q = rng.randint(0, 2), rng.randint(0, 2)
+    n = rng.randint(-2, 2 * bound_m + 2)
+    return binom_mode_identity_check(rng.randint(1, args.l),
+                                     rng.randint(1, args.l),
+                                     p, q, n, u, lam, bound_m)
 
 
 def _random_mode_pair(rng, sector, bound):
@@ -299,6 +301,9 @@ def main(argv=None) -> int:
     except (ReductionError, NumericFailure) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except Exception as exc:  # a defect, not bad input: keep it apart from 1-3
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from .errors import BosonIndexError, ModeRangeError, SectorMismatchError
 from .scalars import Scalar, as_scalar
@@ -46,15 +46,19 @@ class Sector(str, Enum):
     TWISTED = "twisted"
 
 
+def _doubled_value(mode: ModeLike) -> int:
+    """Convert a mode in (1/2)Z to its doubled integer, whatever its parity."""
+    if isinstance(mode, int):
+        return 2 * mode
+    doubled = 2 * Fraction(mode)
+    if doubled.denominator != 1:
+        raise ModeRangeError(f"mode {mode} is not in (1/2)Z")
+    return int(doubled)
+
+
 def doubled_mode(mode: ModeLike, sector: Sector) -> int:
     """Convert a mode in (1/2)Z to its doubled integer, checking parity."""
-    if isinstance(mode, int):
-        d2 = 2 * mode
-    else:
-        doubled = 2 * Fraction(mode)
-        if doubled.denominator != 1:
-            raise ModeRangeError(f"mode {mode} is not in (1/2)Z")
-        d2 = int(doubled)
+    d2 = _doubled_value(mode)
     if sector is Sector.UNTWISTED:
         if d2 % 2 != 0:
             raise ModeRangeError(f"mode {mode} is not an integer (untwisted)")
@@ -355,9 +359,21 @@ def weighted_partial(i: int, mode: ModeLike, f: FockVector) -> FockVector:
     if d2 <= 0:
         raise ModeRangeError(f"derivation mode must be positive, got {mode}")
     _check_boson(i, f.rank)
+    return _weighted_partial2(i, d2, f)
+
+
+def _weighted_partial2(i: int, d2: int, f: FockVector,
+                       shift: Optional[Scalar] = None) -> FockVector:
+    """(n * d/dx[i,n] + shift) f for the doubled mode d2 = 2n, in one pass.
+
+    The caller has checked the mode and the boson index; a ``shift`` of
+    None adds nothing.
+    """
     weight = Fraction(d2, 2)
     acc: Dict[Monomial, Scalar] = {}
     for mono, c in f.terms.items():
+        if shift is not None:
+            _accumulate(acc, mono, c * shift)
         for pos, (bi, bd2, e) in enumerate(mono):
             if bi == i and bd2 == d2:
                 if e == 1:

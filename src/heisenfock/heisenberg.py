@@ -24,8 +24,8 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import (HighestWeightError, ModeRangeError, SchemaError,
                      SectorMismatchError)
-from .fock import (FockVector, Mode, ModeLike, Sector, _accumulate,
-                   doubled_mode, weighted_partial)
+from .fock import (FockVector, Mode, ModeLike, Sector, _check_boson,
+                   _weighted_partial2, doubled_mode, weighted_partial)
 from .scalars import Scalar, as_scalar
 
 ZERO = as_scalar(0)
@@ -109,6 +109,7 @@ class LambdaSequence:
 
     def pair2(self, d2: int, i: int) -> Scalar:
         """(lambda_n, h_i) for the doubled mode d2: the i-th coordinate."""
+        _check_boson(i, self.rank)
         slot = self._slot(d2)
         if slot is None:
             return ZERO
@@ -151,23 +152,16 @@ def act_annihilation(lam: LambdaSequence, i: int, mode: ModeLike,
     d2 = doubled_mode(mode, f.sector)
     if d2 < 0:
         raise ModeRangeError(f"annihilation mode must be >= 0, got {mode}")
-    if d2 == 0:
-        # the weighted derivation 0 * d/dx[i,0] vanishes identically
-        return f.scaled(lam.pair2(0, i))
-    out = weighted_partial(i, mode, f)
-    coeff = lam.pair2(d2, i)
-    if coeff:
-        out = out + f.scaled(coeff)
-    return out
+    return act_mode2(lam, i, d2, f)
 
 
 def act_mode(lam: LambdaSequence, i: int, mode: ModeLike,
              f: FockVector) -> FockVector:
     """Dispatch h_i(mode): negative modes create, the rest annihilate."""
     d2 = doubled_mode(mode, f.sector)
-    if d2 < 0:
-        return act_creation(i, Fraction(-d2, 2), f)
-    return act_annihilation(lam, i, Fraction(d2, 2), f)
+    if d2 >= 0:
+        lam._check_vector(f)
+    return act_mode2(lam, i, d2, f)
 
 
 def act_mode2(lam: LambdaSequence, i: int, d2: int, f: FockVector) -> FockVector:
@@ -175,22 +169,10 @@ def act_mode2(lam: LambdaSequence, i: int, d2: int, f: FockVector) -> FockVector
     if d2 < 0:
         return f.times_variable(i, -d2)
     if d2 == 0:
+        # the weighted derivation 0 * d/dx[i,0] vanishes identically
         return f.scaled(lam.pair2(0, i))
     coeff = lam.pair2(d2, i)
-    weight = Fraction(d2, 2)
-    acc = {}
-    for mono, c in f.terms.items():
-        if coeff:
-            _accumulate(acc, mono, c * coeff)
-        for pos, (bi, bd2, e) in enumerate(mono):
-            if bi == i and bd2 == d2:
-                if e == 1:
-                    reduced = mono[:pos] + mono[pos + 1:]
-                else:
-                    reduced = mono[:pos] + ((bi, bd2, e - 1),) + mono[pos + 1:]
-                _accumulate(acc, reduced, c.scale(weight * e))
-                break
-    return FockVector(f.rank, f.sector, acc)
+    return _weighted_partial2(i, d2, f, coeff if coeff else None)
 
 
 def commutator_check(i: int, j: int, m: ModeLike, n: ModeLike,

@@ -225,6 +225,10 @@ def certificate_from_json(doc):
         where = f"certificate step {idx}"
         i = _expect(raw, "i", int, where)
         j = _expect(raw, "j", int, where)
+        for key, index in (("i", i), ("j", j)):
+            if not 1 <= index <= lam.rank:
+                raise SchemaError(
+                    f"{where}: boson index {key}={index} outside 1..{lam.rank}")
         m = parse_mode_text(_expect(raw, "m", str, where), lam.sector)
         n = parse_mode_text(_expect(raw, "n", str, where), lam.sector)
         shift = parse_scalar(_expect(raw, "shift", str, where))

@@ -37,7 +37,8 @@ from typing import Dict, List, Tuple, Union
 
 from ._linalg import determinant
 from .errors import ModeRangeError, PreconditionError, SectorMismatchError
-from .fock import FockVector, ModeLike, Monomial, Sector, _accumulate
+from .fock import (FockVector, ModeLike, Monomial, Sector, _accumulate,
+                   _doubled_value, weighted_partial)
 from .heisenberg import LambdaSequence, act_mode2
 from .scalars import Scalar
 
@@ -113,15 +114,6 @@ def omega(rank: int) -> FockVector:
     return acc
 
 
-def _doubled_target(k: ModeLike) -> int:
-    if isinstance(k, int):
-        return 2 * k
-    k2 = 2 * Fraction(k)
-    if k2.denominator != 1:
-        raise ModeRangeError(f"mode {k} is not in (1/2)Z")
-    return int(k2)
-
-
 def _monomial_factors(mono: Monomial) -> List[Tuple[int, int]]:
     out = []
     for i, d2, e in mono:
@@ -136,7 +128,7 @@ def _y0_apply(state: FockVector, k: ModeLike, f: FockVector,
     """Coefficient of z^(-k-1) in the normal-ordered field of ``state`` on f."""
     acc: Dict[Monomial, Scalar] = {}
     if f.terms:
-        k2 = _doubled_target(k)
+        k2 = _doubled_value(k)
         twisted = f.sector is Sector.TWISTED
         cap2 = max(f.max_mode2(), lam.top_doubled, 0)
         if twisted and cap2 % 2 == 0:
@@ -329,7 +321,6 @@ def delta_z_apply(u: StateLike, order: int = None, rank: int = None) -> Dict[int
     if order is None:
         order = weight
     table = cmn_table(order)
-    from .fock import weighted_partial  # local import to avoid cycle noise
     term: Dict[int, FockVector] = {0: state}
     k = 0
     while term:

@@ -23,7 +23,8 @@ import cmath
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from ._linalg import solve as _solve_linear
 from .errors import (IsotropicTopError, NonSquareError, NumericFailure,
@@ -54,14 +55,10 @@ def epsilon_of(sector: Sector) -> int:
 
 
 def bilinear(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    """Standard symmetric form sum_j u_j v_j (no conjugation)."""
-    acc = ZERO
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
+    """Standard symmetric form sum_j u_j v_j (no conjugation).
 
-
-def _bilinear_c(u: Sequence[complex], v: Sequence[complex]) -> complex:
+    Works over Q(i) and over complex floats alike.
+    """
     return sum(a * b for a, b in zip(u, v))
 
 
@@ -106,21 +103,32 @@ class WhittakerType:
 
 def type_eigenvalues(lam: LambdaSequence) -> Dict[int, Scalar]:
     """Raw eigenvalue sums zeta_i for i = r+1 .. 2r+eps (no validity check)."""
-    r = lam.support_bound
-    eps = epsilon_of(lam.sector)
-    top2 = lam.top_doubled
-    out: Dict[int, Scalar] = {}
-    for i in range(r + 1, 2 * r + eps + 1):
-        total2 = 2 * (i - 1)
-        acc = ZERO
-        start = 0 if lam.sector is Sector.UNTWISTED else 1
-        for m2 in range(start, top2 + 1, 2):
-            n2 = total2 - m2
-            if n2 < start or n2 > top2:
-                continue
-            acc = acc + bilinear(lam.entry2(m2), lam.entry2(n2))
-        out[i] = acc / 2
-    return out
+    return _eigenvalue_sums(lam.entries, lam.sector, ZERO)
+
+
+def _eigenvalue_sums(entries: Sequence[Sequence], sector: Sector, zero) -> Dict:
+    """zeta_i = (1/2) sum_{m+n=i-1} (lambda_m, lambda_n) for i = r+1 .. 2r+eps.
+
+    ``entries`` holds lambda at its modes in ascending order (0, 1, ..., r
+    untwisted; 1/2, ..., r - 1/2 twisted), over either field; ``zero`` is
+    that field's zero.
+    """
+    count = len(entries)
+    untwisted = sector is Sector.UNTWISTED
+    r = max(0, count - 1) if untwisted else count
+    # entry slots a, b pair up in zeta_i when their modes sum to i - 1
+    return {i: _half_pair_sum(entries, i - 1 if untwisted else i - 2, 0,
+                              count - 1, zero)
+            for i in range(r + 1, 2 * r + epsilon_of(sector) + 1)}
+
+
+def _half_pair_sum(entries: Sequence[Sequence], total: int, lo: int, hi: int,
+                   zero):
+    """(1/2) sum of (entries[a], entries[b]) over a + b = total, lo <= a, b <= hi."""
+    acc = zero
+    for a in range(max(lo, total - hi), min(hi, total - lo) + 1):
+        acc = acc + bilinear(entries[a], entries[total - a])
+    return acc / 2
 
 
 def whittaker_type_of(lam: LambdaSequence) -> WhittakerType:
@@ -132,14 +140,11 @@ def whittaker_type_of(lam: LambdaSequence) -> WhittakerType:
     """
     if lam.is_zero:
         raise PreconditionError("the zero sequence has no Whittaker type")
-    r = lam.support_bound
-    eps = epsilon_of(lam.sector)
-    eig = type_eigenvalues(lam)
-    zeta = tuple(eig[i] for i in range(r + 1, 2 * r + eps + 1))
+    zeta = tuple(type_eigenvalues(lam).values())
     if not zeta[-1]:
         raise IsotropicTopError(
             "top lambda entry is isotropic: (lambda_top, lambda_top) = 0")
-    return WhittakerType(lam.sector, r, zeta, exact=True)
+    return WhittakerType(lam.sector, lam.support_bound, zeta, exact=True)
 
 
 # -- eigenvector verification ---------------------------------------------------
@@ -228,101 +233,108 @@ def fiber_dimension(rank: int, r: int, sector: Sector) -> Tuple[int, int]:
     return (rank - 1, (rank - 1) * (r - 1))
 
 
-def _unknown_modes2(sector: Sector, r: int) -> List[int]:
-    """Doubled modes of the unknown entries, ascending (top last)."""
-    if sector is Sector.UNTWISTED:
-        return [2 * t for t in range(r + 1)]
-    return [2 * t + 1 for t in range(r)]
+class _Field(NamedTuple):
+    """The scalars a fiber solve runs over: Q(i) exactly, or complex floats."""
+
+    exact: bool
+    coerce: Callable      # an input value as a field element
+    zero: object
+    one: object
+    sqrt: Callable        # a square root, or None when the field lacks one
+    negligible: Callable  # a Gram-Schmidt self-pairing too small to keep
+    pivot: Callable       # the top coordinate the fallback basis divides by
 
 
-def _steps_below_top(sector: Sector, r: int) -> int:
-    return r if sector is Sector.UNTWISTED else r - 1
+def _exact_value(x) -> Scalar:
+    try:
+        return as_scalar(x)
+    except TypeError as exc:
+        raise PreconditionError(f"exact mode needs exact values, got {x!r}") from exc
 
 
-def _standard_basis(rank: int, exact: bool):
-    if exact:
-        return [tuple(as_scalar(1 if c == s else 0) for c in range(rank))
-                for s in range(rank)]
-    return [tuple(1.0 + 0j if c == s else 0.0 + 0j for c in range(rank))
-            for s in range(rank)]
+_EXACT = _Field(True, _exact_value, ZERO, as_scalar(1), scalar_sqrt,
+                lambda x: not x,
+                lambda top: next(idx for idx, c in enumerate(top) if c))
+_NUMERIC = _Field(False, complex, 0j, 1.0 + 0j, cmath.sqrt,
+                  lambda x: not abs(x) > 1e-12,
+                  lambda top: max(range(len(top)), key=lambda idx: abs(top[idx])))
 
 
-def _complement_basis_exact(top: Tuple[Scalar, ...]) -> List[Tuple[Scalar, ...]]:
+def _complement_basis(top: Tuple, field: _Field) -> List[Tuple]:
     """Deterministic orthogonal complement basis of a non-isotropic vector.
 
-    Gram-Schmidt seeded from the standard basis (no normalization: square
-    roots may not exist in Q(i)); if isotropic intermediates starve it,
-    fall back to the pivot hyperplane basis, which is always valid.
+    Gram-Schmidt seeded from the standard basis.  Exact mode does not
+    normalize (square roots may not exist in Q(i)); numeric mode does.  If
+    (numerically) isotropic intermediates starve it, fall back to the pivot
+    hyperplane basis, which is always valid.
     """
     rank = len(top)
     tt = bilinear(top, top)
-    accepted: List[Tuple[Scalar, ...]] = []
-    for e in _standard_basis(rank, exact=True):
-        v = list(e)
+    accepted: List[Tuple] = []
+    for s in range(rank):
+        e = tuple(field.one if c == s else field.zero for c in range(rank))
         coef = bilinear(e, top) / tt
-        v = [a - coef * b for a, b in zip(v, top)]
+        v = [a - coef * b for a, b in zip(e, top)]
         for w in accepted:
-            ww = bilinear(w, w)
-            coef = bilinear(tuple(v), w) / ww
+            coef = bilinear(v, w)
+            if field.exact:
+                coef = coef / bilinear(w, w)
             v = [a - coef * b for a, b in zip(v, w)]
-        vt = tuple(v)
-        if any(vt) and bilinear(vt, vt):
-            accepted.append(vt)
+        norm2 = bilinear(v, v)
+        if not field.negligible(norm2):
+            if not field.exact:
+                scale = 1 / field.sqrt(norm2)
+                v = [scale * a for a in v]
+            accepted.append(tuple(v))
         if len(accepted) == rank - 1:
             return accepted
     # pivot fallback: e_s - (top_s / top_j*) e_j*
-    jstar = next(idx for idx, c in enumerate(top) if c)
+    jstar = field.pivot(top)
     basis = []
     for s in range(rank):
         if s == jstar:
             continue
-        v = [ZERO] * rank
-        v[s] = as_scalar(1)
+        v = [field.zero] * rank
+        v[s] = field.one
         v[jstar] = -(top[s] / top[jstar])
         basis.append(tuple(v))
     return basis
 
 
-def _complement_basis_numeric(top: Tuple[complex, ...]) -> List[Tuple[complex, ...]]:
-    rank = len(top)
-    tt = _bilinear_c(top, top)
-    accepted: List[Tuple[complex, ...]] = []
-    for e in _standard_basis(rank, exact=False):
-        v = [a - (_bilinear_c(e, top) / tt) * b for a, b in zip(e, top)]
-        for w in accepted:
-            coef = _bilinear_c(tuple(v), w)  # accepted vectors are normalized
-            v = [a - coef * b for a, b in zip(v, w)]
-        norm2 = _bilinear_c(tuple(v), tuple(v))
-        if abs(norm2) > 1e-12:
-            scale = 1 / cmath.sqrt(norm2)
-            accepted.append(tuple(scale * a for a in v))
-        if len(accepted) == rank - 1:
-            return accepted
-    jstar = max(range(rank), key=lambda idx: abs(top[idx]))
-    basis = []
-    for s in range(rank):
-        if s == jstar:
-            continue
-        v = [0j] * rank
-        v[s] = 1.0 + 0j
-        v[jstar] = -(top[s] / top[jstar])
-        basis.append(tuple(v))
-    return basis
+def _vector_of(values: Sequence, rank: int, name: str, field: _Field) -> Tuple:
+    vec = tuple(field.coerce(c) for c in values)
+    if len(vec) != rank:
+        raise PreconditionError(f"{name} has wrong length")
+    return vec
 
 
-def _known_sum(entries: Dict[int, Sequence], total2: int, t2: int, top2: int,
-               exact: bool):
-    """(1/2) sum of pairings over solved modes strictly between t and top."""
-    acc = ZERO if exact else 0j
-    for m2 in range(t2 + 2, top2, 2):
-        n2 = total2 - m2
-        if n2 <= t2 or n2 >= top2:
-            continue
-        if exact:
-            acc = acc + bilinear(entries[m2], entries[n2])
+def _back_substitute(zeta: WhittakerType, entries: List, basis: List[Tuple],
+                     params: List[Tuple], field: _Field) -> None:
+    """Solve the affine equation of each entry below the top (the last one).
+
+    Entries are solved descending from the top.  A fresh entry (None) is
+    rhs/(T, T) times T plus its free part in ``basis``; an entry already
+    present (the numeric refinement sweep) is corrected only along the top
+    direction.
+    """
+    top_slot = len(entries) - 1
+    top = entries[top_slot]
+    tt = bilinear(top, top)
+    for step, k in enumerate(reversed(range(top_slot))):
+        # zeta_i pairs this entry with the top: their modes sum to i - 1
+        i = k + top_slot + 2 - zeta.epsilon
+        rhs = field.coerce(zeta.value(i)) - _half_pair_sum(
+            entries, k + top_slot, k + 1, top_slot - 1, field.zero)
+        prev = entries[k]
+        if prev is None:
+            coef = rhs / tt
+            vec = [coef * c for c in top]
+            for c, w in zip(params[step], basis):
+                vec = [a + c * b for a, b in zip(vec, w)]
         else:
-            acc = acc + _bilinear_c(entries[m2], entries[n2])
-    return acc / 2
+            delta = (rhs - bilinear(prev, top)) / tt
+            vec = [a + delta * c for a, c in zip(prev, top)]
+        entries[k] = tuple(vec)
 
 
 def solve_fiber(zeta: WhittakerType, rank: int,
@@ -338,165 +350,81 @@ def solve_fiber(zeta: WhittakerType, rank: int,
     (rank-1)-dimensional part taken from ``free_params`` in the deterministic
     complement basis of the top entry.  In exact mode a caller who already
     owns an exactly scaled top vector may pass it as ``top_vector`` to avoid
-    the square-root requirement.
+    the square-root requirement; in numeric mode ``top_vector`` only fixes
+    the direction of the top entry.
     """
     if rank < 1:
         raise PreconditionError("rank must be >= 1")
-    r = zeta.r
-    steps = _steps_below_top(zeta.sector, r)
+    steps = zeta.r - 1 + zeta.epsilon  # entries below the top one
     if free_params is None:
         free_params = [[0] * (rank - 1) for _ in range(steps)]
     if len(free_params) != steps or any(len(p) != rank - 1 for p in free_params):
         raise PreconditionError(
             f"free_params must be {steps} vectors of length {rank - 1}")
-    modes2 = _unknown_modes2(zeta.sector, r)
-    top2 = modes2[-1]
-    if exact:
-        return _solve_exact(zeta, rank, sphere_point, free_params, top_vector,
-                            modes2, top2)
-    tol = default_tolerance() if tolerance is None else tolerance
-    return _solve_numeric(zeta, rank, sphere_point, free_params, top_vector,
-                          modes2, top2, tol)
-
-
-def _solve_exact(zeta, rank, sphere_point, free_params, top_vector,
-                 modes2, top2) -> FiberPoint:
-    two_top = as_scalar(2) * as_scalar(zeta.zeta[-1])
-    s = scalar_sqrt(two_top)
+    field = _EXACT if exact else _NUMERIC
+    if not exact and tolerance is None:
+        tolerance = default_tolerance()
+    two_top = 2 * field.coerce(zeta.zeta[-1])
     if top_vector is not None:
-        top = tuple(as_scalar(c) for c in top_vector)
-        if len(top) != rank:
-            raise PreconditionError("top_vector has wrong length")
-        if bilinear(top, top) != two_top:
+        top = _vector_of(top_vector, rank, "top_vector", field)
+        tt = bilinear(top, top)
+        if not tt:
+            raise IsotropicTopError("top_vector pairs to zero with itself")
+        if exact and tt != two_top:
             raise PreconditionError(
                 "top_vector does not satisfy (T, T) = 2 * zeta_top")
     else:
-        if sphere_point is not None:
-            sp = tuple(as_scalar(c) for c in sphere_point)
-            if len(sp) != rank:
-                raise PreconditionError("sphere_point has wrong length")
-            if bilinear(sp, sp) != as_scalar(1):
-                raise PreconditionError("sphere_point is not on the unit sphere")
+        if sphere_point is None:
+            sp = tuple(field.one if c == 0 else field.zero for c in range(rank))
         else:
-            sp = tuple(as_scalar(1 if c == 0 else 0) for c in range(rank))
+            sp = _vector_of(sphere_point, rank, "sphere_point", field)
+            norm2 = bilinear(sp, sp)
+            if exact:
+                if norm2 != field.one:
+                    raise PreconditionError("sphere_point is not on the unit sphere")
+            else:
+                if abs(norm2) < 1e-14:
+                    raise PreconditionError("sphere_point is numerically isotropic")
+                root = field.sqrt(norm2)
+                sp = tuple(c / root for c in sp)
+        s = field.sqrt(two_top)
         if s is None:
             raise NonSquareError(
                 "2 * zeta_top has no square root in Q(i); supply top_vector")
         top = tuple(s * c for c in sp)
-    sphere = tuple(c / s for c in top) if s else None
-    basis = _complement_basis_exact(top)
-    entries: Dict[int, Tuple[Scalar, ...]] = {top2: top}
-    params_out = []
-    for step, t2 in enumerate(reversed(modes2[:-1])):
-        i = ((t2 + top2) // 2) + 1  # the eigenvalue index tied to this unknown
-        rhs = as_scalar(zeta.value(i)) - _known_sum(entries, 2 * (i - 1), t2,
-                                                    top2, exact=True)
-        coef = rhs / two_top
-        vec = [coef * c for c in top]
-        row = tuple(as_scalar(c) for c in free_params[step])
-        for c, w in zip(row, basis):
-            if c:
-                vec = [a + c * b for a, b in zip(vec, w)]
-        entries[t2] = tuple(vec)
-        params_out.append(row)
-    lam_entries = tuple(entries[m2] for m2 in modes2)
-    lam = LambdaSequence.make(zeta.sector, rank, lam_entries)
-    if whittaker_type_of(lam) != WhittakerType(zeta.sector, zeta.r,
-                                               tuple(as_scalar(z) for z in zeta.zeta)):
-        raise NumericFailure("exact fiber solve failed to reproduce the type")
-    return FiberPoint(zeta.sector, rank, zeta.r, True, sphere, top,
-                      tuple(params_out), lam_entries, Fraction(0))
+    basis = _complement_basis(top, field)
+    params = [tuple(field.coerce(c) for c in row) for row in free_params]
+    entries = [None] * steps + [top]
+    _back_substitute(zeta, entries, basis, params, field)
+    if not exact:
+        # one refinement sweep: rescale the top onto its quadric, re-correct the rest
+        scale = field.sqrt(two_top / bilinear(top, top))
+        top = entries[-1] = tuple(scale * c for c in top)
+        _back_substitute(zeta, entries, basis, params, field)
 
-
-def _solve_numeric(zeta, rank, sphere_point, free_params, top_vector,
-                   modes2, top2, tol) -> FiberPoint:
-    zvals = [complex(z) for z in zeta.zeta]
-    two_top = 2 * zvals[-1]
-    if top_vector is not None:
-        top = tuple(complex(c) for c in top_vector)
+    lam_entries = tuple(entries)
+    if exact:
+        lam = LambdaSequence.make(zeta.sector, rank, lam_entries)
+        wanted = WhittakerType(zeta.sector, zeta.r,
+                               tuple(field.coerce(z) for z in zeta.zeta))
+        if whittaker_type_of(lam) != wanted:
+            raise NumericFailure("exact fiber solve failed to reproduce the type")
+        residual = Fraction(0)
     else:
-        if sphere_point is not None:
-            sp = [complex(c) for c in sphere_point]
-            norm2 = _bilinear_c(sp, sp)
-            if abs(norm2) < 1e-14:
-                raise PreconditionError("sphere_point is numerically isotropic")
-            sp = [c / cmath.sqrt(norm2) for c in sp]
-        else:
-            sp = [1.0 + 0j if c == 0 else 0j for c in range(rank)]
-        top = tuple(cmath.sqrt(two_top) * c for c in sp)
-    basis = _complement_basis_numeric(top)
-    params = [tuple(complex(c) for c in row) for row in free_params]
-
-    def back_substitute(top_now, entries):
-        entries[top2] = top_now
-        tt = _bilinear_c(top_now, top_now)
-        for step, t2 in enumerate(reversed(modes2[:-1])):
-            i = ((t2 + top2) // 2) + 1
-            rhs = zvals[i - (zeta.r + 1)] - _known_sum(entries, 2 * (i - 1),
-                                                       t2, top2, exact=False)
-            prev = entries.get(t2)
-            if prev is None:
-                vec = [(rhs / tt) * c for c in top_now]
-                for c, w in zip(params[step], basis):
-                    vec = [a + c * b for a, b in zip(vec, w)]
-            else:
-                # refinement: correct only along the top direction
-                delta = (rhs - _bilinear_c(prev, top_now)) / tt
-                vec = [a + delta * c for a, c in zip(prev, top_now)]
-            entries[t2] = tuple(vec)
-
-    entries: Dict[int, Tuple[complex, ...]] = {}
-    back_substitute(top, entries)
-    # one refinement sweep: rescale the top onto its quadric, re-correct the rest
-    tt = _bilinear_c(entries[top2], entries[top2])
-    scale = cmath.sqrt(two_top / tt)
-    top = tuple(scale * c for c in entries[top2])
-    back_substitute(top, entries)
-
-    lam_entries = tuple(entries[m2] for m2 in modes2)
-    residual = numeric_type_residual(lam_entries, zeta)
-    if residual > tol:
-        raise NumericFailure(
-            f"fiber residual {residual:.3e} exceeds tolerance {tol:.3e}")
-    tt = _bilinear_c(top, top)
-    sphere = tuple(c / cmath.sqrt(tt) for c in top)
-    return FiberPoint(zeta.sector, rank, zeta.r, False, sphere, top,
+        residual = numeric_type_residual(lam_entries, zeta)
+        if residual > tolerance:
+            raise NumericFailure(
+                f"fiber residual {residual:.3e} exceeds tolerance {tolerance:.3e}")
+    root = field.sqrt(bilinear(top, top))
+    sphere = None if root is None else tuple(c / root for c in top)
+    return FiberPoint(zeta.sector, rank, zeta.r, exact, sphere, top,
                       tuple(params), lam_entries, residual)
-
-
-def numeric_type_eigenvalues(entries: Sequence[Sequence[complex]],
-                             sector: Sector) -> Dict[int, complex]:
-    """Floating-point version of the eigenvalue sums, for residual checks."""
-    count = len(entries)
-    if sector is Sector.UNTWISTED:
-        r = max(0, count - 1)
-        top2 = 2 * (count - 1) if count else 0
-        start = 0
-    else:
-        r = count
-        top2 = 2 * count - 1 if count else 0
-        start = 1
-    eps = epsilon_of(sector)
-    table = {}
-    for idx2 in range(start, top2 + 1, 2):
-        slot = idx2 // 2 if sector is Sector.UNTWISTED else (idx2 - 1) // 2
-        table[idx2] = entries[slot]
-    out: Dict[int, complex] = {}
-    for i in range(r + 1, 2 * r + eps + 1):
-        total2 = 2 * (i - 1)
-        acc = 0j
-        for m2 in range(start, top2 + 1, 2):
-            n2 = total2 - m2
-            if n2 < start or n2 > top2:
-                continue
-            acc += _bilinear_c(table[m2], table[n2])
-        out[i] = acc / 2
-    return out
 
 
 def numeric_type_residual(entries: Sequence[Sequence[complex]],
                           zeta: WhittakerType) -> float:
-    got = numeric_type_eigenvalues(entries, zeta.sector)
+    """Largest |zeta_i(entries) - zeta_i| over the type, in floating point."""
+    got = _eigenvalue_sums(entries, zeta.sector, 0j)
     worst = 0.0
     for i in range(zeta.first_index, zeta.last_index + 1):
         worst = max(worst, abs(got[i] - complex(zeta.value(i))))
@@ -512,15 +440,13 @@ def extract_fiber_data(lam: LambdaSequence) -> Tuple[Tuple[Scalar, ...],
     """
     if lam.is_zero:
         raise PreconditionError("zero sequence")
-    modes2 = _unknown_modes2(lam.sector, lam.support_bound)
-    top = lam.entry2(modes2[-1])
+    top = lam.entries[-1]
     tt = bilinear(top, top)
     if not tt:
         raise IsotropicTopError("top entry is isotropic")
-    basis = _complement_basis_exact(top)
+    basis = _complement_basis(top, _EXACT)
     params: List[Tuple[Scalar, ...]] = []
-    for t2 in reversed(modes2[:-1]):
-        v = lam.entry2(t2)
+    for v in reversed(lam.entries[:-1]):
         coef = bilinear(v, top) / tt
         resid = [a - coef * b for a, b in zip(v, top)]
         matrix = [[basis[s][row] for s in range(len(basis))]

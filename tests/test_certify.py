@@ -168,6 +168,10 @@ class TestVerification:
         other = x(1, 1, 1) * x(1, 1, 1) * 3 + x(1, 2, 1)
         assert not verify_certificate(lam, other, cert)
 
+    def test_rank_mismatch_fails(self):
+        lam, a, cert = self._cert()
+        assert not verify_certificate(lam, x(1, 1, 2) * x(1, 1, 2), cert)
+
     def test_degree_ledger_checked(self):
         lam, a, cert = self._cert()
         step = cert.steps[0]

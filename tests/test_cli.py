@@ -1,9 +1,10 @@
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from heisenfock import cli
 from heisenfock.cli import main
 
 
@@ -78,6 +79,22 @@ def test_fiber_zero_top_exit_1(tmp_path):
     assert code == 1  # rejected at schema level: the document is invalid
 
 
+def test_fiber_exact_on_numeric_type_exit_2(tmp_path):
+    zeta = write(tmp_path / "z.json", {
+        "sector": "untwisted", "r": 0, "numeric": True, "zeta": [[0.5, 0.0]]})
+    code, out = run_cli("fiber", "--zeta", zeta, "--l", "1", "--exact")
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("top", [[[0, 0]], [[1, [0, 1]]]])
+def test_fiber_numeric_isotropic_top_exit_2(tmp_path, top):
+    zeta = write(tmp_path / "z.json", {
+        "sector": "untwisted", "r": 1, "zeta": ["1", "1"]})
+    path = write(tmp_path / "top.json", top)
+    code, out = run_cli("fiber", "--zeta", zeta, "--l", "2", "--top", path)
+    assert (code, out) == (2, "")
+
+
 def test_verify_command(lambda_file):
     code, out = run_cli("verify", "--lambda", lambda_file, "--bound", "7")
     assert code == 0
@@ -114,6 +131,18 @@ def test_certify_check_tampered_exit_3(tmp_path, lambda_file):
     assert json.loads(out2)["valid"] is False
 
 
+@pytest.mark.parametrize("index", [0, 5])
+def test_certify_check_index_outside_rank_exit_1(tmp_path, lambda_file, index):
+    vec = write(tmp_path / "vec.json", {
+        "sector": "untwisted", "rank": 1,
+        "terms": [{"monomial": "x[1,1]", "coeff": "1"}]})
+    code, out = run_cli("certify", "--lambda", lambda_file, "--vector", vec)
+    doc = json.loads(out)
+    doc["steps"][0]["i"] = index
+    code, out2 = run_cli("certify", "--check", write(tmp_path / "bad.json", doc))
+    assert (code, out2) == (1, "")
+
+
 def test_certify_highest_weight_exit_2(tmp_path):
     lam = write(tmp_path / "hw.json", {
         "sector": "untwisted", "rank": 1, "entries": [[["1", "0"]]]})
@@ -140,6 +169,25 @@ def test_relations_all_pass():
     doc = json.loads(out)
     assert doc["all_pass"] is True
     assert all(s["failures"] == 0 for s in doc["suites"].values())
+
+
+@pytest.mark.parametrize("flag", ["--l", "--bound"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_relations_rejects_nonpositive_sizes(flag, value):
+    code, out = run_cli("relations", flag, value, "--trials", "2")
+    assert (code, out) == (2, "")
+
+
+def test_unexpected_exception_exit_4(monkeypatch):
+    def broken(order):
+        raise KeyError(order)
+
+    monkeypatch.setattr(cli, "cmn_table", broken)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("cmn", "--order", "3")
+    assert (code, out) == (4, "")
+    assert err.getvalue() == "internal error: KeyError: 3\n"
 
 
 def test_dump_round_trip(tmp_path, lambda_file):

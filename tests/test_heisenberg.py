@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from heisenfock import (FockVector, HighestWeightError, LambdaSequence, Mode,
-                        ModeRangeError, QuadraticElement, Scalar, Sector,
+from heisenfock import (BosonIndexError, FockVector, HighestWeightError,
+                        LambdaSequence, Mode, ModeRangeError, QuadraticElement, Scalar, Sector,
                         SectorMismatchError, act_annihilation, act_creation,
                         act_mode, commutator_check, j_generator, quadratic_act,
                         theta_involution)
@@ -35,6 +35,14 @@ class TestLambdaSequence:
         assert lam.pair(Fraction(3, 2), 1) == sc(4)
         with pytest.raises(ModeRangeError):
             lam.pair(1, 1)
+
+    @pytest.mark.parametrize("i", [0, -1, 3])
+    def test_pairing_index_outside_rank(self, i):
+        lam = lam_of(Sector.UNTWISTED, 2, [sc(1), sc(2)], [sc(3), sc(4)])
+        with pytest.raises(BosonIndexError):
+            lam.pair2(2, i)
+        with pytest.raises(BosonIndexError):
+            lam.pair2(8, i)  # beyond the support: still checked
 
     def test_proper_flag(self):
         assert not LambdaSequence.zero(1).is_proper
@@ -87,6 +95,16 @@ class TestModeActions:
         lam = LambdaSequence.zero(1, Sector.TWISTED)
         with pytest.raises(ModeRangeError):
             act_mode(lam, 1, 0, one(1, Sector.TWISTED))
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_annihilation_index_outside_rank(self, mode):
+        lam = lam_of(Sector.UNTWISTED, 1, [1], [2])
+        f = x(1, 1, 1) + one(1)
+        for i in (0, 2):
+            with pytest.raises(BosonIndexError):
+                act_annihilation(lam, i, mode, f)
+            with pytest.raises(BosonIndexError):
+                act_mode(lam, i, mode, f)
 
     def test_sector_mismatch(self):
         lam = LambdaSequence.zero(1, Sector.TWISTED)

@@ -106,6 +106,15 @@ class TestCertificateJson:
             assert lam2 == lam
             assert cert2 == cert
 
+    @pytest.mark.parametrize("key,index", [("i", 0), ("i", 2), ("j", 0),
+                                           ("j", 5)])
+    def test_step_index_outside_rank_rejected(self, key, index):
+        lam = lam_of(Sector.UNTWISTED, 1, [0], [2])
+        doc = certificate_to_json(lam, certify_cyclic(lam, x(1, 1, 1)))
+        doc["steps"][0][key] = index
+        with pytest.raises(SchemaError):
+            certificate_from_json(doc)
+
     def test_mode_strings(self):
         lam = lam_of(Sector.TWISTED, 1, [1])
         a = x(1, HALF, 1, Sector.TWISTED)

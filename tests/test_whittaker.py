@@ -168,6 +168,24 @@ class TestFiberSolver:
         with pytest.raises(PreconditionError):
             solve_fiber(wt, 2, free_params=[[sc(1)], [sc(2)]], exact=True)
 
+    def test_exact_mode_rejects_numeric_type(self):
+        wt = WhittakerType(Sector.UNTWISTED, 0, (0.5 + 0j,), exact=False)
+        with pytest.raises(PreconditionError):
+            solve_fiber(wt, 1, exact=True)
+
+    @pytest.mark.parametrize("top", [[0, 0], [1, 1j]])
+    def test_numeric_isotropic_top_rejected(self, top):
+        wt = WhittakerType(Sector.UNTWISTED, 1, (1 + 0j, 1 + 0j), exact=False)
+        with pytest.raises(IsotropicTopError):
+            solve_fiber(wt, 2, top_vector=top)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("key", ["sphere_point", "top_vector"])
+    def test_vector_length_checked(self, exact, key):
+        wt = WhittakerType(Sector.UNTWISTED, 0, (sc(2),))
+        with pytest.raises(PreconditionError):
+            solve_fiber(wt, 2, exact=exact, **{key: [sc(2), sc(0), sc(0)]})
+
     def test_tolerance_env_override(self, monkeypatch):
         from heisenfock.errors import NumericFailure
         wt = WhittakerType(Sector.UNTWISTED, 0, (1.0 + 0j,), exact=False)
