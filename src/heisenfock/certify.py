@@ -138,7 +138,7 @@ def verify_certificate(lam: LambdaSequence, a: FockVector,
         if current.degree != step.degree_before:
             return False
         q = step.element
-        if q.sector is not current.sector:
+        if q.sector is not current.sector or max(q.i, q.j) > lam.rank:
             return False
         composed = act_mode2(lam, q.i, q.m.doubled,
                              act_mode2(lam, q.j, q.n.doubled, current))

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .errors import (HighestWeightError, ModeRangeError, SchemaError,
-                     SectorMismatchError)
+from .errors import (BosonIndexError, HighestWeightError, ModeRangeError,
+                     SchemaError, SectorMismatchError)
 from .fock import (FockVector, Mode, ModeLike, Sector, _check_boson,
                    _weighted_partial2, doubled_mode, weighted_partial)
 from .scalars import Scalar, as_scalar
@@ -204,6 +204,9 @@ class QuadraticElement:
     def __post_init__(self):
         if self.m.sector is not self.n.sector:
             raise SectorMismatchError("quadratic element mixes sectors")
+        if self.i < 1 or self.j < 1:
+            raise BosonIndexError(
+                f"boson indices must be >= 1, got i={self.i}, j={self.j}")
 
     @property
     def sector(self) -> Sector:

@@ -10,6 +10,7 @@ marker but validate everything else strictly, raising ``SchemaError``.
 
 from __future__ import annotations
 
+import cmath
 import re as _re
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -78,7 +79,18 @@ def parse_complex_pair(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(v, (int, float)) for v in value)):
         raise SchemaError(f"{where}: expected a numeric [re, im] pair")
-    return complex(value[0], value[1])
+    return _finite(value[0], value[1], where)
+
+
+def _finite(re, im, where: str) -> complex:
+    """The complex number re + i*im; NaN, infinities and overflow are refused."""
+    try:
+        z = complex(re, im)
+    except OverflowError as exc:
+        raise SchemaError(f"{where}: number out of range in {[re, im]!r}") from exc
+    if not cmath.isfinite(z):
+        raise SchemaError(f"{where}: non-finite number in {[re, im]!r}")
+    return z
 
 
 # -- lambda sequences ------------------------------------------------------------
@@ -333,7 +345,7 @@ def vectors_from_json(doc, rank: int, where: str,
 
 def _as_float(c, where):
     if isinstance(c, (int, float)):
-        return complex(c)
+        return _finite(c, 0, where)
     raise SchemaError(f"{where}: bad numeric coordinate {c!r}")
 
 

@@ -6,7 +6,18 @@ normal-ordered product of derivative fields; the ``k``-th mode of that field
 applied to a concrete Fock vector is a *finite* sum of ordinary oscillator
 monomials, because annihilation modes beyond the vector's weight (and beyond
 the lambda support) act by zero and creation modes are then capped by the
-output weight.  ``mode_apply`` performs exactly that finite expansion.
+output weight.  One kernel expands each state monomial for both sectors,
+fixing its factors' modes depth-first: each mode lies between what the
+remaining factors can still make up and the annihilation cap, the last
+factor takes the remainder, a derivative factor's binomial weight is
+multiplied in as its mode is fixed (zero skips the mode), an annihilator
+acts at once (a zero result prunes the subtree) and the creators multiply
+in at the leaf, after every annihilator (normal ordering).
+
+Parity rule: r half-odd twisted modes sum to an integer of the parity of
+r, so on twisted vectors a monomial whose factor count cannot reach the
+parity of ``k`` contributes zero; untwisted modes are integers, and
+``mode_apply`` refuses a half-odd ``k``.
 
 On twisted vectors the field first acquires the lowering correction
 
@@ -15,8 +26,8 @@ On twisted vectors the field first acquires the lowering correction
 whose rational coefficients come from the generating function
 -log(((1+z)^(1/2) + (1+w)^(1/2))/2); ``cmn_table`` computes them exactly by
 truncated bivariate series arithmetic and ``delta_z_apply`` applies the
-(terminating) exponential.  ``twisted_mode_apply`` then reads the requested
-mode off the shifted Laurent expansion.
+(terminating) exponential.  ``twisted_mode_apply`` hands its parts, the
+coefficients of z^(-j), to the same kernel, which reads mode k - j of each.
 
 All Virasoro operators are modes of the quadratic state
 omega = (1/2) sum_i x[i,1]^2, so both sectors run through the same engine.
@@ -28,7 +39,6 @@ immutable once built, so concurrent use is safe.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,7 +48,7 @@ from typing import Dict, List, Tuple, Union
 from ._linalg import determinant
 from .errors import ModeRangeError, PreconditionError, SectorMismatchError
 from .fock import (FockVector, ModeLike, Monomial, Sector, _accumulate,
-                   _doubled_value, weighted_partial)
+                   _doubled_value, doubled_mode, weighted_partial)
 from .heisenberg import LambdaSequence, act_mode2
 from .scalars import Scalar
 
@@ -123,69 +133,54 @@ def _monomial_factors(mono: Monomial) -> List[Tuple[int, int]]:
 
 # -- the normal-ordered derivative-field engine --------------------------------
 
-def _y0_apply(state: FockVector, k: ModeLike, f: FockVector,
-              lam: LambdaSequence) -> FockVector:
-    """Coefficient of z^(-k-1) in the normal-ordered field of ``state`` on f."""
+def _modes_on(parts, k2: int, f: FockVector, lam: LambdaSequence) -> FockVector:
+    """Sum over the (j, state) parts of mode k - j of the state on f, where
+    ``k2`` = 2k; the depth-first expansion of the module docstring."""
     acc: Dict[Monomial, Scalar] = {}
-    if f.terms:
-        k2 = _doubled_value(k)
-        twisted = f.sector is Sector.TWISTED
-        cap2 = max(f.max_mode2(), lam.top_doubled, 0)
-        if twisted and cap2 % 2 == 0:
-            cap2 -= 1  # no mode 0 in the twisted sector; may leave no annihilators
-        for mono, coeff in state.terms.items():
-            _field_mode_on(coeff, _monomial_factors(mono), k2, f, lam,
-                           cap2, twisted, acc)
-    return FockVector(f.rank, f.sector, acc)
+    if not f.terms:
+        return FockVector(f.rank, f.sector, acc)
+    parity = 1 if f.sector is Sector.TWISTED else 0
+    # no mode above cap2 acts on f; a twisted cap of 0 becomes -1 (no mode 0)
+    cap2 = max(f.max_mode2(), lam.top_doubled, 0)
+    if cap2 % 2 != parity:
+        cap2 -= 1
 
-
-def _field_mode_on(coeff: Scalar, factors: List[Tuple[int, int]], k2: int,
-                   f: FockVector, lam: LambdaSequence, cap2: int,
-                   twisted: bool, acc: Dict[Monomial, Scalar]) -> None:
-    r = len(factors)
-    # total doubled oscillator mode forced by the z-power bookkeeping
-    target2 = k2 + 2 - 2 * sum(n for _, n in factors)
-    if r == 0:
-        # the vacuum state's field is the identity
-        if target2 == 0:
-            for mono, c in f.terms.items():
-                _accumulate(acc, mono, c * coeff)
-        return
-    lo2 = target2 - (r - 1) * cap2
-    want = 1 if twisted else 0
-    if lo2 % 2 != want:
-        lo2 += 1
-    if lo2 > cap2:
-        return
-    choices = range(lo2, cap2 + 1, 2)
-    for prefix in itertools.product(choices, repeat=r - 1):
-        last = target2 - sum(prefix)
-        if last < lo2 or last > cap2:
-            continue
-        modes2 = prefix + (last,)
-        weight = Fraction(1)
-        for (_, n), d2 in zip(factors, modes2):
-            if n > 1:
-                weight *= _gbinom(Fraction(-d2 - 2, 2), n - 1)
-                if not weight:
-                    break
-        if not weight:
-            continue
-        # annihilators act first (normal ordering), then the creators
-        g = f
-        for (a, _), d2 in zip(factors, modes2):
-            if d2 >= 0:
-                g = act_mode2(lam, a, d2, g)
-                if not g:
-                    break
-        if not g:
-            continue
-        for (a, _), d2 in zip(factors, modes2):
+    def expand(out, factors, left2, weight, g, creators):
+        if not factors:
+            if left2 == 0:  # always, except for the vacuum state (identity)
+                for a, d2 in creators:
+                    g = g.times_variable(a, -d2)
+                for mono, c in g.terms.items():
+                    _accumulate(out, mono, c if weight == 1 else c.scale(weight))
+            return
+        (a, n), rest = factors[0], factors[1:]
+        # the factors after this one take at most cap2 each; the last one
+        # takes exactly what is left
+        hi2 = cap2 if rest else min(cap2, left2)
+        for d2 in range(left2 - len(rest) * cap2, hi2 + 1, 2):
+            w = weight * _gbinom(Fraction(-d2 - 2, 2), n - 1) if n > 1 else weight
+            if not w:
+                continue
             if d2 < 0:
-                g = g.times_variable(a, -d2)
-        scale = coeff * weight
-        for mono, c in g.terms.items():
-            _accumulate(acc, mono, c * scale)
+                expand(out, rest, left2 - d2, w, g, creators + ((a, d2),))
+                continue
+            h = act_mode2(lam, a, d2, g)
+            if h:
+                expand(out, rest, left2 - d2, w, h, creators)
+
+    for j, state in parts:
+        for mono, coeff in state.terms.items():
+            factors = _monomial_factors(mono)
+            # total doubled oscillator mode forced by the z-power bookkeeping
+            target2 = k2 - 2 * j + 2 - 2 * sum(n for _, n in factors)
+            # r modes of parity p sum to the parity of r*p; else the mode is 0
+            if (target2 - len(factors) * parity) % 2:
+                continue
+            out: Dict[Monomial, Scalar] = {}
+            expand(out, factors, target2, Fraction(1), f, ())
+            for m, c in out.items():
+                _accumulate(acc, m, c * coeff)
+    return FockVector(f.rank, f.sector, acc)
 
 
 def mode_apply(u: StateLike, k: ModeLike, f: FockVector,
@@ -194,7 +189,8 @@ def mode_apply(u: StateLike, k: ModeLike, f: FockVector,
     if lam.sector is not Sector.UNTWISTED:
         raise SectorMismatchError("twisted data passed; use twisted_mode_apply")
     lam._check_vector(f)
-    return _y0_apply(_as_state(u, f.rank), k, f, lam)
+    k2 = doubled_mode(k, Sector.UNTWISTED)
+    return _modes_on(((0, _as_state(u, f.rank)),), k2, f, lam)
 
 
 def twisted_mode_apply(u: StateLike, k: ModeLike, f: FockVector,
@@ -203,13 +199,8 @@ def twisted_mode_apply(u: StateLike, k: ModeLike, f: FockVector,
     if lam.sector is not Sector.TWISTED:
         raise SectorMismatchError("untwisted data passed; use mode_apply")
     lam._check_vector(f)
-    state = _as_state(u, f.rank)
-    acc = FockVector.zero(f.rank, f.sector)
-    for j, v in delta_z_apply(state).items():
-        part = _y0_apply(v, k - j, f, lam)
-        if part:
-            acc = acc + part
-    return acc
+    parts = delta_z_apply(_as_state(u, f.rank)).items()
+    return _modes_on(parts, _doubled_value(k), f, lam)
 
 
 # -- Virasoro operators -----------------------------------------------------------

@@ -45,9 +45,12 @@ def default_tolerance() -> float:
     if raw is None:
         return DEFAULT_TOLERANCE
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise SchemaError(f"bad {TOLERANCE_ENV} value {raw!r}") from exc
+    if not 0 <= value < float("inf"):  # NaN fails this too
+        raise SchemaError(f"{TOLERANCE_ENV} must be finite and >= 0, got {raw!r}")
+    return value
 
 
 def epsilon_of(sector: Sector) -> int:
@@ -383,7 +386,7 @@ def solve_fiber(zeta: WhittakerType, rank: int,
                 if norm2 != field.one:
                     raise PreconditionError("sphere_point is not on the unit sphere")
             else:
-                if abs(norm2) < 1e-14:
+                if abs(norm2) <= 1e-14 * sum(abs(c) ** 2 for c in sp):
                     raise PreconditionError("sphere_point is numerically isotropic")
                 root = field.sqrt(norm2)
                 sp = tuple(c / root for c in sp)
@@ -412,7 +415,7 @@ def solve_fiber(zeta: WhittakerType, rank: int,
         residual = Fraction(0)
     else:
         residual = numeric_type_residual(lam_entries, zeta)
-        if residual > tolerance:
+        if not residual <= tolerance:  # a NaN residual fails too
             raise NumericFailure(
                 f"fiber residual {residual:.3e} exceeds tolerance {tolerance:.3e}")
     root = field.sqrt(bilinear(top, top))
@@ -425,10 +428,10 @@ def numeric_type_residual(entries: Sequence[Sequence[complex]],
                           zeta: WhittakerType) -> float:
     """Largest |zeta_i(entries) - zeta_i| over the type, in floating point."""
     got = _eigenvalue_sums(entries, zeta.sector, 0j)
-    worst = 0.0
-    for i in range(zeta.first_index, zeta.last_index + 1):
-        worst = max(worst, abs(got[i] - complex(zeta.value(i))))
-    return worst
+    gaps = [abs(got[i] - complex(zeta.value(i)))
+            for i in range(zeta.first_index, zeta.last_index + 1)]
+    # max() would drop a NaN that follows a number; report it instead
+    return cmath.nan if any(map(cmath.isnan, gaps)) else max(gaps, default=0.0)
 
 
 def extract_fiber_data(lam: LambdaSequence) -> Tuple[Tuple[Scalar, ...],

@@ -172,6 +172,16 @@ class TestVerification:
         lam, a, cert = self._cert()
         assert not verify_certificate(lam, x(1, 1, 2) * x(1, 1, 2), cert)
 
+    @pytest.mark.parametrize("key", ["i", "j"])
+    def test_step_index_outside_rank_fails(self, key):
+        lam, a, cert = self._cert()
+        step = cert.steps[0]
+        bad_q = replace(step.element, **{key: 3})
+        bad = ReductionCertificate(
+            cert.initial, (replace(step, element=bad_q),) + cert.steps[1:],
+            cert.terminal)
+        assert verify_certificate(lam, a, bad) is False
+
     def test_degree_ledger_checked(self):
         lam, a, cert = self._cert()
         step = cert.steps[0]

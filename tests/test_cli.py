@@ -95,6 +95,35 @@ def test_fiber_numeric_isotropic_top_exit_2(tmp_path, top):
     assert (code, out) == (2, "")
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_fiber_non_finite_zeta_exit_1(tmp_path, bad):
+    zeta = tmp_path / "z.json"
+    zeta.write_text('{"sector": "untwisted", "r": 0, "numeric": true, '
+                    f'"zeta": [[{bad}, 0]]}}')
+    code, out = run_cli("fiber", "--zeta", str(zeta), "--l", "2")
+    assert (code, out) == (1, "")
+
+
+def test_fiber_non_finite_sphere_exit_1(tmp_path):
+    zeta = write(tmp_path / "z.json", {
+        "sector": "untwisted", "r": 0, "zeta": ["1/2"]})
+    sphere = tmp_path / "s.json"
+    sphere.write_text("[[[NaN, 0], [1, 0]]]")
+    code, out = run_cli("fiber", "--zeta", zeta, "--l", "2", "--sphere", str(sphere))
+    assert (code, out) == (1, "")
+
+
+def test_fiber_short_sphere_point_exit_0(tmp_path):
+    zeta = write(tmp_path / "z.json", {
+        "sector": "untwisted", "r": 0, "zeta": ["1/2"]})
+    sphere = write(tmp_path / "s.json", [[[1e-8, 0]]])
+    code, out = run_cli("fiber", "--zeta", zeta, "--l", "1", "--sphere", sphere)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["lambda"]["entries"] == [[[1.0, 0.0]]]
+    assert doc["residual"] == 0.0
+
+
 def test_verify_command(lambda_file):
     code, out = run_cli("verify", "--lambda", lambda_file, "--bound", "7")
     assert code == 0

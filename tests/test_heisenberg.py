@@ -187,6 +187,12 @@ class TestQuadraticAction:
                 composed = act_mode(lam, q.i, m, act_mode(lam, q.j, n, f))
                 assert quadratic_act(lam, q, f) == composed - f.scaled(q.shift)
 
+    @pytest.mark.parametrize("i,j", [(0, 1), (1, 0), (-1, 2)])
+    def test_rejects_nonpositive_boson_index(self, i, j):
+        m = Mode.of(1, Sector.UNTWISTED)
+        with pytest.raises(BosonIndexError):
+            QuadraticElement(i, j, m, m, sc(0))
+
     def test_rejects_nonpositive_modes(self):
         with pytest.raises(ModeRangeError):
             Mode(0, Sector.UNTWISTED)

@@ -8,12 +8,14 @@ from heisenfock.sampling import random_fock, random_lambda
 from heisenfock.serialize import (certificate_from_json, certificate_to_json,
                                   cmn_to_json, fock_from_json, fock_to_json,
                                   lambda_from_json, lambda_to_json,
-                                  parse_monomial, whittaker_type_from_json,
+                                  parse_monomial, vectors_from_json,
+                                  whittaker_type_from_json,
                                   whittaker_type_to_json)
 
 from conftest import lam_of, sc, x
 
 HALF = Fraction(1, 2)
+NAN, INF = float("nan"), float("inf")
 
 
 class TestLambdaJson:
@@ -94,6 +96,20 @@ class TestTypeJson:
         doc = {"sector": "untwisted", "r": 0, "zeta": ["0"]}
         with pytest.raises(SchemaError):
             whittaker_type_from_json(doc)
+
+    @pytest.mark.parametrize("pair", [[NAN, 0], [0, NAN], [INF, 0], [0, -INF],
+                                      [10 ** 400, 0]])
+    def test_rejects_non_finite_zeta(self, pair):
+        doc = {"sector": "untwisted", "r": 0, "numeric": True, "zeta": [pair]}
+        with pytest.raises(SchemaError):
+            whittaker_type_from_json(doc)
+
+
+@pytest.mark.parametrize("coord", [NAN, INF, -INF, [NAN, 0], [1, INF]])
+def test_numeric_vectors_reject_non_finite(coord):
+    with pytest.raises(SchemaError):
+        vectors_from_json([[1.0, coord]], 2, "sphere", numeric=True)
+    assert vectors_from_json([[1.0, 2]], 2, "sphere", numeric=True) == [[1, 2]]
 
 
 class TestCertificateJson:

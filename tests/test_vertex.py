@@ -1,12 +1,14 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from heisenfock import (FockVector, FreeMonomial, LambdaSequence, Sector,
                         SectorMismatchError, act_mode, mode_apply, omega,
-                        virasoro_bracket_check, virasoro_mode)
-from heisenfock.errors import PreconditionError
-from heisenfock.sampling import random_fock, random_lambda
+                        twisted_mode_apply, virasoro_bracket_check,
+                        virasoro_mode, weighted_partial)
+from heisenfock.errors import ModeRangeError, PreconditionError
+from heisenfock.sampling import random_fock, random_lambda, random_nonzero_scalar
 
 from conftest import lam_of, one, sc, x
 
@@ -84,6 +86,89 @@ class TestModeApply:
         f = one(1, Sector.TWISTED)
         with pytest.raises(SectorMismatchError):
             mode_apply(omega(1), 1, f, lam)
+
+
+def sector_modes(vector):
+    return {d2 % 2 for mono in vector.terms for _, d2, _ in mono}
+
+
+class TestModeParity:
+    def test_untwisted_rejects_half_odd_mode(self):
+        lam0 = LambdaSequence.zero(1)
+        u = x(1, 1, 1) * x(1, 1, 1)
+        for k in (Fraction(-1, 2), Fraction(3, 2)):
+            with pytest.raises(ModeRangeError):
+                mode_apply(u, k, one(1), lam0)
+
+    def test_twisted_wrong_parity_is_zero(self, rng):
+        # two twisted factors have half-odd modes summing to an integer, so a
+        # half-odd mode of x[1,1]^2 is zero: no monomial of even modes appears
+        lam0 = LambdaSequence.zero(1, Sector.TWISTED)
+        u = x(1, 1, 1) * x(1, 1, 1)
+        assert not twisted_mode_apply(u, Fraction(-3, 2), one(1, Sector.TWISTED), lam0)
+        for _ in range(10):
+            lam = random_lambda(rng, 2, Sector.TWISTED, max_r=2)
+            f = random_fock(rng, 2, Sector.TWISTED, max_degree=3, max_terms=2)
+            for k2 in range(-5, 6, 2):
+                assert not twisted_mode_apply(omega(2), Fraction(k2, 2), f, lam)
+
+    def test_twisted_mixed_parity_state_keeps_matching_part(self, rng):
+        u_odd = x(1, 1, 2) * x(2, 2, 2) * x(1, 1, 2)
+        u_even = x(2, 1, 2) * x(1, 2, 2)
+        for _ in range(10):
+            lam = random_lambda(rng, 2, Sector.TWISTED, max_r=2)
+            f = random_fock(rng, 2, Sector.TWISTED, max_degree=3, max_terms=2)
+            for k2 in range(-3, 6):
+                k = Fraction(k2, 2)
+                got = twisted_mode_apply(u_odd + u_even, k, f, lam)
+                part = u_odd if k2 % 2 else u_even
+                assert got == twisted_mode_apply(part, k, f, lam)
+                assert sector_modes(got) <= {1}
+
+
+def gbinom(top, j):
+    num = Fraction(1)
+    for s in range(j):
+        num *= top - s
+    return num / factorial(j)
+
+
+class TestCommutatorFormula:
+    """[h_i(m), u_k] f = sum_{j>=1} binom(m, j) (h_i(j) u)_{m+k-j} f.
+
+    The left side composes oscillator modes with one mode of u; the right
+    side takes modes of the states h_i(j) u = j d/dx[i,j] u, with one
+    factor fewer, so the two routes share no expansion of u itself.
+    """
+
+    @pytest.mark.parametrize("sector", [Sector.UNTWISTED, Sector.TWISTED])
+    def test_states_of_three_to_five_factors(self, rng, sector):
+        apply = mode_apply if sector is Sector.UNTWISTED else twisted_mode_apply
+        half = Fraction(1, 2) if sector is Sector.TWISTED else 0
+        for count in (3, 4, 5, 3, 4, 5):
+            rank = rng.randint(1, 2)
+            lam = random_lambda(rng, rank, sector, max_r=2)
+            f = random_fock(rng, rank, sector, max_degree=2, max_terms=2)
+            u = FockVector.zero(rank)
+            for _ in range(2):
+                term = FockVector.constant(random_nonzero_scalar(rng), rank)
+                for slot in range(count):
+                    n = rng.choice((1, 2)) if slot < 2 else 1
+                    term = term.times_variable(rng.randint(1, rank), 2 * n)
+                u = u + term
+            weight = u.degree2 // 2
+            i = rng.randint(1, rank)
+            m = rng.randint(-2, 2) + half
+            k = rng.randint(-1, weight) + (half if count % 2 else 0)
+            lhs = (act_mode(lam, i, m, apply(u, k, f, lam))
+                   - apply(u, k, act_mode(lam, i, m, f), lam))
+            rhs = FockVector.zero(rank, sector)
+            for j in range(1, weight + 1):
+                du = weighted_partial(i, j, u)
+                c = gbinom(m, j)
+                if du and c:
+                    rhs = rhs + apply(du, m + k - j, f, lam).scaled_fraction(c)
+            assert lhs == rhs
 
 
 class TestVirasoro:

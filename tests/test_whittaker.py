@@ -7,7 +7,7 @@ from heisenfock import (FockVector, IsotropicTopError, LambdaSequence,
                         bilinear, extract_fiber_data, fiber_dimension,
                         solve_fiber, verify_whittaker_vector,
                         whittaker_type_of)
-from heisenfock.errors import PreconditionError
+from heisenfock.errors import PreconditionError, SchemaError
 from heisenfock.sampling import random_lambda, random_nonzero_scalar
 from heisenfock.whittaker import numeric_type_residual, type_eigenvalues
 
@@ -186,6 +186,34 @@ class TestFiberSolver:
         with pytest.raises(PreconditionError):
             solve_fiber(wt, 2, exact=exact, **{key: [sc(2), sc(0), sc(0)]})
 
+    def test_short_sphere_point_is_not_isotropic(self):
+        # (s, s) = 1e-16 is tiny only because s is short; its direction is fine
+        wt = WhittakerType(Sector.UNTWISTED, 0, (0.5 + 0j,), exact=False)
+        point = solve_fiber(wt, 1, sphere_point=[1e-8])
+        assert point.lambda_entries == ((1 + 0j,),)
+        point = solve_fiber(wt, 2, sphere_point=[3e-9, 4e-9])
+        assert point.residual <= 1e-10
+
+    @pytest.mark.parametrize("sphere", [[0, 0], [1, 1j], [1e-8, 1e-8j]])
+    def test_isotropic_sphere_point_rejected(self, sphere):
+        wt = WhittakerType(Sector.UNTWISTED, 0, (0.5 + 0j,), exact=False)
+        with pytest.raises(PreconditionError):
+            solve_fiber(wt, 2, sphere_point=sphere)
+
+    def test_non_finite_residual_fails(self):
+        from heisenfock.errors import NumericFailure
+        wt = WhittakerType(Sector.UNTWISTED, 0, (complex(float("nan"), 0),),
+                           exact=False)
+        with pytest.raises(NumericFailure):
+            solve_fiber(wt, 2)
+
+    def test_residual_reports_nan(self):
+        import math
+        wt = WhittakerType(Sector.UNTWISTED, 1, (1 + 0j, 1 + 0j), exact=False)
+        nan = complex(float("nan"), 0)
+        assert math.isnan(numeric_type_residual([(nan, 0j), (1 + 0j, 0j)], wt))
+        assert numeric_type_residual([(0j, 0j), (1 + 0j, 1 + 0j)], wt) == 1.0
+
     def test_tolerance_env_override(self, monkeypatch):
         from heisenfock.errors import NumericFailure
         wt = WhittakerType(Sector.UNTWISTED, 0, (1.0 + 0j,), exact=False)
@@ -194,6 +222,13 @@ class TestFiberSolver:
             solve_fiber(wt, 2, exact=False)
         monkeypatch.setenv("HEISENFOCK_TOLERANCE", "1e-6")
         assert solve_fiber(wt, 2, exact=False).residual <= 1e-6
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-1e-10"])
+    def test_tolerance_env_must_be_finite_and_nonnegative(self, monkeypatch, raw):
+        wt = WhittakerType(Sector.UNTWISTED, 0, (1.0 + 0j,), exact=False)
+        monkeypatch.setenv("HEISENFOCK_TOLERANCE", raw)
+        with pytest.raises(SchemaError):
+            solve_fiber(wt, 2, exact=False)
 
 
 class TestFiberDimension:
