@@ -68,10 +68,6 @@ def doubled_mode(mode: ModeLike, sector: Sector) -> int:
     return d2
 
 
-def mode_value(d2: int) -> Fraction:
-    return Fraction(d2, 2)
-
-
 def mode_text(d2: int) -> str:
     """Mode as an integer or ``k/2`` string."""
     return str(Fraction(d2, 2))
@@ -239,10 +235,6 @@ class FockVector:
     def degree(self) -> Union[Fraction, float]:
         d2 = self.degree2
         return d2 if d2 == NEG_INFINITY else Fraction(d2, 2)
-
-    @property
-    def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
 
     def constant_coefficient(self) -> Scalar:
         return self.terms.get((), as_scalar(0))

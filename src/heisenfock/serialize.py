@@ -31,13 +31,19 @@ def _schema(name: str) -> str:
     return f"{name}/{SCHEMA_VERSION}"
 
 
+def _is_number(value) -> bool:
+    """A JSON number; ``true``/``false`` are not, though ``bool`` is an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _expect(doc, key, kind, where):
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected an object")
     if key not in doc:
         raise SchemaError(f"{where}: missing key {key!r}")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind)
+                             or kind is int and isinstance(value, bool)):
         raise SchemaError(f"{where}: key {key!r} has wrong type")
     return value
 
@@ -77,7 +83,7 @@ def complex_pair(z: complex) -> List[float]:
 
 def parse_complex_pair(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) for v in value)):
+            or not all(_is_number(v) for v in value)):
         raise SchemaError(f"{where}: expected a numeric [re, im] pair")
     return _finite(value[0], value[1], where)
 
@@ -253,7 +259,7 @@ def certificate_from_json(doc):
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"{where}: bad degree") from exc
         retries = raw.get("retries", 0)
-        if not isinstance(retries, int) or retries < 0:
+        if not isinstance(retries, int) or isinstance(retries, bool) or retries < 0:
             raise SchemaError(f"{where}: bad retries value {retries!r}")
         steps.append(ReductionStep(QuadraticElement(i, j, m, n, shift),
                                    case, before, after, retries))
@@ -344,7 +350,7 @@ def vectors_from_json(doc, rank: int, where: str,
 
 
 def _as_float(c, where):
-    if isinstance(c, (int, float)):
+    if _is_number(c):
         return _finite(c, 0, where)
     raise SchemaError(f"{where}: bad numeric coordinate {c!r}")
 

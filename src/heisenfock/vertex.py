@@ -23,11 +23,14 @@ On twisted vectors the field first acquires the lowering correction
 
     exp( sum_i sum_{m,n} c[m,n] h_i(m) h_i(n) z^(-m-n) )
 
-whose rational coefficients come from the generating function
--log(((1+z)^(1/2) + (1+w)^(1/2))/2); ``cmn_table`` computes them exactly by
-truncated bivariate series arithmetic and ``delta_z_apply`` applies the
-(terminating) exponential.  ``twisted_mode_apply`` hands its parts, the
-coefficients of z^(-j), to the same kernel, which reads mode k - j of each.
+whose rational coefficients are the Taylor coefficients of
+-log(((1+z)^(1/2) + (1+w)^(1/2))/2).  The Euler operator z d/dz + w d/dw
+multiplies the (m,n) coefficient by m+n and turns that logarithm into a
+product of two binomial series, so ``cmn_table`` reads them off the closed
+form c[m,n] = b_m b_n / (2(m+n)), b_k = binom(-1/2, k).  ``delta_z_apply``
+applies the (terminating) exponential, and ``twisted_mode_apply`` hands its
+parts, the coefficients of z^(-j), to the same kernel, which reads mode
+k - j of each.
 
 All Virasoro operators are modes of the quadratic state
 omega = (1/2) sum_i x[i,1]^2, so both sectors run through the same engine.
@@ -249,56 +252,32 @@ class CmnTable:
 def cmn_table(order: int) -> CmnTable:
     """Table of c[m,n] for 0 <= m,n <= order.
 
-    Computed by rectangle-truncated bivariate series arithmetic over the
-    rationals: binomial series for the square roots, then the logarithm
-    series; both terminate at this truncation.
+    The Euler operator z d/dz + w d/dw sends the generating function
+    -log(((1+z)^(1/2) + (1+w)^(1/2))/2) to ((1+z)^(-1/2) (1+w)^(-1/2) - 1)/2,
+    so (m+n) c[m,n] = b_m b_n / 2 with b_k = binom(-1/2, k): c[m,n] is
+    b_m b_n / (2(m+n)), and c[0,0] = 0 (the function vanishes at 0).
     """
     if order < 0:
         raise PreconditionError("order must be >= 0")
-    # u(z,w) = ((1+z)^(1/2) + (1+w)^(1/2))/2 - 1 has no constant term
-    u: Dict[Tuple[int, int], Fraction] = {}
-    for a in range(1, order + 1):
-        half = _gbinom(Fraction(1, 2), a) / 2
-        u[(a, 0)] = half
-        u[(0, a)] = half
-    acc: Dict[Tuple[int, int], Fraction] = {}
-    power: Dict[Tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
-    for k in range(1, 2 * order + 1):
-        power = _series_mul(power, u, order)
-        if not power:
-            break
-        factor = Fraction(-1 if k % 2 else 1, k)
-        for key, v in power.items():
-            acc[key] = acc.get(key, Fraction(0)) + factor * v
-    values = tuple(tuple(acc.get((m, n), Fraction(0)) for n in range(order + 1))
+    b = [_gbinom(Fraction(-1, 2), k) for k in range(order + 1)]
+    values = tuple(tuple(b[m] * b[n] / (2 * (m + n)) if m + n else Fraction(0)
+                         for n in range(order + 1))
                    for m in range(order + 1))
     return CmnTable(order, values)
 
 
-def _series_mul(p: Dict[Tuple[int, int], Fraction],
-                q: Dict[Tuple[int, int], Fraction],
-                order: int) -> Dict[Tuple[int, int], Fraction]:
-    out: Dict[Tuple[int, int], Fraction] = {}
-    for (a1, b1), v1 in p.items():
-        for (a2, b2), v2 in q.items():
-            a, b = a1 + a2, b1 + b2
-            if a > order or b > order:
-                continue
-            key = (a, b)
-            s = out.get(key, Fraction(0)) + v1 * v2
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+def _variables(v: FockVector) -> List[Tuple[int, int]]:
+    """The (boson, mode) pairs of the variables present in v, sorted."""
+    return sorted({(i, d2 // 2) for mono in v.terms for i, d2, _ in mono})
 
 
-def delta_z_apply(u: StateLike, order: int = None, rank: int = None) -> Dict[int, FockVector]:
+def delta_z_apply(u: StateLike, rank: int = None) -> Dict[int, FockVector]:
     """exp(Delta_z) u as a map {j: coefficient of z^(-j)}.
 
-    Each application of the quadratic lowering operator strictly reduces the
-    weight (by m+n >= 2), so the exponential terminates; the default
-    truncation order weight(u) is provably exact.
+    Delta_z = sum_i sum_{m,n >= 1} c[m,n] (m d/dx[i,m]) (n d/dx[i,n]) z^(-m-n)
+    lowers the weight by m+n >= 2, so the exponential terminates.  Only the
+    variables present in a term are differentiated.  ``rank`` is the rank
+    of a ``FreeMonomial`` input (default: its largest boson index).
     """
     if isinstance(u, FreeMonomial):
         if rank is None:
@@ -308,31 +287,21 @@ def delta_z_apply(u: StateLike, order: int = None, rank: int = None) -> Dict[int
     result: Dict[int, FockVector] = {0: state}
     if not state:
         return result
-    weight = state.degree2 // 2
-    if order is None:
-        order = weight
-    table = cmn_table(order)
+    table = cmn_table(state.degree2 // 2)
     term: Dict[int, FockVector] = {0: state}
     k = 0
     while term:
         k += 1
         nxt: Dict[int, FockVector] = {}
         for j, v in term.items():
-            for i in range(1, state.rank + 1):
-                for n in range(1, order + 1):
-                    dn = weighted_partial(i, n, v)
-                    if not dn:
+            for i, n in _variables(v):
+                dn = weighted_partial(i, n, v)
+                for a, m in _variables(dn):
+                    if a != i:
                         continue
-                    for m in range(1, order + 1):
-                        c = table.c(m, n)
-                        if not c:
-                            continue
-                        dd = weighted_partial(i, m, dn)
-                        if not dd:
-                            continue
-                        key = j + m + n
-                        add = dd.scaled_fraction(c)
-                        nxt[key] = nxt.get(key, FockVector.zero(state.rank)) + add
+                    add = weighted_partial(i, m, dn).scaled_fraction(table.c(m, n))
+                    key = j + m + n
+                    nxt[key] = nxt.get(key, FockVector.zero(state.rank)) + add
         term = {}
         for j, v in nxt.items():
             v = v.scaled_fraction(Fraction(1, k))

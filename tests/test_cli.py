@@ -172,6 +172,51 @@ def test_certify_check_index_outside_rank_exit_1(tmp_path, lambda_file, index):
     assert (code, out2) == (1, "")
 
 
+@pytest.mark.parametrize("kind,doc", [
+    ("lambda", {"sector": "untwisted", "rank": True,
+                "entries": [[["0", "0"]], [["2", "0"]]]}),
+    ("vector", {"sector": "untwisted", "rank": True,
+                "terms": [{"monomial": "x[1,1]", "coeff": "1"}]}),
+])
+def test_dump_boolean_rank_exit_1(tmp_path, kind, doc):
+    path = write(tmp_path / "doc.json", doc)
+    assert run_cli("dump", "--kind", kind, "--input", path) == (1, "")
+
+
+def test_type_boolean_rank_exit_1(tmp_path):
+    path = write(tmp_path / "lam.json", {
+        "sector": "untwisted", "rank": True,
+        "entries": [[["0", "0"]], [["2", "0"]]]})
+    assert run_cli("type", "--lambda", path) == (1, "")
+
+
+@pytest.mark.parametrize("bad", [[True, False], [1, False]])
+def test_fiber_boolean_zeta_exit_1(tmp_path, bad):
+    zeta = write(tmp_path / "z.json", {
+        "sector": "untwisted", "r": 0, "numeric": True, "zeta": [bad]})
+    assert run_cli("fiber", "--zeta", zeta, "--l", "1") == (1, "")
+
+
+def test_fiber_boolean_sphere_coordinate_exit_1(tmp_path):
+    zeta = write(tmp_path / "z.json", {
+        "sector": "untwisted", "r": 0, "zeta": ["1/2"]})
+    sphere = write(tmp_path / "s.json", [[True]])
+    assert run_cli("fiber", "--zeta", zeta, "--l", "1",
+                   "--sphere", sphere) == (1, "")
+
+
+@pytest.mark.parametrize("key", ["i", "j", "retries"])
+def test_certify_check_boolean_step_field_exit_1(tmp_path, lambda_file, key):
+    vec = write(tmp_path / "vec.json", {
+        "sector": "untwisted", "rank": 1,
+        "terms": [{"monomial": "x[1,1]", "coeff": "1"}]})
+    code, out = run_cli("certify", "--lambda", lambda_file, "--vector", vec)
+    doc = json.loads(out)
+    doc["steps"][0][key] = True
+    code, out2 = run_cli("certify", "--check", write(tmp_path / "bad.json", doc))
+    assert (code, out2) == (1, "")
+
+
 def test_certify_highest_weight_exit_2(tmp_path):
     lam = write(tmp_path / "hw.json", {
         "sector": "untwisted", "rank": 1, "entries": [[["1", "0"]]]})

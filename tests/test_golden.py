@@ -12,6 +12,10 @@ documents, the mode as text) with the text form of each recorded output.
 The states have one to five factors, derivative factors h(-n) with n >= 2
 and mixed factor counts; the ranks are 1-3 with nonzero lambda data; both
 sectors appear, always with a mode of the parity the state can reach.
+Under its key ``delta_z`` the same file holds seeded ``delta_z_apply``
+inputs with the text of each recorded output: ranks 1-3, states of weight
+up to 8 with derivative factors h(-n), n up to 4, and ``FreeMonomial``
+factor lists such as h(-1)^5, with and without an explicit rank.
 
 After a change that is meant to alter outputs, re-record both files with
 ``PYTHONPATH=src python tests/test_golden.py --record`` and review the diff.
@@ -28,7 +32,8 @@ from random import Random
 
 import pytest
 
-from heisenfock import FockVector, Sector, mode_apply, twisted_mode_apply
+from heisenfock import (FockVector, FreeMonomial, Sector, delta_z_apply,
+                        mode_apply, twisted_mode_apply)
 from heisenfock.cli import main
 from heisenfock.sampling import random_fock, random_lambda, random_nonzero_scalar
 from heisenfock.serialize import (fock_from_json, fock_to_json,
@@ -39,6 +44,8 @@ GOLDEN = json.loads(DATA.read_text(encoding="utf-8"))
 MODES_DATA = Path(__file__).with_name("data") / "golden_modes.json"
 MODES_SEED = 20261018
 MODES_COUNT = 80
+DELTA_SEED = 20261019
+DELTA_COUNT = 100
 
 
 def write_inputs(folder: Path) -> None:
@@ -117,7 +124,8 @@ def apply_mode_case(case) -> str:
     return str(out)
 
 
-MODE_CASES = json.loads(MODES_DATA.read_text(encoding="utf-8"))["cases"]
+MODES = json.loads(MODES_DATA.read_text(encoding="utf-8"))
+MODE_CASES = MODES["cases"]
 
 
 @pytest.mark.parametrize("case", MODE_CASES,
@@ -125,6 +133,62 @@ MODE_CASES = json.loads(MODES_DATA.read_text(encoding="utf-8"))["cases"]
                               for n, c in enumerate(MODE_CASES)])
 def test_mode_output_unchanged(case):
     assert apply_mode_case(case) == case["out"]
+
+
+# -- the twisted correction exp(Delta_z) ------------------------------------------
+
+def _weighted_state(rng: Random, rank: int) -> FockVector:
+    """1-3 monomials of weight at most 8 in factors h_a(-n), n in 1..4."""
+    state = FockVector.zero(rank)
+    for _ in range(rng.randint(1, 3)):
+        term = FockVector.constant(random_nonzero_scalar(rng), rank)
+        budget = rng.randint(1, 8)
+        while budget:
+            n = rng.randint(1, min(4, budget))
+            term = term.times_variable(rng.randint(1, rank), 2 * n)
+            budget -= n
+        state = state + term
+    return state
+
+
+def draw_delta_cases(seed: int, count: int):
+    rng = Random(seed)
+    cases = []
+    while len(cases) < count:
+        rank = rng.randint(1, 3)
+        if len(cases) % 4 == 3:
+            factors, budget = [], rng.randint(1, 8)
+            while budget:
+                n = rng.choice((1, 1, 2, 3))
+                n = min(n, budget)
+                factors.append([rng.randint(1, rank), n])
+                budget -= n
+            cases.append({"factors": factors,
+                          "rank": rank if rng.random() < 0.5 else None})
+            continue
+        state = _weighted_state(rng, rank)
+        if state:
+            cases.append({"state": fock_to_json(state)})
+    cases.append({"factors": [[1, 1]] * 5, "rank": None})
+    return cases
+
+
+def apply_delta_case(case) -> str:
+    if "factors" in case:
+        u = FreeMonomial(tuple(tuple(f) for f in case["factors"]))
+        out = delta_z_apply(u, rank=case["rank"])
+    else:
+        out = delta_z_apply(fock_from_json(case["state"]))
+    return "{" + ", ".join(f"{j}: {v}" for j, v in sorted(out.items())) + "}"
+
+
+DELTA_CASES = MODES["delta_z"]["cases"]
+
+
+@pytest.mark.parametrize("case", DELTA_CASES,
+                         ids=[str(n) for n in range(len(DELTA_CASES))])
+def test_delta_z_output_unchanged(case):
+    assert apply_delta_case(case) == case["out"]
 
 
 if __name__ == "__main__":
@@ -138,5 +202,10 @@ if __name__ == "__main__":
     cases = draw_mode_cases(MODES_SEED, MODES_COUNT)
     for case in cases:
         case["out"] = apply_mode_case(case)
-    MODES_DATA.write_text(json.dumps({"seed": MODES_SEED, "cases": cases},
-                                     indent=1) + "\n", encoding="utf-8")
+    deltas = draw_delta_cases(DELTA_SEED, DELTA_COUNT)
+    for case in deltas:
+        case["out"] = apply_delta_case(case)
+    MODES_DATA.write_text(json.dumps(
+        {"seed": MODES_SEED, "cases": cases,
+         "delta_z": {"seed": DELTA_SEED, "cases": deltas}},
+        indent=1) + "\n", encoding="utf-8")
