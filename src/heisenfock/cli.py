@@ -151,8 +151,9 @@ def cmd_dump(args) -> int:
 
 
 def cmd_relations(args) -> int:
-    if args.l < 1 or args.bound < 1:
-        raise PreconditionError("relations needs --l >= 1 and --bound >= 1")
+    if args.l < 1 or args.bound < 1 or args.trials < 1:
+        raise PreconditionError(
+            "relations needs --l >= 1, --bound >= 1 and --trials >= 1")
     rng = Random(args.seed)
     both = (Sector.UNTWISTED, Sector.TWISTED)
     light = max(1, args.trials // 5)

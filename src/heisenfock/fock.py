@@ -50,10 +50,12 @@ def _doubled_value(mode: ModeLike) -> int:
     """Convert a mode in (1/2)Z to its doubled integer, whatever its parity."""
     if isinstance(mode, int):
         return 2 * mode
-    doubled = 2 * Fraction(mode)
-    if doubled.denominator != 1:
+    q = mode if type(mode) is Fraction else Fraction(mode)
+    if q.denominator == 1:
+        return 2 * q.numerator
+    if q.denominator != 2:
         raise ModeRangeError(f"mode {mode} is not in (1/2)Z")
-    return int(doubled)
+    return q.numerator
 
 
 def doubled_mode(mode: ModeLike, sector: Sector) -> int:
@@ -70,7 +72,7 @@ def doubled_mode(mode: ModeLike, sector: Sector) -> int:
 
 def mode_text(d2: int) -> str:
     """Mode as an integer or ``k/2`` string."""
-    return str(Fraction(d2, 2))
+    return str(d2 // 2) if d2 % 2 == 0 else f"{d2}/2"
 
 
 @dataclass(frozen=True)
@@ -200,8 +202,7 @@ class FockVector:
         if not q:
             return FockVector.zero(self.rank, self.sector)
         return FockVector(self.rank, self.sector,
-                          {m: Scalar(v.re * q, v.im * q)
-                           for m, v in self.terms.items()})
+                          {m: v.scale(q) for m, v in self.terms.items()})
 
     def times_variable(self, i: int, d2: int) -> "FockVector":
         """Multiply by x[i, d2/2]; fast path used by creation operators."""

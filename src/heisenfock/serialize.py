@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import re as _re
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .certify import ReductionCertificate, ReductionStep
@@ -20,7 +19,7 @@ from .errors import SchemaError
 from .fock import (FockVector, Mode, Monomial, Sector, mode_text,
                    monomial_text)
 from .heisenberg import LambdaSequence, QuadraticElement
-from .scalars import Scalar, format_scalar, parse_scalar
+from .scalars import Scalar, format_scalar, parse_rational, parse_scalar
 from .vertex import CmnTable
 from .whittaker import FiberPoint, WhittakerReport, WhittakerType
 
@@ -57,8 +56,8 @@ def parse_sector(text) -> Sector:
 
 def parse_mode_text(text: str, sector: Sector) -> Mode:
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        value = parse_rational(text)
+    except SchemaError as exc:
         raise SchemaError(f"bad mode {text!r}") from exc
     return Mode.of(value, sector)
 
@@ -68,8 +67,8 @@ def fraction_pair(value, where: str) -> Scalar:
             or not all(isinstance(v, str) for v in value)):
         raise SchemaError(f"{where}: expected a [re, im] pair of rational strings")
     try:
-        return Scalar(Fraction(value[0]), Fraction(value[1]))
-    except (ValueError, ZeroDivisionError) as exc:
+        return Scalar(parse_rational(value[0]), parse_rational(value[1]))
+    except SchemaError as exc:
         raise SchemaError(f"{where}: bad rational in {value!r}") from exc
 
 
@@ -196,7 +195,9 @@ def whittaker_type_from_json(doc) -> WhittakerType:
     sector = parse_sector(_expect(doc, "sector", str, "type"))
     r = _expect(doc, "r", int, "type")
     zeta_raw = _expect(doc, "zeta", list, "type")
-    numeric = bool(doc.get("numeric", False))
+    numeric = doc.get("numeric", False)
+    if not isinstance(numeric, bool):
+        raise SchemaError("type: the numeric marker must be true or false")
     if numeric:
         zeta = tuple(parse_complex_pair(z, "type zeta") for z in zeta_raw)
     else:
@@ -253,10 +254,11 @@ def certificate_from_json(doc):
         case = _expect(raw, "case", str, where)
         if case not in ("1", "2", "3a", "3b"):
             raise SchemaError(f"{where}: unknown case tag {case!r}")
+        texts = (_expect(raw, "deg_before", str, where),
+                 _expect(raw, "deg_after", str, where))
         try:
-            before = Fraction(_expect(raw, "deg_before", str, where))
-            after = Fraction(_expect(raw, "deg_after", str, where))
-        except (ValueError, ZeroDivisionError) as exc:
+            before, after = map(parse_rational, texts)
+        except SchemaError as exc:
             raise SchemaError(f"{where}: bad degree") from exc
         retries = raw.get("retries", 0)
         if not isinstance(retries, int) or isinstance(retries, bool) or retries < 0:

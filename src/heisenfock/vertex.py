@@ -67,10 +67,12 @@ def _gbinom(top: Union[int, Fraction], k: int) -> Fraction:
     """Generalized binomial coefficient (top choose k) for k >= 0."""
     if k < 0:
         raise ValueError("lower index must be nonnegative")
-    num = Fraction(1)
+    # top = p/q: the product of (p - s*q) over q^k k!, in integers
+    p, q = top.numerator, top.denominator
+    num = 1
     for s in range(k):
-        num *= top - s
-    return num / factorial(k)
+        num *= p - s * q
+    return Fraction(num, q ** k * factorial(k))
 
 
 @dataclass(frozen=True)

@@ -217,6 +217,63 @@ def test_certify_check_boolean_step_field_exit_1(tmp_path, lambda_file, key):
     assert (code, out2) == (1, "")
 
 
+@pytest.mark.parametrize("text", ["1e99999999", "1E4", "0.5", "1_000",
+                                  " 1/2", "1/2 ", "1/-2", "١"])
+def test_dump_lambda_non_strict_rational_exit_1(tmp_path, text):
+    path = write(tmp_path / "lam.json", {
+        "sector": "untwisted", "rank": 1, "entries": [[["0", "0"]], [[text, "0"]]]})
+    assert run_cli("dump", "--kind", "lambda", "--input", path) == (1, "")
+
+
+@pytest.mark.parametrize("coeff", ["1e99999999", "2.5+i", "1-1e9i"])
+def test_dump_vector_non_strict_coefficient_exit_1(tmp_path, coeff):
+    path = write(tmp_path / "vec.json", {
+        "sector": "untwisted", "rank": 1,
+        "terms": [{"monomial": "x[1,1]", "coeff": coeff}]})
+    assert run_cli("dump", "--kind", "vector", "--input", path) == (1, "")
+
+
+@pytest.mark.parametrize("monomial", ["x[1,١]", "x[1,1٢]",
+                                      "x[1," + "1" * 5000 + "]"])
+def test_dump_vector_non_strict_mode_exit_1(tmp_path, monomial):
+    path = write(tmp_path / "vec.json", {
+        "sector": "untwisted", "rank": 1,
+        "terms": [{"monomial": monomial, "coeff": "1"}]})
+    assert run_cli("dump", "--kind", "vector", "--input", path) == (1, "")
+
+
+@pytest.mark.parametrize("key,text", [("deg_before", "1e99999999"),
+                                      ("deg_after", "0.0"), ("m", "1e0"),
+                                      ("n", "1.0")])
+def test_certify_check_non_strict_rational_exit_1(tmp_path, lambda_file,
+                                                   key, text):
+    vec = write(tmp_path / "vec.json", {
+        "sector": "untwisted", "rank": 1,
+        "terms": [{"monomial": "x[1,1]", "coeff": "1"}]})
+    code, out = run_cli("certify", "--lambda", lambda_file, "--vector", vec)
+    doc = json.loads(out)
+    doc["steps"][0][key] = text
+    bad = write(tmp_path / "bad.json", doc)
+    assert run_cli("certify", "--check", bad) == (1, "")
+    assert run_cli("dump", "--kind", "certificate", "--input", bad) == (1, "")
+
+
+@pytest.mark.parametrize("marker", ["no", "true", 1, 0, None, [True]])
+def test_fiber_non_boolean_numeric_marker_exit_1(tmp_path, marker):
+    zeta = write(tmp_path / "z.json", {
+        "sector": "untwisted", "r": 0, "numeric": marker, "zeta": [[0.5, 0]]})
+    assert run_cli("fiber", "--zeta", zeta, "--l", "1") == (1, "")
+    assert run_cli("dump", "--kind", "zeta", "--input", zeta) == (1, "")
+
+
+def test_fiber_explicit_exact_marker(tmp_path):
+    zeta = write(tmp_path / "z.json", {
+        "sector": "untwisted", "r": 0, "numeric": False, "zeta": ["1/2"]})
+    code, out = run_cli("fiber", "--zeta", zeta, "--l", "1", "--exact")
+    assert code == 0
+    assert all(p["numeric"] is False for p in json.loads(out)["points"])
+
+
 def test_certify_highest_weight_exit_2(tmp_path):
     lam = write(tmp_path / "hw.json", {
         "sector": "untwisted", "rank": 1, "entries": [[["1", "0"]]]})
@@ -245,10 +302,10 @@ def test_relations_all_pass():
     assert all(s["failures"] == 0 for s in doc["suites"].values())
 
 
-@pytest.mark.parametrize("flag", ["--l", "--bound"])
+@pytest.mark.parametrize("flag", ["--l", "--bound", "--trials"])
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_relations_rejects_nonpositive_sizes(flag, value):
-    code, out = run_cli("relations", flag, value, "--trials", "2")
+    code, out = run_cli("relations", "--trials", "2", flag, value)
     assert (code, out) == (2, "")
 
 
