@@ -229,10 +229,8 @@ def _binom_trial(rng, args, sector):
 
 
 def _random_mode_pair(rng, sector, bound):
-    if sector is Sector.UNTWISTED:
-        values = [Fraction(v) for v in range(-bound, bound + 1)]
-    else:
-        values = [Fraction(2 * v + 1, 2) for v in range(-bound, bound)]
+    p = sector.parity
+    values = [Fraction(2 * v + p, 2) for v in range(-bound, bound + 1 - p)]
     return rng.choice(values), rng.choice(values)
 
 

@@ -7,8 +7,9 @@ integer in the twisted sector.  Monomials are graded by weight, with
 ``deg x[i,n] = n``; the zero vector has degree -inf.
 
 All mode bookkeeping is done on *doubled* integers (``2n``) so that both
-sectors share exact integer arithmetic: untwisted modes have even doubled
-values, twisted modes odd ones.
+sectors share exact integer arithmetic.  The sector fixes the parity of
+every doubled mode, ``Sector.parity``: 0 untwisted, 1 twisted; the other
+lattice facts (where lambda entry k sits, a type's epsilon) follow from it.
 
 Values are immutable after construction; every operation returns a new
 vector, so sharing across threads is safe.
@@ -45,6 +46,10 @@ class Sector(str, Enum):
     UNTWISTED = "untwisted"
     TWISTED = "twisted"
 
+    def __init__(self, value: str):
+        # a plain attribute, not a property: it is read on every mode action
+        self.parity = 0 if value == "untwisted" else 1
+
 
 def _doubled_value(mode: ModeLike) -> int:
     """Convert a mode in (1/2)Z to its doubled integer, whatever its parity."""
@@ -58,16 +63,16 @@ def _doubled_value(mode: ModeLike) -> int:
     return q.numerator
 
 
+def _check_parity(d2: int, sector: Sector) -> int:
+    """The doubled mode d2, refused unless it has the sector's parity."""
+    if d2 % 2 != sector.parity:
+        raise ModeRangeError(f"mode {Fraction(d2, 2)} not {sector.value}")
+    return d2
+
+
 def doubled_mode(mode: ModeLike, sector: Sector) -> int:
     """Convert a mode in (1/2)Z to its doubled integer, checking parity."""
-    d2 = _doubled_value(mode)
-    if sector is Sector.UNTWISTED:
-        if d2 % 2 != 0:
-            raise ModeRangeError(f"mode {mode} is not an integer (untwisted)")
-    else:
-        if d2 % 2 == 0:
-            raise ModeRangeError(f"mode {mode} is not half-odd (twisted)")
-    return d2
+    return _check_parity(_doubled_value(mode), sector)
 
 
 def mode_text(d2: int) -> str:
@@ -83,16 +88,13 @@ class Mode:
     sector: Sector
 
     def __post_init__(self):
+        _check_parity(self.doubled, self.sector)
         if self.doubled <= 0:
             raise ModeRangeError(f"mode must be positive, got {self.value}")
-        if self.sector is Sector.UNTWISTED and self.doubled % 2 != 0:
-            raise ModeRangeError("untwisted mode must be an integer")
-        if self.sector is Sector.TWISTED and self.doubled % 2 == 0:
-            raise ModeRangeError("twisted mode must be half-odd")
 
     @classmethod
     def of(cls, mode: ModeLike, sector: Sector) -> "Mode":
-        return cls(doubled_mode(mode, sector), sector)
+        return cls(_doubled_value(mode), sector)
 
     @property
     def value(self) -> Fraction:
@@ -107,9 +109,13 @@ def monomial_degree2(mono: Monomial) -> int:
 
 
 def monomial_key(mono: Monomial):
-    """Graded-lexicographic sort key: degree, then boson index, then mode."""
-    flat = tuple((i, d2) for i, d2, e in mono for _ in range(e))
-    return (monomial_degree2(mono), flat)
+    """Graded-lexicographic sort key: degree, then boson index, then mode.
+
+    It orders as the variable list with each x[i,n] written out e times:
+    at equal degree neither list can end where the other goes on, so the
+    larger exponent of a shared variable sorts first.
+    """
+    return (monomial_degree2(mono), tuple((i, d2, -e) for i, d2, e in mono))
 
 
 class FockVector:

@@ -35,9 +35,10 @@ ZERO = as_scalar(0)
 class LambdaSequence:
     """Finitely supported sequence of C^l vectors indexing a Fock action.
 
-    Untwisted entries sit at modes 0, 1, ..., r; twisted entries at
-    1/2, 3/2, ..., r - 1/2.  Trailing zero vectors are trimmed on
-    construction, so the last stored entry is always nonzero.
+    Entry k sits at the doubled mode 2k + p, p = ``sector.parity``: at
+    modes 0, 1, ..., r untwisted and 1/2, 3/2, ..., r - 1/2 twisted.
+    Trailing zero vectors are trimmed on construction, so the last stored
+    entry is always nonzero.
     """
 
     sector: Sector
@@ -71,18 +72,14 @@ class LambdaSequence:
     @property
     def support_bound(self) -> int:
         """The bound r: top mode is r (untwisted) or r - 1/2 (twisted)."""
-        if self.sector is Sector.UNTWISTED:
-            return max(0, len(self.entries) - 1)
-        return len(self.entries)
+        return max(0, len(self.entries) - 1 + self.sector.parity)
 
     @property
     def top_doubled(self) -> int:
         """Doubled index of the last stored entry; 0 when empty."""
         if not self.entries:
             return 0
-        if self.sector is Sector.UNTWISTED:
-            return 2 * (len(self.entries) - 1)
-        return 2 * len(self.entries) - 1
+        return 2 * len(self.entries) - 2 + self.sector.parity
 
     @property
     def is_proper(self) -> bool:
@@ -90,14 +87,9 @@ class LambdaSequence:
         return self.top_doubled > 0
 
     def _slot(self, d2: int) -> Optional[int]:
-        if self.sector is Sector.UNTWISTED:
-            if d2 % 2 != 0:
-                raise ModeRangeError(f"mode {Fraction(d2,2)} not untwisted")
-            idx = d2 // 2
-        else:
-            if d2 % 2 == 0:
-                raise ModeRangeError(f"mode {Fraction(d2,2)} not twisted")
-            idx = (d2 - 1) // 2
+        idx, odd = divmod(d2, 2)
+        if odd != self.sector.parity:
+            raise ModeRangeError(f"mode {Fraction(d2, 2)} not {self.sector.value}")
         return idx if 0 <= idx < len(self.entries) else None
 
     def entry2(self, d2: int) -> Tuple[Scalar, ...]:
@@ -120,8 +112,9 @@ class LambdaSequence:
 
     def positive_support2(self) -> Iterator[int]:
         """Doubled indices n > 0 with lambda_n nonzero, ascending."""
+        p = self.sector.parity
         for slot, row in enumerate(self.entries):
-            d2 = 2 * slot if self.sector is Sector.UNTWISTED else 2 * slot + 1
+            d2 = 2 * slot + p
             if d2 > 0 and any(row):
                 yield d2
 

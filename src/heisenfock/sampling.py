@@ -17,31 +17,29 @@ from .scalars import Scalar
 from .whittaker import bilinear
 
 
-def random_rational(rng: Random, span: int = 3) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.choice((1, 2, 3)))
+def random_rational(rng: Random) -> Fraction:
+    return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
 
 
-def random_scalar(rng: Random, span: int = 3, imaginary: bool = True) -> Scalar:
-    re = random_rational(rng, span)
-    im = random_rational(rng, span) if imaginary and rng.random() < 0.5 else 0
+def random_scalar(rng: Random) -> Scalar:
+    re = random_rational(rng)
+    im = random_rational(rng) if rng.random() < 0.5 else 0
     return Scalar(re, im)
 
 
-def random_nonzero_scalar(rng: Random, span: int = 3) -> Scalar:
+def random_nonzero_scalar(rng: Random) -> Scalar:
     while True:
-        s = random_scalar(rng, span)
+        s = random_scalar(rng)
         if s:
             return s
 
 
 def _random_mode2(rng: Random, sector: Sector, budget2: int) -> Optional[int]:
-    if sector is Sector.UNTWISTED:
-        if budget2 < 2:
-            return None
-        return 2 * rng.randint(1, budget2 // 2)
-    if budget2 < 1:
+    """A doubled mode of the sector's parity in 1..budget2, or None."""
+    p = sector.parity
+    if budget2 < 2 - p:
         return None
-    return 2 * rng.randint(0, (budget2 - 1) // 2) + 1
+    return 2 * rng.randint(1 - p, (budget2 - p) // 2) + p
 
 
 def random_fock(rng: Random, rank: int, sector: Sector,
@@ -65,30 +63,22 @@ def random_fock(rng: Random, rank: int, sector: Sector,
 
 
 def random_lambda(rng: Random, rank: int, sector: Sector,
-                  max_r: int = 3, proper: bool = True,
-                  anisotropic_top: bool = False) -> LambdaSequence:
-    """Random finitely supported lambda data.
+                  max_r: int = 3, anisotropic_top: bool = False) -> LambdaSequence:
+    """Random proper lambda data with support bound r in 1..max_r.
 
-    ``proper`` forces a nonzero entry at a positive mode index;
-    ``anisotropic_top`` additionally re-draws until the top entry pairs to a
-    nonzero value with itself (so a Whittaker type exists).
+    The top entry, at a positive mode, is nonzero; ``anisotropic_top``
+    re-draws until it pairs to a nonzero value with itself (so a Whittaker
+    type exists).
     """
     while True:
-        if sector is Sector.UNTWISTED:
-            r = rng.randint(1 if proper else 0, max_r)
-            count = r + 1
-        else:
-            r = rng.randint(1, max_r)
-            count = r
+        r = rng.randint(1, max_r)
         entries = []
-        for _ in range(count):
+        for _ in range(r + 1 - sector.parity):
             entries.append([random_scalar(rng) if rng.random() < 0.7 else 0
                             for _ in range(rank)])
         while not any(entries[-1]):
             entries[-1] = [random_scalar(rng) for _ in range(rank)]
         lam = LambdaSequence.make(sector, rank, entries)
-        if proper and not lam.is_proper:
-            continue
         if anisotropic_top:
             top = lam.entry2(lam.top_doubled)
             if not bilinear(top, top):

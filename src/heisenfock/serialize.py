@@ -125,8 +125,9 @@ def lambda_from_json(doc) -> LambdaSequence:
 
 # -- Fock vectors ------------------------------------------------------------------
 
+# ASCII digits only: \d would also read other scripts' digits
 _MONOMIAL_FACTOR = _re.compile(
-    r"^x\[(\d+),(\d+(?:/2)?)\](?:\^(\d+))?$")
+    r"^x\[([0-9]+),([0-9]+(?:/2)?)\](?:\^([0-9]+))?$")
 
 
 def parse_monomial(text: str, sector: Sector) -> Monomial:
@@ -138,9 +139,13 @@ def parse_monomial(text: str, sector: Sector) -> Monomial:
         m = _MONOMIAL_FACTOR.match(piece.strip())
         if not m:
             raise SchemaError(f"bad monomial factor {piece!r}")
-        i = int(m.group(1))
+        try:
+            i = int(m.group(1))
+            e = int(m.group(3) or 1)
+        except ValueError as exc:  # more digits than int() converts
+            raise SchemaError(f"over-long number in monomial factor "
+                              f"{piece[:24]!r}...") from exc
         mode = parse_mode_text(m.group(2), sector)
-        e = int(m.group(3) or 1)
         if e < 1:
             raise SchemaError(f"bad exponent in {piece!r}")
         key = (i, mode.doubled)

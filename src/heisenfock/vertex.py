@@ -144,7 +144,7 @@ def _modes_on(parts, k2: int, f: FockVector, lam: LambdaSequence) -> FockVector:
     acc: Dict[Monomial, Scalar] = {}
     if not f.terms:
         return FockVector(f.rank, f.sector, acc)
-    parity = 1 if f.sector is Sector.TWISTED else 0
+    parity = f.sector.parity
     # no mode above cap2 acts on f; a twisted cap of 0 becomes -1 (no mode 0)
     cap2 = max(f.max_mode2(), lam.top_doubled, 0)
     if cap2 % 2 != parity:

@@ -2,7 +2,8 @@
 
 ``whittaker_type_of`` maps a lambda sequence with support bound r to the
 eigenvalue list zeta = (zeta_{r+1}, ..., zeta_{2r+eps}) of the high Virasoro
-modes on the cyclic vector, with eps = 1 untwisted and 0 twisted:
+modes on the cyclic vector, with eps = 1 - ``sector.parity``: 1 untwisted
+and 0 twisted:
 
     zeta_i = (1/2) * sum_{m+n=i-1} (lambda_m, lambda_n)
 
@@ -53,10 +54,6 @@ def default_tolerance() -> float:
     return value
 
 
-def epsilon_of(sector: Sector) -> int:
-    return 1 if sector is Sector.UNTWISTED else 0
-
-
 def bilinear(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     """Standard symmetric form sum_j u_j v_j (no conjugation).
 
@@ -75,20 +72,18 @@ class WhittakerType:
     exact: bool = True
 
     def __post_init__(self):
-        eps = epsilon_of(self.sector)
-        if self.sector is Sector.TWISTED and self.r < 1:
-            raise PreconditionError("twisted type needs r >= 1")
-        if self.r < 0:
-            raise PreconditionError("r must be >= 0")
-        if len(self.zeta) != self.r + eps:
+        if self.r < self.sector.parity:
             raise PreconditionError(
-                f"expected {self.r + eps} eigenvalues, got {len(self.zeta)}")
+                f"{self.sector.value} type needs r >= {self.sector.parity}")
+        if len(self.zeta) != self.r + self.epsilon:
+            raise PreconditionError(
+                f"expected {self.r + self.epsilon} eigenvalues, got {len(self.zeta)}")
         if not self.zeta or not self.zeta[-1]:
             raise PreconditionError("top eigenvalue must be nonzero")
 
     @property
     def epsilon(self) -> int:
-        return epsilon_of(self.sector)
+        return 1 - self.sector.parity
 
     @property
     def first_index(self) -> int:
@@ -116,13 +111,12 @@ def _eigenvalue_sums(entries: Sequence[Sequence], sector: Sector, zero) -> Dict:
     untwisted; 1/2, ..., r - 1/2 twisted), over either field; ``zero`` is
     that field's zero.
     """
-    count = len(entries)
-    untwisted = sector is Sector.UNTWISTED
-    r = max(0, count - 1) if untwisted else count
-    # entry slots a, b pair up in zeta_i when their modes sum to i - 1
-    return {i: _half_pair_sum(entries, i - 1 if untwisted else i - 2, 0,
-                              count - 1, zero)
-            for i in range(r + 1, 2 * r + epsilon_of(sector) + 1)}
+    p, count = sector.parity, len(entries)
+    r = max(0, count - 1 + p)
+    # slots a, b sit at modes a + p/2, b + p/2: they pair up in zeta_i when
+    # a + b + p = i - 1
+    return {i: _half_pair_sum(entries, i - 1 - p, 0, count - 1, zero)
+            for i in range(r + 1, 2 * r + 2 - p)}
 
 
 def _half_pair_sum(entries: Sequence[Sequence], total: int, lo: int, hi: int,
@@ -182,7 +176,7 @@ def verify_whittaker_vector(lam: LambdaSequence, bound: int) -> WhittakerReport:
     beyond 2r+eps).  Exact equality per row.
     """
     r = lam.support_bound
-    eps = epsilon_of(lam.sector)
+    eps = 1 - lam.sector.parity
     eig = type_eigenvalues(lam)
     one = FockVector.constant(1, lam.rank, lam.sector)
     apply = mode_apply if lam.sector is Sector.UNTWISTED else twisted_mode_apply
@@ -227,13 +221,9 @@ def fiber_dimension(rank: int, r: int, sector: Sector) -> Tuple[int, int]:
     """(sphere dimension, affine dimension) of the fiber over a type."""
     if rank < 1:
         raise PreconditionError("rank must be >= 1")
-    if sector is Sector.UNTWISTED:
-        if r < 0:
-            raise PreconditionError("r must be >= 0")
-        return (rank - 1, (rank - 1) * r)
-    if r < 1:
-        raise PreconditionError("twisted r must be >= 1")
-    return (rank - 1, (rank - 1) * (r - 1))
+    if r < sector.parity:
+        raise PreconditionError(f"{sector.value} r must be >= {sector.parity}")
+    return (rank - 1, (rank - 1) * (r - sector.parity))
 
 
 class _Field(NamedTuple):
@@ -255,10 +245,17 @@ def _exact_value(x) -> Scalar:
         raise PreconditionError(f"exact mode needs exact values, got {x!r}") from exc
 
 
+def _numeric_value(x) -> complex:
+    try:
+        return complex(x)
+    except OverflowError as exc:  # an exact value beyond the float range
+        raise PreconditionError("a value is too large for numeric mode") from exc
+
+
 _EXACT = _Field(True, _exact_value, ZERO, as_scalar(1), scalar_sqrt,
                 lambda x: not x,
                 lambda top: next(idx for idx, c in enumerate(top) if c))
-_NUMERIC = _Field(False, complex, 0j, 1.0 + 0j, cmath.sqrt,
+_NUMERIC = _Field(False, _numeric_value, 0j, 1.0 + 0j, cmath.sqrt,
                   lambda x: not abs(x) > 1e-12,
                   lambda top: max(range(len(top)), key=lambda idx: abs(top[idx])))
 
@@ -304,11 +301,15 @@ def _complement_basis(top: Tuple, field: _Field) -> List[Tuple]:
     return basis
 
 
-def _vector_of(values: Sequence, rank: int, name: str, field: _Field) -> Tuple:
+def _vector_of(values: Sequence, rank: int, name: str, field: _Field):
+    """The vector and its self-pairing, refused when floats overflow it."""
     vec = tuple(field.coerce(c) for c in values)
     if len(vec) != rank:
         raise PreconditionError(f"{name} has wrong length")
-    return vec
+    vv = bilinear(vec, vec)
+    if not field.exact and not cmath.isfinite(vv):
+        raise PreconditionError(f"{name} pairs to a non-finite value with itself")
+    return vec, vv
 
 
 def _back_substitute(zeta: WhittakerType, entries: List, basis: List[Tuple],
@@ -369,8 +370,7 @@ def solve_fiber(zeta: WhittakerType, rank: int,
         tolerance = default_tolerance()
     two_top = 2 * field.coerce(zeta.zeta[-1])
     if top_vector is not None:
-        top = _vector_of(top_vector, rank, "top_vector", field)
-        tt = bilinear(top, top)
+        top, tt = _vector_of(top_vector, rank, "top_vector", field)
         if not tt:
             raise IsotropicTopError("top_vector pairs to zero with itself")
         if exact and tt != two_top:
@@ -380,13 +380,12 @@ def solve_fiber(zeta: WhittakerType, rank: int,
         if sphere_point is None:
             sp = tuple(field.one if c == 0 else field.zero for c in range(rank))
         else:
-            sp = _vector_of(sphere_point, rank, "sphere_point", field)
-            norm2 = bilinear(sp, sp)
+            sp, norm2 = _vector_of(sphere_point, rank, "sphere_point", field)
             if exact:
                 if norm2 != field.one:
                     raise PreconditionError("sphere_point is not on the unit sphere")
             else:
-                if abs(norm2) <= 1e-14 * sum(abs(c) ** 2 for c in sp):
+                if abs(norm2) <= 1e-14 * sum(abs(c) * abs(c) for c in sp):
                     raise PreconditionError("sphere_point is numerically isotropic")
                 root = field.sqrt(norm2)
                 sp = tuple(c / root for c in sp)

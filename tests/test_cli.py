@@ -242,6 +242,47 @@ def test_dump_vector_non_strict_mode_exit_1(tmp_path, monomial):
     assert run_cli("dump", "--kind", "vector", "--input", path) == (1, "")
 
 
+@pytest.mark.parametrize("monomial", ["x[١,1]", "x[1,1]^٢",
+                                      "x[" + "1" * 5000 + ",1]",
+                                      "x[1,1]^" + "1" * 5000],
+                         ids=["arabic-index", "arabic-exponent",
+                              "long-index", "long-exponent"])
+def test_dump_vector_non_ascii_or_over_long_index_and_exponent_exit_1(
+        tmp_path, monomial):
+    path = write(tmp_path / "vec.json", {
+        "sector": "untwisted", "rank": 1,
+        "terms": [{"monomial": monomial, "coeff": "1"}]})
+    assert run_cli("dump", "--kind", "vector", "--input", path) == (1, "")
+
+
+def test_dump_vector_huge_exponent_is_not_expanded(tmp_path):
+    path = write(tmp_path / "vec.json", {
+        "sector": "untwisted", "rank": 1,
+        "terms": [{"monomial": "x[1,1]^99999999999", "coeff": "1"},
+                  {"monomial": "x[1,2]", "coeff": "1"}]})
+    code, out = run_cli("dump", "--kind", "vector", "--input", path)
+    assert code == 0
+    assert [t["monomial"] for t in json.loads(out)["terms"]] == [
+        "x[1,1]^99999999999", "x[1,2]"]
+
+
+@pytest.mark.parametrize("flag,doc", [("--top", [[[1.0, 0.0], 1e308]]),
+                                      ("--sphere", [[1e200, 0]]),
+                                      ("--sphere", [[[0.6, 0.0], 1.5e154]])])
+def test_fiber_numeric_overflowing_self_pairing_exit_2(tmp_path, flag, doc):
+    zeta = write(tmp_path / "z.json", {
+        "sector": "untwisted", "r": 1, "zeta": ["0", "2"]})
+    path = write(tmp_path / "v.json", doc)
+    code, out = run_cli("fiber", "--zeta", zeta, "--l", "2", flag, path)
+    assert (code, out) == (2, "")
+
+
+def test_fiber_numeric_exact_type_beyond_float_range_exit_2(tmp_path):
+    zeta = write(tmp_path / "z.json", {
+        "sector": "untwisted", "r": 1, "zeta": ["0", "1" + "0" * 400]})
+    assert run_cli("fiber", "--zeta", zeta, "--l", "2") == (2, "")
+
+
 @pytest.mark.parametrize("key,text", [("deg_before", "1e99999999"),
                                       ("deg_after", "0.0"), ("m", "1e0"),
                                       ("n", "1.0")])

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from heisenfock import (BosonIndexError, FockVector, ModeRangeError, Scalar,
-                        Sector, SectorMismatchError, degree, monomial_text,
-                        weighted_partial)
-from heisenfock.fock import monomial_key
+from heisenfock import (BosonIndexError, FockVector, Mode, ModeRangeError,
+                        Scalar, Sector, SectorMismatchError, degree,
+                        monomial_text, weighted_partial)
+from heisenfock.fock import doubled_mode, monomial_degree2, monomial_key
 from heisenfock.sampling import random_fock
 
 from conftest import one, sc, x
@@ -130,6 +131,46 @@ def test_monomial_ordering_is_graded_lex():
     c = (x(1, 2, 2)).leading_monomial()
     d = (x(2, 2, 2)).leading_monomial()
     assert (monomial_key(c) < monomial_key(d)) != (monomial_key(c) > monomial_key(d))
+
+
+def expanded_key(mono):
+    """The reference order: degree, then the variable list with each
+    x[i,n] written out e times."""
+    return (monomial_degree2(mono),
+            tuple((i, d2) for i, d2, e in mono for _ in range(e)))
+
+
+# few variables and small exponents, so equal degrees are common
+monomials = st.dictionaries(
+    st.tuples(st.integers(1, 2), st.integers(1, 6)), st.integers(1, 4),
+    max_size=4).map(lambda exps: tuple((i, d2, e)
+                                       for (i, d2), e in sorted(exps.items())))
+
+
+@given(monomials, monomials)
+def test_monomial_key_orders_as_the_expanded_key(a, b):
+    assert ((monomial_key(a) > monomial_key(b))
+            == (expanded_key(a) > expanded_key(b)))
+    assert (monomial_key(a) == monomial_key(b)) == (a == b)
+
+
+def test_monomial_key_does_not_grow_with_the_exponent():
+    small, large = monomial_key(((1, 2, 1),)), monomial_key(((1, 2, 10 ** 6),))
+    assert large[0] == 2 * 10 ** 6
+    assert len(large[1]) == len(small[1]) == 1
+
+
+def test_sector_parity_fixes_the_doubled_lattice():
+    assert (Sector.UNTWISTED.parity, Sector.TWISTED.parity) == (0, 1)
+    for sector in Sector:
+        for d2 in range(-3, 6):
+            if d2 % 2 == sector.parity:
+                assert doubled_mode(Fraction(d2, 2), sector) == d2
+            else:
+                with pytest.raises(ModeRangeError, match=sector.value):
+                    doubled_mode(Fraction(d2, 2), sector)
+                with pytest.raises(ModeRangeError, match=sector.value):
+                    Mode(d2, sector)
 
 
 def test_leading_term_selection():

@@ -1,0 +1,189 @@
+"""Bounded fuzz of the command line over mutated input documents.
+
+Each example takes one valid document (lambda data, a vector, a type, a
+sphere point, a top vector or a certificate), applies up to three random
+mutations to it (replace a value by junk, delete a key or an element,
+append junk to a list) and runs one subcommand that reads it.  Whatever the
+input, ``cli.main`` may only exit with 0-3: exit 4 is an internal error.
+A ``dump`` that succeeds must reproduce its own output when fed it back.
+
+The junk stays small on purpose: exponents, modes and sizes are a few
+units, so every example runs in milliseconds; over-long digit strings
+appear only where they cost nothing to reject.  The pinned examples are
+inputs that once ended in exit 4: over-long numbers in a monomial, a top
+vector or sphere point whose self-pairing overflows, and an exact type
+too large for numeric mode.
+"""
+
+import copy
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from heisenfock import certify_cyclic
+from heisenfock.cli import main
+from heisenfock.serialize import (certificate_to_json, fock_from_json,
+                                  lambda_from_json)
+
+LAMBDA = {"sector": "untwisted", "rank": 2,
+          "entries": [[["0", "0"], ["1", "0"]], [["1", "0"], ["0", "1/2"]]]}
+TWISTED_LAMBDA = {"sector": "twisted", "rank": 1,
+                  "entries": [[["1", "0"]], [["1/2", "-1"]]]}
+VECTOR = {"sector": "untwisted", "rank": 2,
+          "terms": [{"monomial": "x[1,1]^2*x[2,2]", "coeff": "1"},
+                    {"monomial": "x[2,1]", "coeff": "-3+i"},
+                    {"monomial": "1", "coeff": "1/2"}]}
+TWISTED_VECTOR = {"sector": "twisted", "rank": 1,
+                  "terms": [{"monomial": "x[1,1/2]*x[1,3/2]", "coeff": "2"}]}
+ZETA = {"sector": "untwisted", "r": 1, "zeta": ["0", "2"]}
+NUMERIC_ZETA = {"sector": "twisted", "r": 2, "numeric": True,
+                "zeta": [[0.5, 0.0], [1.0, 0.0]]}
+SPHERE = [[[0.6, 0.0], [0.8, 0.0]]]
+TOP = [[[1.0, 0.0], 1.0]]
+PARAMS = [[0.5]]
+
+
+def _certificate(lam_doc, vec_doc):
+    lam = lambda_from_json(lam_doc)
+    return certificate_to_json(lam, certify_cyclic(lam, fock_from_json(vec_doc)))
+
+
+CERTIFICATE = _certificate(LAMBDA, VECTOR)
+TWISTED_CERTIFICATE = _certificate(TWISTED_LAMBDA, TWISTED_VECTOR)
+
+# Fixed companion files; ``@doc`` in an argv is the mutated document.
+FILES = {"lambda": LAMBDA, "vector": VECTOR, "zeta": ZETA,
+         "tlambda": TWISTED_LAMBDA, "tvector": TWISTED_VECTOR}
+
+# (argv, the valid document it reads as @doc)
+TARGETS = [
+    (["dump", "--kind", "lambda", "--input", "@doc"], LAMBDA),
+    (["dump", "--kind", "lambda", "--input", "@doc"], TWISTED_LAMBDA),
+    (["type", "--lambda", "@doc"], LAMBDA),
+    (["type", "--lambda", "@doc"], TWISTED_LAMBDA),
+    (["verify", "--lambda", "@doc", "--bound", "3"], LAMBDA),
+    (["certify", "--lambda", "@doc", "--vector", "@vector"], LAMBDA),
+    (["certify", "--lambda", "@doc", "--vector", "@tvector"], TWISTED_LAMBDA),
+    (["dump", "--kind", "vector", "--input", "@doc"], VECTOR),
+    (["dump", "--kind", "vector", "--input", "@doc"], TWISTED_VECTOR),
+    (["certify", "--lambda", "@lambda", "--vector", "@doc"], VECTOR),
+    (["certify", "--lambda", "@tlambda", "--vector", "@doc"], TWISTED_VECTOR),
+    (["dump", "--kind", "zeta", "--input", "@doc"], ZETA),
+    (["dump", "--kind", "zeta", "--input", "@doc"], NUMERIC_ZETA),
+    (["fiber", "--zeta", "@doc", "--l", "2"], ZETA),
+    (["fiber", "--zeta", "@doc", "--l", "2", "--exact"], ZETA),
+    (["fiber", "--zeta", "@doc", "--l", "1"], NUMERIC_ZETA),
+    (["fiber", "--zeta", "@zeta", "--l", "2", "--sphere", "@doc"], SPHERE),
+    (["fiber", "--zeta", "@zeta", "--l", "2", "--top", "@doc"], TOP),
+    (["fiber", "--zeta", "@zeta", "--l", "2", "--params", "@doc"], PARAMS),
+    (["dump", "--kind", "certificate", "--input", "@doc"], CERTIFICATE),
+    (["certify", "--check", "@doc"], CERTIFICATE),
+    (["certify", "--check", "@doc"], TWISTED_CERTIFICATE),
+]
+
+LONG = "9" * 5000
+JUNK_TEXT = [
+    "", "0", "1", "-1", "1/2", "-3/2", "5/2", "2/0", "1e5", "0.5", "i",
+    "1+i", "-1/2-3i", "x[1,1]", "x[2,1/2]", "x[1,3]^2*x[2,1]", "x[1,1]^0",
+    "x[0,1]", "x[1,0]", "x[1,-1]", "x[3,1]", "x[1,2]^3", "x[1,1]*x[1,1]",
+    "x[١,1]", "x[1,١]", "x[1,1]^٢", "x[1,1]^" + LONG,
+    "x[" + LONG + ",1]", LONG, "1/" + LONG, "1" + "0" * 400, "untwisted",
+    "twisted", "3a", "3b",
+]
+junk = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 4),
+              st.sampled_from([10 ** 6, 2 ** 64, -10 ** 30]),
+              st.floats(), st.sampled_from(JUNK_TEXT), st.text(max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(["sector", "rank", "r"]),
+                                            inner, max_size=2)),
+    max_leaves=4)
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for idx, value in enumerate(doc):
+            yield from _paths(value, prefix + (idx,))
+
+
+@st.composite
+def mutated(draw, base):
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        action = draw(st.sampled_from(["replace", "delete", "append"]))
+        if not path:
+            doc = draw(junk)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]]
+        if action == "delete":
+            del parent[path[-1]]
+        elif action == "append" and isinstance(node, list):
+            node.append(draw(junk))
+        else:
+            parent[path[-1]] = draw(junk)
+    return doc
+
+
+cases = st.sampled_from(TARGETS).flatmap(
+    lambda target: st.tuples(st.just(target[0]), mutated(target[1])))
+
+
+@pytest.fixture(scope="module")
+def folder(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    for name, doc in FILES.items():
+        (path / name).write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _run(argv, folder, doc):
+    (folder / "doc").write_text(json.dumps(doc), encoding="utf-8")
+    args = [str(folder / a[1:]) if a.startswith("@") else a for a in argv]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(args)
+    return code, out.getvalue()
+
+
+def _vector(monomial):
+    return {"sector": "untwisted", "rank": 1,
+            "terms": [{"monomial": monomial, "coeff": "1"}]}
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(case=cases)
+@example(case=(["dump", "--kind", "vector", "--input", "@doc"],
+               _vector("x[1,1]^" + LONG)))
+@example(case=(["dump", "--kind", "vector", "--input", "@doc"],
+               _vector("x[" + LONG + ",1]")))
+@example(case=(["fiber", "--zeta", "@zeta", "--l", "2", "--top", "@doc"],
+               [[[1.0, 0.0], 1e308]]))
+@example(case=(["fiber", "--zeta", "@zeta", "--l", "2", "--sphere", "@doc"],
+               [[1e200, 0]]))
+@example(case=(["fiber", "--zeta", "@doc", "--l", "2"],
+               {"sector": "untwisted", "r": 1, "zeta": ["0", "1" + "0" * 400]}))
+def test_cli_exits_0_to_3_and_dump_is_idempotent(case, folder):
+    argv, doc = case
+    code, out = _run(argv, folder, doc)
+    assert code in (0, 1, 2, 3), (argv, doc)
+    if argv[0] == "dump" and code == 0:
+        assert _run(argv, folder, json.loads(out)) == (0, out)
+
+
+def test_fixed_documents_are_valid(folder):
+    for argv, doc in TARGETS:
+        assert _run(argv, folder, doc)[0] == 0, argv

@@ -16,6 +16,11 @@ Under its key ``delta_z`` the same file holds seeded ``delta_z_apply``
 inputs with the text of each recorded output: ranks 1-3, states of weight
 up to 8 with derivative factors h(-n), n up to 4, and ``FreeMonomial``
 factor lists such as h(-1)^5, with and without an explicit rank.
+Under its key ``sampling`` it holds the text of seeded ``random_lambda`` /
+``random_fock`` / ``cli._random_mode_pair`` draws (ranks 1-3, both
+sectors, ``anisotropic_top`` on and off) with the lattice facts of each
+drawn lambda: ``support_bound``, ``top_doubled``, ``positive_support2`` and
+``pair2`` (or the error it raises) for the doubled modes -3..9.
 
 After a change that is meant to alter outputs, re-record both files with
 ``PYTHONPATH=src python tests/test_golden.py --record`` and review the diff.
@@ -32,10 +37,12 @@ from random import Random
 
 import pytest
 
-from heisenfock import (FockVector, FreeMonomial, Sector, delta_z_apply,
-                        mode_apply, twisted_mode_apply)
-from heisenfock.cli import main
-from heisenfock.sampling import random_fock, random_lambda, random_nonzero_scalar
+from heisenfock import (FockVector, FreeMonomial, LambdaSequence, Sector,
+                        delta_z_apply, mode_apply, twisted_mode_apply)
+from heisenfock.cli import _random_mode_pair, main
+from heisenfock.sampling import (random_fock, random_lambda,
+                                 random_nonzero_scalar, random_rational,
+                                 random_scalar)
 from heisenfock.serialize import (fock_from_json, fock_to_json,
                                   lambda_from_json, lambda_to_json)
 
@@ -46,6 +53,8 @@ MODES_SEED = 20261018
 MODES_COUNT = 80
 DELTA_SEED = 20261019
 DELTA_COUNT = 100
+SAMPLING_SEED = 20261020
+SAMPLING_COUNT = 72
 
 
 def write_inputs(folder: Path) -> None:
@@ -191,6 +200,62 @@ def test_delta_z_output_unchanged(case):
     assert apply_delta_case(case) == case["out"]
 
 
+# -- seeded sampling and the lambda mode lattice ----------------------------------
+
+def draw_sampling_cases(seed: int, count: int):
+    """A grid over sector, rank, ``anisotropic_top``, ``max_r`` (0 stands for
+    the zero sequence) and ``max_degree``, one draw seed per case."""
+    return [{"seed": seed + n,
+             "sector": ("untwisted", "twisted")[n % 2],
+             "rank": 1 + n // 2 % 3,
+             "anisotropic_top": n // 6 % 2 == 1,
+             "max_r": n // 12 % 4,
+             "max_degree": (0, 1, 2, 6, 8)[n % 5]} for n in range(count)]
+
+
+def _pair2_text(lam: LambdaSequence, d2: int, i: int) -> str:
+    try:
+        return str(lam.pair2(d2, i))
+    except Exception as exc:  # the error is part of the recorded behaviour
+        return f"{type(exc).__name__}: {exc}"
+
+
+def sample_case(case) -> str:
+    rng = Random(case["seed"])
+    sector, rank = Sector(case["sector"]), case["rank"]
+    scalars = [random_rational(rng), random_scalar(rng),
+               random_nonzero_scalar(rng)]
+    if case["max_r"]:
+        lam = random_lambda(rng, rank, sector, max_r=case["max_r"],
+                            anisotropic_top=case["anisotropic_top"])
+    else:
+        lam = LambdaSequence.zero(rank, sector)
+    f = random_fock(rng, rank, sector, max_degree=case["max_degree"],
+                    max_terms=3, nonzero=case["max_degree"] > 0)
+    pairs = [_random_mode_pair(rng, sector, bound) for bound in (1, 2, 4)]
+    pair2 = [_pair2_text(lam, d2, i)
+             for d2 in range(-3, 10) for i in range(1, rank + 1)]
+    return "\n".join([
+        "scalars " + " ".join(map(str, scalars)),
+        "lambda " + json.dumps(lambda_to_json(lam)["entries"]),
+        f"support_bound {lam.support_bound}",
+        f"top_doubled {lam.top_doubled}",
+        f"positive_support2 {list(lam.positive_support2())}",
+        "pair2 " + " | ".join(pair2),
+        f"vector {f}",
+        "mode_pairs " + " ".join(f"{m},{n}" for m, n in pairs),
+    ])
+
+
+SAMPLING_CASES = MODES["sampling"]["cases"]
+
+
+@pytest.mark.parametrize("case", SAMPLING_CASES,
+                         ids=[str(n) for n in range(len(SAMPLING_CASES))])
+def test_sampling_output_unchanged(case):
+    assert sample_case(case) == case["out"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
@@ -205,7 +270,11 @@ if __name__ == "__main__":
     deltas = draw_delta_cases(DELTA_SEED, DELTA_COUNT)
     for case in deltas:
         case["out"] = apply_delta_case(case)
+    samples = draw_sampling_cases(SAMPLING_SEED, SAMPLING_COUNT)
+    for case in samples:
+        case["out"] = sample_case(case)
     MODES_DATA.write_text(json.dumps(
         {"seed": MODES_SEED, "cases": cases,
-         "delta_z": {"seed": DELTA_SEED, "cases": deltas}},
+         "delta_z": {"seed": DELTA_SEED, "cases": deltas},
+         "sampling": {"seed": SAMPLING_SEED, "cases": samples}},
         indent=1) + "\n", encoding="utf-8")
