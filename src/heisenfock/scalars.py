@@ -8,7 +8,7 @@ arithmetic is plain integer arithmetic with one ``gcd`` per result; the
 parts ``re`` and ``im`` are read back as ``fractions.Fraction``.  All
 arithmetic is exact and equality carries no tolerance.  The canonical text
 form is ``a+bi`` with each rational printed as ``p/q`` (``1/2-3/4i``, ``2``,
-``-i``); it is what every JSON payload uses for exact values.
+``-i``); every JSON payload uses it, and one pattern reads it back.
 """
 
 from __future__ import annotations
@@ -209,33 +209,24 @@ def _ratio_text(n: int, d: int) -> str:
 def parse_scalar(text: str) -> Scalar:
     """Parse the canonical ``a+bi`` form back into a Scalar."""
     s = text.strip().replace(" ", "")
-    if not s:
-        raise SchemaError("empty scalar string")
-    if not s.endswith("i"):
-        return Scalar(parse_rational(s))
-    body = s[:-1]
-    # split off a leading real part at the last sign that is not the
-    # leading sign and not part of a fraction slash
-    split = None
-    for pos in range(len(body) - 1, 0, -1):
-        if body[pos] in "+-" and body[pos - 1] not in "+-/":
-            split = pos
-            break
-    if split is None:
-        re_part, im_part = "", body
-    else:
-        re_part, im_part = body[:split], body[split:]
-    if im_part in ("", "+"):
-        im = Fraction(1)
-    elif im_part == "-":
-        im = Fraction(-1)
-    else:
-        im = parse_rational(im_part)
-    re = parse_rational(re_part) if re_part else Fraction(0)
-    return Scalar(re, im)
+    m = _SCALAR.fullmatch(s)
+    if not s or m is None:
+        raise SchemaError(f"bad scalar {text!r}")
+    try:
+        p, q, t = int(m[1] or 0), int(m[2] or 1), int(m[5] or 1)
+        r = 0 if m[3] is None else int(m[3] + (m[4] or "1"))
+    except ValueError as exc:  # more digits than int() converts
+        raise SchemaError(f"over-long number in scalar {text[:24]!r}...") from exc
+    if q == 0 or t == 0:
+        raise SchemaError(f"zero denominator in scalar {text!r}")
+    return _reduced(p * t, r * q, q * t)
 
 
 _RATIONAL = _re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# an optional real part, which a sign or the end of the string must follow,
+# and an optional imaginary part whose digits may be left out (``i``, ``-i``)
+_SCALAR = _re.compile(r"(?:([+-]?[0-9]+)(?:/([0-9]+))?(?=[+-]|\Z))?"
+                      r"(?:([+-]?)(?:([0-9]+)(?:/([0-9]+))?)?i)?")
 
 
 def parse_rational(text: str) -> Fraction:

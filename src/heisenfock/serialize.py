@@ -1,7 +1,7 @@
 """Canonical JSON and text forms for every payload the CLI reads or writes.
 
 Exact values are always strings: rationals ``p/q``, scalars ``a+bi``, modes
-an integer or ``k/2``, monomials ``x[i,n]^e`` factors joined by ``*``.
+``n`` or ``n/2`` in ASCII digits, monomials ``x[i,n]^e`` joined by ``*``.
 Floating-point payloads carry an explicit ``"numeric": true`` marker and
 encode complex numbers as two-element ``[re, im]`` arrays.  Every document
 carries ``"schema": <name>/<version>``; parsers accept documents without the
@@ -15,9 +15,9 @@ import re as _re
 from typing import Dict, List, Optional, Sequence
 
 from .certify import ReductionCertificate, ReductionStep
-from .errors import SchemaError
-from .fock import (FockVector, Mode, Monomial, Sector, mode_text,
-                   monomial_text)
+from .errors import ModeRangeError, SchemaError
+from .fock import (FockVector, Mode, Monomial, Sector, _check_parity,
+                   mode_text, monomial_text)
 from .heisenberg import LambdaSequence, QuadraticElement
 from .scalars import Scalar, format_scalar, parse_rational, parse_scalar
 from .vertex import CmnTable
@@ -52,14 +52,6 @@ def parse_sector(text) -> Sector:
         return Sector(text)
     except ValueError as exc:
         raise SchemaError(f"unknown sector {text!r}") from exc
-
-
-def parse_mode_text(text: str, sector: Sector) -> Mode:
-    try:
-        value = parse_rational(text)
-    except SchemaError as exc:
-        raise SchemaError(f"bad mode {text!r}") from exc
-    return Mode.of(value, sector)
 
 
 def fraction_pair(value, where: str) -> Scalar:
@@ -125,9 +117,16 @@ def lambda_from_json(doc) -> LambdaSequence:
 
 # -- Fock vectors ------------------------------------------------------------------
 
-# ASCII digits only: \d would also read other scripts' digits
-_MONOMIAL_FACTOR = _re.compile(
-    r"^x\[([0-9]+),([0-9]+(?:/2)?)\](?:\^([0-9]+))?$")
+# One mode grammar for monomial factors and certificate steps: ASCII digits
+# (\d would also read other scripts' digits), then an optional ``/2``.
+_MODE = r"([0-9]+)(/2)?"
+_MODE_TEXT = _re.compile(_MODE)
+_MONOMIAL_FACTOR = _re.compile(r"x\[([0-9]+)," + _MODE + r"\](?:\^([0-9]+))?")
+
+
+def _doubled(digits: str, half: Optional[str]) -> int:
+    """``n`` for ``n/2``, else ``2n``; ``int`` may raise ValueError."""
+    return int(digits) if half else 2 * int(digits)
 
 
 def parse_monomial(text: str, sector: Sector) -> Monomial:
@@ -136,20 +135,18 @@ def parse_monomial(text: str, sector: Sector) -> Monomial:
         return ()
     factors: Dict = {}
     for piece in text.split("*"):
-        m = _MONOMIAL_FACTOR.match(piece.strip())
+        m = _MONOMIAL_FACTOR.fullmatch(piece.strip())
         if not m:
             raise SchemaError(f"bad monomial factor {piece!r}")
         try:
-            i = int(m.group(1))
-            e = int(m.group(3) or 1)
+            i, d2, e = int(m[1]), _doubled(m[2], m[3]), int(m[4] or 1)
         except ValueError as exc:  # more digits than int() converts
-            raise SchemaError(f"over-long number in monomial factor "
-                              f"{piece[:24]!r}...") from exc
-        mode = parse_mode_text(m.group(2), sector)
+            raise SchemaError(f"over-long number in {piece[:24]!r}...") from exc
+        if _check_parity(d2, sector) == 0:
+            raise ModeRangeError("mode must be positive, got 0")
         if e < 1:
             raise SchemaError(f"bad exponent in {piece!r}")
-        key = (i, mode.doubled)
-        factors[key] = factors.get(key, 0) + e
+        factors[i, d2] = factors.get((i, d2), 0) + e
     return tuple((i, d2, e) for (i, d2), e in sorted(factors.items()))
 
 
@@ -253,8 +250,8 @@ def certificate_from_json(doc):
             if not 1 <= index <= lam.rank:
                 raise SchemaError(
                     f"{where}: boson index {key}={index} outside 1..{lam.rank}")
-        m = parse_mode_text(_expect(raw, "m", str, where), lam.sector)
-        n = parse_mode_text(_expect(raw, "n", str, where), lam.sector)
+        m = _step_mode(_expect(raw, "m", str, where), lam.sector, where)
+        n = _step_mode(_expect(raw, "n", str, where), lam.sector, where)
         shift = parse_scalar(_expect(raw, "shift", str, where))
         case = _expect(raw, "case", str, where)
         if case not in ("1", "2", "3a", "3b"):
@@ -272,6 +269,17 @@ def certificate_from_json(doc):
                                    case, before, after, retries))
     terminal = parse_scalar(_expect(doc, "terminal", str, "certificate"))
     return lam, ReductionCertificate(initial, tuple(steps), terminal)
+
+
+def _step_mode(text: str, sector: Sector, where: str) -> Mode:
+    m = _MODE_TEXT.fullmatch(text)
+    if m is None:
+        raise SchemaError(f"{where}: bad mode {text!r}")
+    try:
+        d2 = _doubled(m[1], m[2])
+    except ValueError as exc:  # more digits than int() converts
+        raise SchemaError(f"{where}: over-long mode {text[:24]!r}...") from exc
+    return Mode(d2, sector)
 
 
 # -- reports and fibers ------------------------------------------------------------------

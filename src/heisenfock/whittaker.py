@@ -369,6 +369,8 @@ def solve_fiber(zeta: WhittakerType, rank: int,
     if not exact and tolerance is None:
         tolerance = default_tolerance()
     two_top = 2 * field.coerce(zeta.zeta[-1])
+    if not exact and cmath.isinf(two_top):  # a NaN is left to the residual check
+        raise PreconditionError("2 * zeta_top is beyond the float range")
     if top_vector is not None:
         top, tt = _vector_of(top_vector, rank, "top_vector", field)
         if not tt:

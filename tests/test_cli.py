@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -277,6 +281,13 @@ def test_fiber_numeric_overflowing_self_pairing_exit_2(tmp_path, flag, doc):
     assert (code, out) == (2, "")
 
 
+@pytest.mark.parametrize("l,zeta", [(2, [[1e308, 0]]), (1, [[1, 0], [1e308, 0]])])
+def test_fiber_numeric_overflowing_zeta_top_exit_2(tmp_path, l, zeta):
+    path = write(tmp_path / "z.json", {
+        "sector": "untwisted", "r": len(zeta) - 1, "numeric": True, "zeta": zeta})
+    assert run_cli("fiber", "--zeta", path, "--l", str(l)) == (2, "")
+
+
 def test_fiber_numeric_exact_type_beyond_float_range_exit_2(tmp_path):
     zeta = write(tmp_path / "z.json", {
         "sector": "untwisted", "r": 1, "zeta": ["0", "1" + "0" * 400]})
@@ -297,6 +308,52 @@ def test_certify_check_non_strict_rational_exit_1(tmp_path, lambda_file,
     bad = write(tmp_path / "bad.json", doc)
     assert run_cli("certify", "--check", bad) == (1, "")
     assert run_cli("dump", "--kind", "certificate", "--input", bad) == (1, "")
+
+
+def _twisted_certificate(tmp_path):
+    lam = write(tmp_path / "tlam.json", {
+        "sector": "twisted", "rank": 1,
+        "entries": [[["1", "0"]], [["1/2", "-1"]]]})
+    vec = write(tmp_path / "tvec.json", {
+        "sector": "twisted", "rank": 1,
+        "terms": [{"monomial": "x[1,1/2]*x[1,3/2]", "coeff": "2"}]})
+    code, out = run_cli("certify", "--lambda", lam, "--vector", vec)
+    assert code == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("key", ["m", "n"])
+@pytest.mark.parametrize("text", ["2/4", "+1/2", "-1/2", "1/3", "1/2 ", "١/2"])
+def test_certify_check_step_mode_outside_grammar_exit_1(tmp_path, key, text):
+    doc = _twisted_certificate(tmp_path)
+    doc["steps"][0][key] = text
+    bad = write(tmp_path / "bad.json", doc)
+    assert run_cli("certify", "--check", bad) == (1, "")
+    assert run_cli("dump", "--kind", "certificate", "--input", bad) == (1, "")
+
+
+@pytest.mark.parametrize("key", ["m", "n"])
+@pytest.mark.parametrize("text,code,valid", [("1/2", 0, "true"),
+                                             ("3/2", 3, "false")])
+def test_certify_check_canonical_step_mode_kept(tmp_path, key, text, code,
+                                                valid):
+    doc = _twisted_certificate(tmp_path)
+    assert (doc["steps"][0]["m"], doc["steps"][0]["n"]) == ("1/2", "1/2")
+    doc["steps"][0][key] = text
+    path = write(tmp_path / "cert.json", doc)
+    assert run_cli("certify", "--check", path) == (
+        code, '{\n  "schema": "certify-check/1",\n  "valid": %s,\n'
+              '  "steps": 2\n}\n' % valid)
+    code, out = run_cli("dump", "--kind", "certificate", "--input", path)
+    assert (code, json.loads(out)) == (0, doc)
+
+
+@pytest.mark.parametrize("text,exit_code", [("0", 2), ("1", 2), ("9" * 5000, 1)])
+def test_certify_check_step_mode_range_and_length(tmp_path, text, exit_code):
+    doc = _twisted_certificate(tmp_path)
+    doc["steps"][0]["m"] = text
+    bad = write(tmp_path / "bad.json", doc)
+    assert run_cli("certify", "--check", bad) == (exit_code, "")
 
 
 @pytest.mark.parametrize("marker", ["no", "true", 1, 0, None, [True]])
@@ -384,3 +441,14 @@ def test_determinism_byte_identical(tmp_path, lambda_file):
     runs = {run_cli("certify", "--lambda", lam, "--vector", vec)
             for _ in range(3)}
     assert len(runs) == 1
+
+
+def test_cli_imports_only_the_standard_library():
+    # -S keeps site-packages hooks (such as a certifi .pth) out of the process
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    script = ("import json, sys, heisenfock.cli; "
+              "print(json.dumps(sorted({m.partition('.')[0] for m in sys.modules} "
+              "- set(sys.stdlib_module_names))))")
+    out = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert set(json.loads(out)) <= {"__main__", "heisenfock"}

@@ -3,16 +3,20 @@
 Each example takes one valid document (lambda data, a vector, a type, a
 sphere point, a top vector or a certificate), applies up to three random
 mutations to it (replace a value by junk, delete a key or an element,
-append junk to a list) and runs one subcommand that reads it.  Whatever the
+append junk to a list, and in a certificate rewrite a step's ``m`` or ``n``
+into junk mode text) and runs one subcommand that reads it.  Whatever the
 input, ``cli.main`` may only exit with 0-3: exit 4 is an internal error.
 A ``dump`` that succeeds must reproduce its own output when fed it back.
+The integer flags of ``relations``, ``cmn`` and ``verify`` are fuzzed
+over small ranges around their limits, with the same rule on exit codes.
 
 The junk stays small on purpose: exponents, modes and sizes are a few
 units, so every example runs in milliseconds; over-long digit strings
 appear only where they cost nothing to reject.  The pinned examples are
 inputs that once ended in exit 4: over-long numbers in a monomial, a top
 vector or sphere point whose self-pairing overflows, and an exact type
-too large for numeric mode.
+too large for numeric mode; and numeric types whose doubled top
+eigenvalue overflows, which once ended in a NaN residual (exit 3).
 """
 
 import copy
@@ -93,6 +97,10 @@ JUNK_TEXT = [
     "x[" + LONG + ",1]", LONG, "1/" + LONG, "1" + "0" * 400, "untwisted",
     "twisted", "3a", "3b",
 ]
+JUNK_MODES = [
+    "", "0", "1", "3/2", "2/4", "+1/2", "-1/2", "1/3", "01/2", " 1/2", "1/2 ",
+    "١/2", "1/", "/2", "1e0", "0.5", LONG, LONG + "/2",
+]
 junk = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-2, 4),
               st.sampled_from([10 ** 6, 2 ** 64, -10 ** 30]),
@@ -118,6 +126,12 @@ def _paths(doc, prefix=()):
 def mutated(draw, base):
     doc = copy.deepcopy(base)
     for _ in range(draw(st.integers(0, 3))):
+        steps = doc.get("steps") if isinstance(doc, dict) else None
+        if isinstance(steps, list) and steps and draw(st.booleans()):
+            step = draw(st.sampled_from(steps))
+            if isinstance(step, dict):
+                step[draw(st.sampled_from("mn"))] = draw(st.sampled_from(JUNK_MODES))
+            continue
         path = draw(st.sampled_from(list(_paths(doc))))
         action = draw(st.sampled_from(["replace", "delete", "append"]))
         if not path:
@@ -176,12 +190,39 @@ def _vector(monomial):
                [[1e200, 0]]))
 @example(case=(["fiber", "--zeta", "@doc", "--l", "2"],
                {"sector": "untwisted", "r": 1, "zeta": ["0", "1" + "0" * 400]}))
+@example(case=(["fiber", "--zeta", "@doc", "--l", "2"],
+               {"sector": "untwisted", "r": 0, "numeric": True,
+                "zeta": [[1e308, 0]]}))
+@example(case=(["fiber", "--zeta", "@doc", "--l", "1"],
+               {"sector": "untwisted", "r": 1, "numeric": True,
+                "zeta": [[1, 0], [1e308, 0]]}))
 def test_cli_exits_0_to_3_and_dump_is_idempotent(case, folder):
     argv, doc = case
     code, out = _run(argv, folder, doc)
     assert code in (0, 1, 2, 3), (argv, doc)
     if argv[0] == "dump" and code == 0:
         assert _run(argv, folder, json.loads(out)) == (0, out)
+
+
+def _flag(name, low, high):
+    return st.integers(low, high).map(lambda v: [name, str(v)])
+
+
+flag_cases = st.one_of(
+    st.tuples(st.just(["relations"]), _flag("--l", -1, 3),
+              _flag("--bound", -1, 3), _flag("--trials", -1, 3)),
+    st.tuples(st.just(["cmn"]), _flag("--order", -2, 12)),
+    st.tuples(st.just(["verify", "--lambda", "@lambda"]), _flag("--bound", -1, 8)),
+).map(lambda parts: sum(parts, []))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=flag_cases)
+def test_integer_flags_exit_0_to_3(argv, folder):
+    args = [str(folder / a[1:]) if a.startswith("@") else a for a in argv]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(args) in (0, 1, 2, 3), argv
 
 
 def test_fixed_documents_are_valid(folder):

@@ -21,6 +21,11 @@ Under its key ``sampling`` it holds the text of seeded ``random_lambda`` /
 sectors, ``anisotropic_top`` on and off) with the lattice facts of each
 drawn lambda: ``support_bound``, ``top_doubled``, ``positive_support2`` and
 ``pair2`` (or the error it raises) for the doubled modes -3..9.
+Under its key ``text`` it holds a seeded corpus of scalar strings and of
+monomial strings in both sectors (signs, inner spaces, ``/0``, ``i``,
+non-ASCII digits, 5000-digit runs, modes ``0`` and ``4/2``, ``^0``,
+repeated factors) with the canonical text of each parsed value, or the
+class name of the exception the parse raises.
 
 After a change that is meant to alter outputs, re-record both files with
 ``PYTHONPATH=src python tests/test_golden.py --record`` and review the diff.
@@ -38,13 +43,15 @@ from random import Random
 import pytest
 
 from heisenfock import (FockVector, FreeMonomial, LambdaSequence, Sector,
-                        delta_z_apply, mode_apply, twisted_mode_apply)
+                        delta_z_apply, format_scalar, mode_apply,
+                        monomial_text, parse_scalar, twisted_mode_apply)
 from heisenfock.cli import _random_mode_pair, main
 from heisenfock.sampling import (random_fock, random_lambda,
                                  random_nonzero_scalar, random_rational,
                                  random_scalar)
 from heisenfock.serialize import (fock_from_json, fock_to_json,
-                                  lambda_from_json, lambda_to_json)
+                                  lambda_from_json, lambda_to_json,
+                                  parse_monomial)
 
 DATA = Path(__file__).with_name("data") / "golden_cli.json"
 GOLDEN = json.loads(DATA.read_text(encoding="utf-8"))
@@ -55,6 +62,8 @@ DELTA_SEED = 20261019
 DELTA_COUNT = 100
 SAMPLING_SEED = 20261020
 SAMPLING_COUNT = 72
+TEXT_SEED = 20261021
+TEXT_COUNT = 300
 
 
 def write_inputs(folder: Path) -> None:
@@ -256,6 +265,89 @@ def test_sampling_output_unchanged(case):
     assert sample_case(case) == case["out"]
 
 
+# -- scalar and monomial text forms ------------------------------------------------
+
+LONG = "9" * 5000
+SCALAR_TEXTS = [
+    "0", "-0", "+0", "7", "+7", "-7", "007", "1/2", "-1/2", "+1/2", "2/4",
+    "0/5", "-0/5", "1/0", "0/0", "1//2", "/2", "1/", "1/-2", "1/+2", "i",
+    "+i", "-i", "--i", "+-i", "i+1", "ii", "1i", "0i", "-0i", "3/4i", "-3/4i",
+    "1/0i", "1+i", "1-i", "1+-i", "1-+i", "-1-i", "1/2+3/4i", "2/4+6/8i",
+    "1/2-3/4i", "-2-5/3i", "1/0+i", "1+1/0i", "1+0i", "0+0i", "1+2", "1+2+3i",
+    "1/2/3i", "i2", "2+3j", "1e5", "0.5", "1_0", "", " ", " 1 ", "1 + i",
+    "1 +i", " - 1 / 2 - 3 i ", "\t1", "1\t+i", "1\n", "\u00a01", "١", "1+٢i",
+    "x", LONG, "-" + LONG, "1/" + LONG, LONG + "i", "1+" + LONG + "i",
+    "1/2+1/" + LONG + "i", "1" + "0" * 400 + "+i",
+]
+MONOMIAL_TEXTS = [
+    "1", " 1 ", "", "x", "x[1,1]", "x[1,4/2]", "x[1,0]", "x[1,0/2]",
+    "x[1,1/2]", "x[1,3/2]", "x[1,6/4]", "x[1,1/3]", "x[1,-1]", "x[1,+1]",
+    "x[1,-1/2]", "x[1,+1/2]", "x[1,2/4]", "x[1,01]", "x[1,01/2]",
+    "x[0,1]", "x[01,1]", "x[1,1]^0", "x[1,1]^00", "x[1,1]^1", "x[1,1]^01",
+    "x[1,1]^", "x[1,1]^-1", "x[1,1]*x[1,1]", "x[1,1/2]*x[1,1/2]^2",
+    "x[2,1]*x[1,1]^2*x[2,1]", "x[1,3]*x[1,2]*x[1,1]", " x[1,1] * x[2,2] ",
+    "x[1, 1]", "x[1,1]**x[1,1]", "x[1,1]*", "*x[1,1]", "1*x[1,1]",
+    "x[1,1]x[1,2]", "y[1,1]", "x[1]", "x(1,1)", "x[١,1]", "x[1,١]",
+    "x[1,1]^٢", "x[1,1/٢]", "x[" + LONG + ",1]", "x[1," + LONG + "]",
+    "x[1," + LONG + "/2]", "x[1,1]^" + LONG, "x[1," + "1" + "0" * 400 + "]",
+    "x[1,1]^" + "1" + "0" * 30, "x[1,1]\n",
+]
+
+
+def draw_text_cases(seed: int, count: int):
+    """The fixed strings above, each monomial in both sectors, then seeded
+    random ones: monomials of one to three factors from small index, mode
+    and exponent tokens, scalars as a real and an imaginary part drawn from
+    valid and broken forms, and scalars of free sign, digit, slash and
+    ``i`` tokens."""
+    rng = Random(seed)
+    cases = [{"kind": "scalar", "text": t} for t in SCALAR_TEXTS]
+    cases += [{"kind": sector, "text": t} for t in MONOMIAL_TEXTS
+              for sector in ("untwisted", "twisted")]
+    tokens = ["", "+", "-", " ", "0", "1", "2", "12", "/", "/0", "/2", "/4",
+              "i", "+i", "-i", "1/2", "3/4i"]
+    modes = {"untwisted": ["1", "2", "3", "4/2", "01"],
+             "twisted": ["1/2", "3/2", "5/2", "01/2"],
+             None: ["0", "0/2", "6/4", "-1", "1/3", "+1", "2/4", "1", "1/2"]}
+    reals = ["", "0", "1", "-2", "+12", "1/2", "-3/4", "2/0", "/2", "1/"]
+    imags = ["", "i", "+i", "-i", "2i", "+3/4i", "-1/2i", "+/2i", "+0i", "-i1"]
+    while len(cases) < count:
+        if len(cases) % 4 == 1:
+            text = rng.choice(reals) + rng.choice(["", "", " "]) + rng.choice(imags)
+            cases.append({"kind": "scalar", "text": text})
+            continue
+        if len(cases) % 4 == 3:
+            text = "".join(rng.choice(tokens) for _ in range(rng.randint(1, 5)))
+            cases.append({"kind": "scalar", "text": text})
+            continue
+        sector = rng.choice(["untwisted", "twisted"])
+        factors = [f"x[{rng.choice('0123')},"
+                   f"{rng.choice(modes[sector if rng.random() < 0.8 else None])}]"
+                   + rng.choice(["", "", "", "^0", "^1", "^2", "^03"])
+                   for _ in range(rng.randint(1, 3))]
+        cases.append({"kind": sector,
+                      "text": rng.choice(["*", " * "]).join(factors)})
+    return cases
+
+
+def parse_text_case(case) -> str:
+    try:
+        if case["kind"] == "scalar":
+            return format_scalar(parse_scalar(case["text"]))
+        return monomial_text(parse_monomial(case["text"], Sector(case["kind"])))
+    except Exception as exc:  # the error class is the recorded behaviour
+        return type(exc).__name__
+
+
+TEXT_CASES = MODES["text"]["cases"]
+
+
+@pytest.mark.parametrize("case", TEXT_CASES,
+                         ids=[str(n) for n in range(len(TEXT_CASES))])
+def test_text_output_unchanged(case):
+    assert parse_text_case(case) == case["out"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
@@ -273,8 +365,12 @@ if __name__ == "__main__":
     samples = draw_sampling_cases(SAMPLING_SEED, SAMPLING_COUNT)
     for case in samples:
         case["out"] = sample_case(case)
+    texts = draw_text_cases(TEXT_SEED, TEXT_COUNT)
+    for case in texts:
+        case["out"] = parse_text_case(case)
     MODES_DATA.write_text(json.dumps(
         {"seed": MODES_SEED, "cases": cases,
          "delta_z": {"seed": DELTA_SEED, "cases": deltas},
-         "sampling": {"seed": SAMPLING_SEED, "cases": samples}},
+         "sampling": {"seed": SAMPLING_SEED, "cases": samples},
+         "text": {"seed": TEXT_SEED, "cases": texts}},
         indent=1) + "\n", encoding="utf-8")
