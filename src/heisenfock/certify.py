@@ -28,7 +28,7 @@ from typing import List, Tuple
 
 from .errors import PreconditionError, ReductionError, SchemaError
 from .fock import FockVector, Mode
-from .heisenberg import (LambdaSequence, QuadraticElement, act_mode2,
+from .heisenberg import (LambdaSequence, QuadraticElement, _compose_quadratic,
                          quadratic_act, require_positive_support)
 from .scalars import Scalar
 
@@ -140,9 +140,7 @@ def verify_certificate(lam: LambdaSequence, a: FockVector,
         q = step.element
         if q.sector is not current.sector or max(q.i, q.j) > lam.rank:
             return False
-        composed = act_mode2(lam, q.i, q.m.doubled,
-                             act_mode2(lam, q.j, q.n.doubled, current))
-        current = composed - current.scaled(q.shift)
+        current = _compose_quadratic(lam, q, current)
         if current.degree != step.degree_after:
             return False
     if not cert.terminal:

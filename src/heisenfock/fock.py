@@ -382,8 +382,3 @@ def _weighted_partial2(i: int, d2: int, f: FockVector,
                 _accumulate(acc, reduced, c.scale(weight * e))
                 break
     return FockVector(f.rank, f.sector, acc)
-
-
-def degree(f: FockVector) -> Union[Fraction, float]:
-    """Weight of the leading block; -inf for the zero vector."""
-    return f.degree

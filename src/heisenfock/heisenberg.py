@@ -13,7 +13,8 @@ acts as the identity throughout (level one); it never appears explicitly.
 The quadratic elements h_i(m) h_j(n) - (lambda_m, h_i)(lambda_n, h_j) with
 positive m, n act by pure differential operators; ``quadratic_act`` applies
 that closed form directly, while the two-step composition is kept as an
-independent cross-check (``commutator_check`` and the test suites).
+independent cross-check (``quadratic_check``, certificate replay and the
+test suites).
 """
 
 from __future__ import annotations
@@ -130,24 +131,6 @@ class LambdaSequence:
 
 # -- mode actions --------------------------------------------------------------
 
-def act_creation(i: int, mode: ModeLike, f: FockVector) -> FockVector:
-    """h_i(-n) f = x[i,n] f for positive n."""
-    d2 = doubled_mode(mode, f.sector)
-    if d2 <= 0:
-        raise ModeRangeError(f"creation mode must be positive, got {mode}")
-    return f.times_variable(i, d2)
-
-
-def act_annihilation(lam: LambdaSequence, i: int, mode: ModeLike,
-                     f: FockVector) -> FockVector:
-    """h_i(n) f = (n d/dx[i,n]) f + (lambda_n, h_i) f for n >= 0 in sector."""
-    lam._check_vector(f)
-    d2 = doubled_mode(mode, f.sector)
-    if d2 < 0:
-        raise ModeRangeError(f"annihilation mode must be >= 0, got {mode}")
-    return act_mode2(lam, i, d2, f)
-
-
 def act_mode(lam: LambdaSequence, i: int, mode: ModeLike,
              f: FockVector) -> FockVector:
     """Dispatch h_i(mode): negative modes create, the rest annihilate."""
@@ -238,6 +221,20 @@ def quadratic_act(lam: LambdaSequence, q: QuadraticElement,
     if cn:
         out = out + weighted_partial(q.i, m_val, f).scaled(cn)
     return out
+
+
+def _compose_quadratic(lam: LambdaSequence, q: QuadraticElement,
+                       f: FockVector) -> FockVector:
+    """h_i(m) h_j(n) f - shift * f by two oscillator actions."""
+    composed = act_mode2(lam, q.i, q.m.doubled,
+                         act_mode2(lam, q.j, q.n.doubled, f))
+    return composed - f.scaled(q.shift)
+
+
+def quadratic_check(lam: LambdaSequence, q: QuadraticElement,
+                    f: FockVector) -> bool:
+    """Exact check that the closed form equals the composition minus q.shift."""
+    return quadratic_act(lam, q, f) == _compose_quadratic(lam, q, f)
 
 
 # -- involutions and generators ---------------------------------------------------

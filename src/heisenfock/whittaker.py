@@ -21,7 +21,6 @@ refinement sweep on the triangular system.
 from __future__ import annotations
 
 import cmath
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
@@ -29,29 +28,15 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 
 from ._linalg import solve as _solve_linear
 from .errors import (IsotropicTopError, NonSquareError, NumericFailure,
-                     PreconditionError, SchemaError)
+                     PreconditionError)
 from .fock import FockVector, Sector
 from .heisenberg import LambdaSequence
 from .scalars import Scalar, as_scalar, scalar_sqrt
 from .vertex import omega, mode_apply, twisted_mode_apply
 
-TOLERANCE_ENV = "HEISENFOCK_TOLERANCE"
-DEFAULT_TOLERANCE = 1e-10
+TOLERANCE = 1e-10  # the largest type residual a numeric fiber point may have
 
 ZERO = as_scalar(0)
-
-
-def default_tolerance() -> float:
-    raw = os.environ.get(TOLERANCE_ENV)
-    if raw is None:
-        return DEFAULT_TOLERANCE
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise SchemaError(f"bad {TOLERANCE_ENV} value {raw!r}") from exc
-    if not 0 <= value < float("inf"):  # NaN fails this too
-        raise SchemaError(f"{TOLERANCE_ENV} must be finite and >= 0, got {raw!r}")
-    return value
 
 
 def bilinear(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
@@ -173,9 +158,12 @@ def verify_whittaker_vector(lam: LambdaSequence, bound: int) -> WhittakerReport:
 
     For i = r+1 .. bound the i-th omega mode of 1 is computed through the
     vertex engine and compared against the closed-form eigenvalue (zero
-    beyond 2r+eps).  Exact equality per row.
+    beyond 2r+eps).  Exact equality per row; a bound <= r, which leaves no
+    row, is refused.
     """
     r = lam.support_bound
+    if bound <= r:
+        raise PreconditionError(f"bound {bound} must exceed r = {r}")
     eps = 1 - lam.sector.parity
     eig = type_eigenvalues(lam)
     one = FockVector.constant(1, lam.rank, lam.sector)
@@ -345,8 +333,7 @@ def solve_fiber(zeta: WhittakerType, rank: int,
                 sphere_point: Optional[Sequence] = None,
                 free_params: Optional[Sequence[Sequence]] = None,
                 exact: bool = False,
-                top_vector: Optional[Sequence] = None,
-                tolerance: Optional[float] = None) -> FiberPoint:
+                top_vector: Optional[Sequence] = None) -> FiberPoint:
     """Produce one lambda sequence whose Whittaker type is ``zeta``.
 
     The top entry is sqrt(2*zeta_top) times a point on the complex unit
@@ -366,8 +353,6 @@ def solve_fiber(zeta: WhittakerType, rank: int,
         raise PreconditionError(
             f"free_params must be {steps} vectors of length {rank - 1}")
     field = _EXACT if exact else _NUMERIC
-    if not exact and tolerance is None:
-        tolerance = default_tolerance()
     two_top = 2 * field.coerce(zeta.zeta[-1])
     if not exact and cmath.isinf(two_top):  # a NaN is left to the residual check
         raise PreconditionError("2 * zeta_top is beyond the float range")
@@ -416,9 +401,13 @@ def solve_fiber(zeta: WhittakerType, rank: int,
         residual = Fraction(0)
     else:
         residual = numeric_type_residual(lam_entries, zeta)
-        if not residual <= tolerance:  # a NaN residual fails too
+        if not cmath.isfinite(residual) and all(
+                cmath.isfinite(field.coerce(z)) for z in zeta.zeta):
+            raise PreconditionError(
+                "the fiber residual overflows: the type is beyond the float range")
+        if not residual <= TOLERANCE:  # a NaN residual fails too
             raise NumericFailure(
-                f"fiber residual {residual:.3e} exceeds tolerance {tolerance:.3e}")
+                f"fiber residual {residual:.3e} exceeds tolerance {TOLERANCE:.3e}")
     root = field.sqrt(bilinear(top, top))
     sphere = None if root is None else tuple(c / root for c in top)
     return FiberPoint(zeta.sector, rank, zeta.r, exact, sphere, top,

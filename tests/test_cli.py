@@ -136,6 +136,18 @@ def test_verify_command(lambda_file):
     assert [row["index"] for row in doc["rows"]] == list(range(2, 8))
 
 
+@pytest.mark.parametrize("bound,code,rows", [("-1", 2, None), ("0", 2, None),
+                                             ("1", 2, None), ("2", 0, [2])])
+def test_verify_bound_must_exceed_r(lambda_file, bound, code, rows):
+    # r = 1: rows run over r+1 .. bound, so a bound <= r has none to report
+    got, out = run_cli("verify", "--lambda", lambda_file, "--bound", bound)
+    assert got == code
+    if rows is None:
+        assert out == ""
+    else:
+        assert [row["index"] for row in json.loads(out)["rows"]] == rows
+
+
 def test_certify_and_check(tmp_path, lambda_file):
     vec = write(tmp_path / "vec.json", {
         "sector": "untwisted", "rank": 1,
@@ -286,6 +298,16 @@ def test_fiber_numeric_overflowing_zeta_top_exit_2(tmp_path, l, zeta):
     path = write(tmp_path / "z.json", {
         "sector": "untwisted", "r": len(zeta) - 1, "numeric": True, "zeta": zeta})
     assert run_cli("fiber", "--zeta", path, "--l", str(l)) == (2, "")
+
+
+@pytest.mark.parametrize("sector,r,zeta", [
+    ("untwisted", 1, [[1e308, 0], [1, 0]]),     # residual inf
+    ("twisted", 2, [[1e308, 1e308], [1, 0]]),   # residual nan
+])
+def test_fiber_numeric_overflowing_residual_exit_2(tmp_path, sector, r, zeta):
+    path = write(tmp_path / "z.json", {
+        "sector": sector, "r": r, "numeric": True, "zeta": zeta})
+    assert run_cli("fiber", "--zeta", path, "--l", "2") == (2, "")
 
 
 def test_fiber_numeric_exact_type_beyond_float_range_exit_2(tmp_path):

@@ -12,7 +12,7 @@ from functools import lru_cache
 import pytest
 import sympy
 
-from heisenfock import (FockVector, FreeMonomial, LambdaSequence, Sector,
+from heisenfock import (FockVector, LambdaSequence, Sector,
                         SectorMismatchError, bilinear, cmn_table,
                         delta_z_apply, omega, twisted_mode_apply,
                         twisted_virasoro_mode, virasoro_bracket_check)
@@ -70,7 +70,7 @@ class TestCmnTable:
 
 class TestDeltaZ:
     def test_single_oscillator_uncorrected(self):
-        u = FreeMonomial(((1, 1),)).to_polynomial(2)
+        u = FockVector.variable(1, 1, 2)
         assert delta_z_apply(u) == {0: u}
 
     def test_conformal_state_shift(self):
@@ -166,7 +166,7 @@ class TestTwistedModes:
     def test_half_mode_of_single_field(self, rng):
         # a single twisted free field has plain oscillator modes
         from heisenfock import act_mode
-        u = FreeMonomial(((1, 1),))
+        u = FockVector.variable(1, 1, 2)
         for _ in range(10):
             lam = random_lambda(rng, 2, Sector.TWISTED)
             f = random_fock(rng, 2, Sector.TWISTED, max_degree=4)

@@ -15,8 +15,10 @@ units, so every example runs in milliseconds; over-long digit strings
 appear only where they cost nothing to reject.  The pinned examples are
 inputs that once ended in exit 4: over-long numbers in a monomial, a top
 vector or sphere point whose self-pairing overflows, and an exact type
-too large for numeric mode; and numeric types whose doubled top
-eigenvalue overflows, which once ended in a NaN residual (exit 3).
+too large for numeric mode; numeric types whose doubled top eigenvalue
+overflows, which once ended in a NaN residual (exit 3); and finite numeric
+types whose fiber residual overflows to inf or NaN (once exit 3, now the
+precondition exit 2).
 """
 
 import copy
@@ -196,6 +198,12 @@ def _vector(monomial):
 @example(case=(["fiber", "--zeta", "@doc", "--l", "1"],
                {"sector": "untwisted", "r": 1, "numeric": True,
                 "zeta": [[1, 0], [1e308, 0]]}))
+@example(case=(["fiber", "--zeta", "@doc", "--l", "2"],
+               {"sector": "untwisted", "r": 1, "numeric": True,
+                "zeta": [[1e308, 0], [1, 0]]}))
+@example(case=(["fiber", "--zeta", "@doc", "--l", "2"],
+               {"sector": "twisted", "r": 2, "numeric": True,
+                "zeta": [[1e308, 1e308], [1, 0]]}))
 def test_cli_exits_0_to_3_and_dump_is_idempotent(case, folder):
     argv, doc = case
     code, out = _run(argv, folder, doc)

@@ -14,8 +14,11 @@ and mixed factor counts; the ranks are 1-3 with nonzero lambda data; both
 sectors appear, always with a mode of the parity the state can reach.
 Under its key ``delta_z`` the same file holds seeded ``delta_z_apply``
 inputs with the text of each recorded output: ranks 1-3, states of weight
-up to 8 with derivative factors h(-n), n up to 4, and ``FreeMonomial``
-factor lists such as h(-1)^5, with and without an explicit rank.
+up to 8 with derivative factors h(-n), n up to 4, and single monomials
+stored as factor lists such as h(-1)^5, with and without an explicit rank.
+The harness turns a factor list [[a, n], ...] into the state
+x[a1,n1]*x[a2,n2]*... of that rank, or of the largest boson index listed
+when the rank is null.
 Under its key ``sampling`` it holds the text of seeded ``random_lambda`` /
 ``random_fock`` / ``cli._random_mode_pair`` draws (ranks 1-3, both
 sectors, ``anisotropic_top`` on and off) with the lattice facts of each
@@ -42,7 +45,7 @@ from random import Random
 
 import pytest
 
-from heisenfock import (FockVector, FreeMonomial, LambdaSequence, Sector,
+from heisenfock import (FockVector, LambdaSequence, Sector,
                         delta_z_apply, format_scalar, mode_apply,
                         monomial_text, parse_scalar, twisted_mode_apply)
 from heisenfock.cli import _random_mode_pair, main
@@ -193,10 +196,14 @@ def draw_delta_cases(seed: int, count: int):
 
 def apply_delta_case(case) -> str:
     if "factors" in case:
-        u = FreeMonomial(tuple(tuple(f) for f in case["factors"]))
-        out = delta_z_apply(u, rank=case["rank"])
+        factors = case["factors"]
+        rank = case["rank"] or max(a for a, _ in factors)
+        u = FockVector.constant(1, rank)
+        for a, n in factors:
+            u = u.times_variable(a, 2 * n)
     else:
-        out = delta_z_apply(fock_from_json(case["state"]))
+        u = fock_from_json(case["state"])
+    out = delta_z_apply(u)
     return "{" + ", ".join(f"{j}: {v}" for j, v in sorted(out.items())) + "}"
 
 

@@ -4,8 +4,8 @@ import pytest
 
 from heisenfock import (BosonIndexError, FockVector, HighestWeightError,
                         LambdaSequence, Mode, ModeRangeError, QuadraticElement, Scalar, Sector,
-                        SectorMismatchError, act_annihilation, act_creation,
-                        act_mode, commutator_check, j_generator, quadratic_act,
+                        SectorMismatchError, act_mode, commutator_check,
+                        j_generator, quadratic_act, quadratic_check,
                         theta_involution)
 from heisenfock.heisenberg import act_mode2, require_positive_support
 from heisenfock.sampling import random_fock, random_lambda
@@ -58,24 +58,25 @@ class TestLambdaSequence:
 
 class TestModeActions:
     def test_creation(self):
-        assert act_creation(1, 1, one(1)) == x(1, 1, 1)
-        assert act_creation(2, 3, x(1, 1, 2)) == x(1, 1, 2) * x(2, 3, 2)
-        tw = act_creation(1, HALF, one(1, Sector.TWISTED))
+        lam, lam2 = LambdaSequence.zero(1), LambdaSequence.zero(2)
+        assert act_mode(lam, 1, -1, one(1)) == x(1, 1, 1)
+        assert act_mode(lam2, 2, -3, x(1, 1, 2)) == x(1, 1, 2) * x(2, 3, 2)
+        tw = act_mode(lam, 1, -HALF, one(1, Sector.TWISTED))
         assert tw == x(1, HALF, 1, Sector.TWISTED)
 
     def test_vacuum_annihilation(self):
         lam = LambdaSequence.zero(1)
-        assert not act_annihilation(lam, 1, 1, one(1))
+        assert not act_mode(lam, 1, 1, one(1))
 
     def test_whittaker_eigenvector(self):
         # h(1) acts on the cyclic vector by the lambda_1 coordinate
         lam = lam_of(Sector.UNTWISTED, 1, [0], [1])
-        assert act_annihilation(lam, 1, 1, one(1)) == one(1)
+        assert act_mode(lam, 1, 1, one(1)) == one(1)
 
     def test_mixed_degree_output(self):
         # h(1) x[1,1] = (h,h) + (h,lambda_1) x[1,1]: two degrees at once
         lam = lam_of(Sector.UNTWISTED, 1, [0], [1])
-        out = act_annihilation(lam, 1, 1, x(1, 1, 1))
+        out = act_mode(lam, 1, 1, x(1, 1, 1))
         assert out == one(1) + x(1, 1, 1)
 
     def test_mode_zero_is_scalar(self):
@@ -102,14 +103,12 @@ class TestModeActions:
         f = x(1, 1, 1) + one(1)
         for i in (0, 2):
             with pytest.raises(BosonIndexError):
-                act_annihilation(lam, i, mode, f)
-            with pytest.raises(BosonIndexError):
                 act_mode(lam, i, mode, f)
 
     def test_sector_mismatch(self):
         lam = LambdaSequence.zero(1, Sector.TWISTED)
         with pytest.raises(SectorMismatchError):
-            act_annihilation(lam, 1, 1, one(1))
+            act_mode(lam, 1, 1, one(1))
 
     def test_annihilation_beyond_support_kills_cyclic_vector(self, rng):
         for sector in (Sector.UNTWISTED, Sector.TWISTED):
@@ -184,8 +183,14 @@ class TestQuadraticAction:
                 n = base + rng.randint(0 if base else 1, 4)
                 q = QuadraticElement.build(lam, rng.randint(1, 2),
                                            rng.randint(1, 2), m, n)
-                composed = act_mode(lam, q.i, m, act_mode(lam, q.j, n, f))
-                assert quadratic_act(lam, q, f) == composed - f.scaled(q.shift)
+                assert quadratic_check(lam, q, f)
+
+    def test_check_detects_a_wrong_shift(self):
+        lam = lam_of(Sector.UNTWISTED, 1, [0], [sc(2)])
+        q = QuadraticElement.build(lam, 1, 1, 1, 1)
+        wrong = QuadraticElement(q.i, q.j, q.m, q.n, q.shift + sc(1))
+        assert quadratic_check(lam, q, x(1, 1, 1))
+        assert not quadratic_check(lam, wrong, x(1, 1, 1))
 
     @pytest.mark.parametrize("i,j", [(0, 1), (1, 0), (-1, 2)])
     def test_rejects_nonpositive_boson_index(self, i, j):

@@ -1,0 +1,62 @@
+"""Guards on the public surface of the package.
+
+The package exports one spelling per concept; a name added to or dropped
+from ``heisenfock.__all__`` must change the pinned list below on purpose.
+Every exported name must resolve, and the library reads no environment
+variable: every option is an argument or a documented constant.
+"""
+
+import importlib
+import pkgutil
+from pathlib import Path
+
+import heisenfock
+
+PUBLIC = [
+    "BosonIndexError", "CmnTable", "FiberPoint", "FockVector",
+    "HighestWeightError", "IsotropicTopError", "LambdaSequence", "Mode",
+    "ModeRangeError", "NonSquareError", "NumericFailure", "PreconditionError",
+    "QuadraticElement", "ReductionCertificate", "ReductionError",
+    "ReductionStep", "Scalar", "SchemaError", "Sector", "SectorMismatchError",
+    "WhittakerReport", "WhittakerType", "act_mode", "as_scalar", "bilinear",
+    "binom_mode_identity_check", "binom_transfer_matrix", "certify_cyclic",
+    "cmn_table", "commutator_check", "delta_z_apply", "determinant",
+    "extract_fiber_data", "fiber_dimension", "format_scalar", "j_generator",
+    "mode_apply", "mode_text", "monomial_text", "omega", "parse_scalar",
+    "quadratic_act", "quadratic_check", "reduce_step", "scalar_sqrt",
+    "solve_fiber", "theta_involution", "twisted_mode_apply",
+    "twisted_virasoro_mode", "type_eigenvalues", "verify_certificate",
+    "verify_whittaker_vector", "virasoro_bracket_check", "virasoro_mode",
+    "weighted_partial", "whittaker_type_of",
+]
+
+SOURCE = Path(heisenfock.__file__).parent
+
+
+def _modules():
+    yield heisenfock
+    for info in pkgutil.iter_modules(heisenfock.__path__):
+        if info.name != "__main__":
+            yield importlib.import_module(f"heisenfock.{info.name}")
+
+
+def test_package_exports_are_pinned():
+    assert sorted(heisenfock.__all__) == PUBLIC
+
+
+def test_every_exported_name_resolves():
+    checked = 0
+    for module in _modules():
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+            checked += 1
+    assert checked >= len(PUBLIC)
+
+
+def test_library_reads_no_environment():
+    files = sorted(SOURCE.rglob("*.py"))
+    assert files
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        for needle in ("os.environ", "getenv"):
+            assert needle not in text, f"{path.name} uses {needle}"

@@ -3,11 +3,11 @@ from math import factorial
 
 import pytest
 
-from heisenfock import (FockVector, FreeMonomial, LambdaSequence, Sector,
+from heisenfock import (FockVector, LambdaSequence, Sector,
                         SectorMismatchError, act_mode, mode_apply, omega,
                         twisted_mode_apply, virasoro_bracket_check,
                         virasoro_mode, weighted_partial)
-from heisenfock.errors import ModeRangeError, PreconditionError
+from heisenfock.errors import ModeRangeError
 from heisenfock.sampling import random_fock, random_lambda, random_nonzero_scalar
 
 from conftest import lam_of, one, sc, x
@@ -48,7 +48,7 @@ class TestModeApply:
             assert mode_apply(u, -1, one(2), lam0) == u
 
     def test_single_field_is_plain_mode(self, rng):
-        u = FreeMonomial(((1, 1),))
+        u = x(1, 1, 2)
         for _ in range(20):
             lam = random_lambda(rng, 2, Sector.UNTWISTED)
             f = random_fock(rng, 2, Sector.UNTWISTED, max_degree=5)
@@ -58,18 +58,11 @@ class TestModeApply:
     def test_derivative_field_mode(self):
         # the field of h(-2)|0> is the z-derivative: its k-th mode is -k h(k-1)
         lam = lam_of(Sector.UNTWISTED, 1, [0], [1])
-        u = FreeMonomial(((1, 2),))
+        u = x(1, 2, 1)
         f = x(1, 1, 1) * x(1, 2, 1)
         for k in range(-3, 4):
             expected = act_mode(lam, 1, k - 1, f).scaled(-k)
             assert mode_apply(u, k, f, lam) == expected
-
-    def test_free_monomial_text_and_weight(self):
-        u = FreeMonomial(((1, 2), (1, 1)))
-        assert u.weight == 3
-        assert str(u) == "h[1](-2)h[1](-1)|0>"
-        assert str(FreeMonomial(())) == "|0>"
-        assert u.to_polynomial(1) == x(1, 1, 1) * x(1, 2, 1)
 
     def test_grading(self, rng):
         lam0 = LambdaSequence.zero(2)
@@ -224,11 +217,6 @@ class TestVirasoro:
                 f = random_fock(rng, 2, sector, max_degree=5, max_terms=2)
                 m, n = rng.randint(-4, 4), rng.randint(-4, 4)
                 assert virasoro_bracket_check(m, n, f, lam)
-
-    def test_bracket_limit_guard(self):
-        lam0 = LambdaSequence.zero(1)
-        with pytest.raises(PreconditionError):
-            virasoro_bracket_check(7, 0, one(1), lam0)
 
 
 class TestOmegaSpectrum:

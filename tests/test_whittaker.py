@@ -214,21 +214,11 @@ class TestFiberSolver:
         assert math.isnan(numeric_type_residual([(nan, 0j), (1 + 0j, 0j)], wt))
         assert numeric_type_residual([(0j, 0j), (1 + 0j, 1 + 0j)], wt) == 1.0
 
-    def test_tolerance_env_override(self, monkeypatch):
+    def test_finite_residual_above_tolerance_fails(self):
         from heisenfock.errors import NumericFailure
-        wt = WhittakerType(Sector.UNTWISTED, 0, (1.0 + 0j,), exact=False)
-        monkeypatch.setenv("HEISENFOCK_TOLERANCE", "1e-300")
-        with pytest.raises(NumericFailure):
-            solve_fiber(wt, 2, exact=False)
-        monkeypatch.setenv("HEISENFOCK_TOLERANCE", "1e-6")
-        assert solve_fiber(wt, 2, exact=False).residual <= 1e-6
-
-    @pytest.mark.parametrize("raw", ["nan", "inf", "-1e-10"])
-    def test_tolerance_env_must_be_finite_and_nonnegative(self, monkeypatch, raw):
-        wt = WhittakerType(Sector.UNTWISTED, 0, (1.0 + 0j,), exact=False)
-        monkeypatch.setenv("HEISENFOCK_TOLERANCE", raw)
-        with pytest.raises(SchemaError):
-            solve_fiber(wt, 2, exact=False)
+        wt = WhittakerType(Sector.UNTWISTED, 1, (1e30 + 0j, 3 + 0j), exact=False)
+        with pytest.raises(NumericFailure, match="exceeds tolerance 1.000e-10"):
+            solve_fiber(wt, 2)
 
 
 class TestFiberDimension:
