@@ -15,8 +15,7 @@ from .errors import (BosonIndexError, HighestWeightError, IsotropicTopError,
                      ModeRangeError, NonSquareError, NumericFailure,
                      PreconditionError, ReductionError, SchemaError,
                      SectorMismatchError)
-from .fock import (FockVector, Mode, Sector, mode_text, monomial_text,
-                   weighted_partial)
+from .fock import FockVector, Sector, mode_text, monomial_text, weighted_partial
 from .heisenberg import (LambdaSequence, QuadraticElement, act_mode,
                          commutator_check, j_generator, quadratic_act,
                          quadratic_check, theta_involution)
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BosonIndexError", "CmnTable", "FiberPoint", "FockVector",
-    "HighestWeightError", "IsotropicTopError", "LambdaSequence", "Mode",
+    "HighestWeightError", "IsotropicTopError", "LambdaSequence",
     "ModeRangeError", "NonSquareError", "NumericFailure", "PreconditionError",
     "QuadraticElement", "ReductionCertificate", "ReductionError",
     "ReductionStep", "Scalar", "SchemaError", "Sector", "SectorMismatchError",

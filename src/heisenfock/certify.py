@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .errors import PreconditionError, ReductionError, SchemaError
-from .fock import FockVector, Mode
+from .fock import FockVector
 from .heisenberg import (LambdaSequence, QuadraticElement, _compose_quadratic,
                          quadratic_act, require_positive_support)
 from .scalars import Scalar
@@ -72,8 +72,7 @@ def _case_and_element(lam: LambdaSequence, i0: int, m2: int,
     else:
         case, j0 = CASE_OFFDIAG, _index_pairing_nonzero(lam, m2, skip=i0)
     shift = lam.pair2(m2, i0) * lam.pair2(n2, j0)
-    return case, QuadraticElement(i0, j0, Mode(m2, lam.sector),
-                                  Mode(n2, lam.sector), shift)
+    return case, QuadraticElement(i0, j0, m2, n2, lam.sector, shift)
 
 
 def _index_pairing_nonzero(lam: LambdaSequence, n2: int, skip: int = 0) -> int:
@@ -99,8 +98,9 @@ def reduce_step(lam: LambdaSequence,
         for n2 in lam.positive_support2():
             case, q = _case_and_element(lam, i0, m2, n2)
             b = quadratic_act(lam, q, a)
-            if b and b.degree < deg_before:
-                return (ReductionStep(q, case, deg_before, b.degree, retries), b)
+            deg_after = b.degree
+            if b and deg_after < deg_before:
+                return (ReductionStep(q, case, deg_before, deg_after, retries), b)
             retries += 1
     raise ReductionError(
         "every admissible quadratic element annihilated the vector")
@@ -112,10 +112,11 @@ def certify_cyclic(lam: LambdaSequence, a: FockVector) -> ReductionCertificate:
     if not a:
         raise PreconditionError("cannot certify the zero vector")
     steps: List[ReductionStep] = []
-    current = a
-    while current.degree > 0:
+    current, degree = a, a.degree
+    while degree > 0:
         step, current = reduce_step(lam, current)
         steps.append(step)
+        degree = step.degree_after
     terminal = current.constant_coefficient()
     return ReductionCertificate(a, tuple(steps), terminal)
 
@@ -133,15 +134,16 @@ def verify_certificate(lam: LambdaSequence, a: FockVector,
         lam._check_vector(a)
     except (PreconditionError, SchemaError):
         return False
-    current = a
+    current, degree = a, a.degree
     for step in cert.steps:
-        if current.degree != step.degree_before:
+        if degree != step.degree_before:
             return False
         q = step.element
         if q.sector is not current.sector or max(q.i, q.j) > lam.rank:
             return False
         current = _compose_quadratic(lam, q, current)
-        if current.degree != step.degree_after:
+        degree = current.degree
+        if degree != step.degree_after:
             return False
     if not cert.terminal:
         return False

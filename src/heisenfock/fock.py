@@ -6,10 +6,11 @@ mode: a positive integer in the untwisted sector, a positive half-odd
 integer in the twisted sector.  Monomials are graded by weight, with
 ``deg x[i,n] = n``; the zero vector has degree -inf.
 
-All mode bookkeeping is done on *doubled* integers (``2n``) so that both
-sectors share exact integer arithmetic.  The sector fixes the parity of
-every doubled mode, ``Sector.parity``: 0 untwisted, 1 twisted; the other
-lattice facts (where lambda entry k sits, a type's epsilon) follow from it.
+Public functions take a mode as an ``int`` or ``Fraction`` (``ModeLike``)
+and convert it once; below them a mode is only its *doubled* integer ``2n``,
+checked by ``_check_parity`` and ``_check_positive``.  The sector fixes the
+parity of every doubled mode, ``Sector.parity``: 0 untwisted, 1 twisted; the
+other lattice facts (where lambda entry k sits, a type's epsilon) follow.
 
 Values are immutable after construction; every operation returns a new
 vector, so sharing across threads is safe.
@@ -24,7 +25,6 @@ vector, so sharing across threads is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple, Union
@@ -70,6 +70,13 @@ def _check_parity(d2: int, sector: Sector) -> int:
     return d2
 
 
+def _check_positive(d2: int, sector: Sector) -> int:
+    """The doubled mode d2, refused unless it is a positive mode of sector."""
+    if _check_parity(d2, sector) <= 0:
+        raise ModeRangeError(f"mode must be positive, got {mode_text(d2)}")
+    return d2
+
+
 def doubled_mode(mode: ModeLike, sector: Sector) -> int:
     """Convert a mode in (1/2)Z to its doubled integer, checking parity."""
     return _check_parity(_doubled_value(mode), sector)
@@ -78,30 +85,6 @@ def doubled_mode(mode: ModeLike, sector: Sector) -> int:
 def mode_text(d2: int) -> str:
     """Mode as an integer or ``k/2`` string."""
     return str(d2 // 2) if d2 % 2 == 0 else f"{d2}/2"
-
-
-@dataclass(frozen=True)
-class Mode:
-    """A positive mode index together with its sector."""
-
-    doubled: int
-    sector: Sector
-
-    def __post_init__(self):
-        _check_parity(self.doubled, self.sector)
-        if self.doubled <= 0:
-            raise ModeRangeError(f"mode must be positive, got {self.value}")
-
-    @classmethod
-    def of(cls, mode: ModeLike, sector: Sector) -> "Mode":
-        return cls(_doubled_value(mode), sector)
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.doubled, 2)
-
-    def __str__(self) -> str:
-        return mode_text(self.doubled)
 
 
 def monomial_degree2(mono: Monomial) -> int:
@@ -146,9 +129,7 @@ class FockVector:
     def variable(cls, i: int, mode: ModeLike, rank: int,
                  sector: Sector = Sector.UNTWISTED) -> "FockVector":
         """The single variable x[i, mode]."""
-        d2 = doubled_mode(mode, sector)
-        if d2 <= 0:
-            raise ModeRangeError(f"variable mode must be positive, got {mode}")
+        d2 = _check_positive(_doubled_value(mode), sector)
         _check_boson(i, rank)
         return cls(rank, sector, {((i, d2, 1),): as_scalar(1)})
 
@@ -354,9 +335,7 @@ def weighted_partial(i: int, mode: ModeLike, f: FockVector) -> FockVector:
 
     Every surviving term drops in degree by exactly n.
     """
-    d2 = doubled_mode(mode, f.sector)
-    if d2 <= 0:
-        raise ModeRangeError(f"derivation mode must be positive, got {mode}")
+    d2 = _check_positive(_doubled_value(mode), f.sector)
     _check_boson(i, f.rank)
     return _weighted_partial2(i, d2, f)
 

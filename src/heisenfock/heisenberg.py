@@ -14,7 +14,7 @@ The quadratic elements h_i(m) h_j(n) - (lambda_m, h_i)(lambda_n, h_j) with
 positive m, n act by pure differential operators; ``quadratic_act`` applies
 that closed form directly, while the two-step composition is kept as an
 independent cross-check (``quadratic_check``, certificate replay and the
-test suites).
+test suites).  A ``QuadraticElement`` stores both of its modes doubled.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .errors import (BosonIndexError, HighestWeightError, ModeRangeError,
-                     SchemaError, SectorMismatchError)
-from .fock import (FockVector, Mode, ModeLike, Sector, _check_boson,
-                   _weighted_partial2, doubled_mode, weighted_partial)
+from .errors import (BosonIndexError, HighestWeightError, SchemaError,
+                     SectorMismatchError)
+from .fock import (FockVector, ModeLike, Sector, _check_boson, _check_parity,
+                   _check_positive, _weighted_partial2, doubled_mode)
 from .scalars import Scalar, as_scalar
 
 ZERO = as_scalar(0)
@@ -45,6 +45,10 @@ class LambdaSequence:
     sector: Sector
     rank: int
     entries: Tuple[Tuple[Scalar, ...], ...]
+
+    def __post_init__(self):
+        if self.rank < 1:
+            raise BosonIndexError(f"rank must be >= 1, got {self.rank}")
 
     @classmethod
     def make(cls, sector: Sector, rank: int,
@@ -82,15 +86,8 @@ class LambdaSequence:
             return 0
         return 2 * len(self.entries) - 2 + self.sector.parity
 
-    @property
-    def is_proper(self) -> bool:
-        """True when the top nonzero entry has positive mode index."""
-        return self.top_doubled > 0
-
     def _slot(self, d2: int) -> Optional[int]:
-        idx, odd = divmod(d2, 2)
-        if odd != self.sector.parity:
-            raise ModeRangeError(f"mode {Fraction(d2, 2)} not {self.sector.value}")
+        idx = _check_parity(d2, self.sector) // 2
         return idx if 0 <= idx < len(self.entries) else None
 
     def entry2(self, d2: int) -> Tuple[Scalar, ...]:
@@ -169,33 +166,31 @@ def commutator_check(i: int, j: int, m: ModeLike, n: ModeLike,
 
 @dataclass(frozen=True)
 class QuadraticElement:
-    """h_i(m) h_j(n) - shift, with positive annihilation modes m, n."""
+    """h_i(m) h_j(n) - shift, with positive annihilation modes m, n of one
+    sector, stored doubled: m2 = 2m, n2 = 2n."""
 
     i: int
     j: int
-    m: Mode
-    n: Mode
+    m2: int
+    n2: int
+    sector: Sector
     shift: Scalar
 
     def __post_init__(self):
-        if self.m.sector is not self.n.sector:
-            raise SectorMismatchError("quadratic element mixes sectors")
+        _check_positive(self.m2, self.sector)
+        _check_positive(self.n2, self.sector)
         if self.i < 1 or self.j < 1:
             raise BosonIndexError(
                 f"boson indices must be >= 1, got i={self.i}, j={self.j}")
-
-    @property
-    def sector(self) -> Sector:
-        return self.m.sector
 
     @classmethod
     def build(cls, lam: LambdaSequence, i: int, j: int,
               m: ModeLike, n: ModeLike) -> "QuadraticElement":
         """Construct with the canonical shift (lambda_m, h_i)(lambda_n, h_j)."""
-        mm = Mode.of(m, lam.sector)
-        nn = Mode.of(n, lam.sector)
-        shift = lam.pair2(mm.doubled, i) * lam.pair2(nn.doubled, j)
-        return cls(i, j, mm, nn, shift)
+        m2 = doubled_mode(m, lam.sector)
+        n2 = doubled_mode(n, lam.sector)
+        shift = lam.pair2(m2, i) * lam.pair2(n2, j)
+        return cls(i, j, m2, n2, lam.sector, shift)
 
 
 def quadratic_act(lam: LambdaSequence, q: QuadraticElement,
@@ -210,24 +205,22 @@ def quadratic_act(lam: LambdaSequence, q: QuadraticElement,
     lam._check_vector(f)
     if q.sector is not f.sector:
         raise SectorMismatchError("quadratic element sector does not match vector")
-    m_val = q.m.value
-    n_val = q.n.value
-    dj = weighted_partial(q.j, n_val, f)
-    out = weighted_partial(q.i, m_val, dj)
-    cm = lam.pair2(q.m.doubled, q.i)
+    # the pairings check both boson indices before any derivation runs
+    cm = lam.pair2(q.m2, q.i)
+    cn = lam.pair2(q.n2, q.j)
+    dj = _weighted_partial2(q.j, q.n2, f)
+    out = _weighted_partial2(q.i, q.m2, dj)
     if cm:
         out = out + dj.scaled(cm)
-    cn = lam.pair2(q.n.doubled, q.j)
     if cn:
-        out = out + weighted_partial(q.i, m_val, f).scaled(cn)
+        out = out + _weighted_partial2(q.i, q.m2, f).scaled(cn)
     return out
 
 
 def _compose_quadratic(lam: LambdaSequence, q: QuadraticElement,
                        f: FockVector) -> FockVector:
     """h_i(m) h_j(n) f - shift * f by two oscillator actions."""
-    composed = act_mode2(lam, q.i, q.m.doubled,
-                         act_mode2(lam, q.j, q.n.doubled, f))
+    composed = act_mode2(lam, q.i, q.m2, act_mode2(lam, q.j, q.n2, f))
     return composed - f.scaled(q.shift)
 
 

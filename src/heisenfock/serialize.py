@@ -15,9 +15,9 @@ import re as _re
 from typing import Dict, List, Optional, Sequence
 
 from .certify import ReductionCertificate, ReductionStep
-from .errors import ModeRangeError, SchemaError
-from .fock import (FockVector, Mode, Monomial, Sector, _check_parity,
-                   mode_text, monomial_text)
+from .errors import SchemaError
+from .fock import (FockVector, Monomial, Sector, _check_positive, mode_text,
+                   monomial_text)
 from .heisenberg import LambdaSequence, QuadraticElement
 from .scalars import Scalar, format_scalar, parse_rational, parse_scalar
 from .vertex import CmnTable
@@ -45,6 +45,13 @@ def _expect(doc, key, kind, where):
                              or kind is int and isinstance(value, bool)):
         raise SchemaError(f"{where}: key {key!r} has wrong type")
     return value
+
+
+def _rank(doc, where: str) -> int:
+    rank = _expect(doc, "rank", int, where)
+    if rank < 1:
+        raise SchemaError(f"{where}: rank must be >= 1")
+    return rank
 
 
 def parse_sector(text) -> Sector:
@@ -103,9 +110,7 @@ def lambda_to_json(lam: LambdaSequence) -> dict:
 
 def lambda_from_json(doc) -> LambdaSequence:
     sector = parse_sector(_expect(doc, "sector", str, "lambda"))
-    rank = _expect(doc, "rank", int, "lambda")
-    if rank < 1:
-        raise SchemaError("lambda: rank must be >= 1")
+    rank = _rank(doc, "lambda")
     entries = _expect(doc, "entries", list, "lambda")
     rows = []
     for idx, row in enumerate(entries):
@@ -142,8 +147,7 @@ def parse_monomial(text: str, sector: Sector) -> Monomial:
             i, d2, e = int(m[1]), _doubled(m[2], m[3]), int(m[4] or 1)
         except ValueError as exc:  # more digits than int() converts
             raise SchemaError(f"over-long number in {piece[:24]!r}...") from exc
-        if _check_parity(d2, sector) == 0:
-            raise ModeRangeError("mode must be positive, got 0")
+        _check_positive(d2, sector)
         if e < 1:
             raise SchemaError(f"bad exponent in {piece!r}")
         factors[i, d2] = factors.get((i, d2), 0) + e
@@ -162,7 +166,7 @@ def fock_to_json(f: FockVector) -> dict:
 
 def fock_from_json(doc) -> FockVector:
     sector = parse_sector(_expect(doc, "sector", str, "vector"))
-    rank = _expect(doc, "rank", int, "vector")
+    rank = _rank(doc, "vector")
     terms = _expect(doc, "terms", list, "vector")
     pairs = []
     for idx, item in enumerate(terms):
@@ -171,7 +175,8 @@ def fock_from_json(doc) -> FockVector:
         mono = parse_monomial(mono_text, sector)
         for i, _, _ in mono:
             if not 1 <= i <= rank:
-                raise SchemaError(f"vector term {idx}: boson index {i} > rank")
+                raise SchemaError(
+                    f"vector term {idx}: boson index {i} outside 1..{rank}")
         pairs.append((mono, parse_scalar(coeff_text)))
     return FockVector.from_terms(rank, sector, pairs)
 
@@ -226,8 +231,8 @@ def certificate_to_json(lam: LambdaSequence,
         "steps": [{
             "i": s.element.i,
             "j": s.element.j,
-            "m": mode_text(s.element.m.doubled),
-            "n": mode_text(s.element.n.doubled),
+            "m": mode_text(s.element.m2),
+            "n": mode_text(s.element.n2),
             "shift": format_scalar(s.element.shift),
             "case": s.case,
             "deg_before": str(s.degree_before),
@@ -250,8 +255,8 @@ def certificate_from_json(doc):
             if not 1 <= index <= lam.rank:
                 raise SchemaError(
                     f"{where}: boson index {key}={index} outside 1..{lam.rank}")
-        m = _step_mode(_expect(raw, "m", str, where), lam.sector, where)
-        n = _step_mode(_expect(raw, "n", str, where), lam.sector, where)
+        m2 = _step_mode(_expect(raw, "m", str, where), lam.sector, where)
+        n2 = _step_mode(_expect(raw, "n", str, where), lam.sector, where)
         shift = parse_scalar(_expect(raw, "shift", str, where))
         case = _expect(raw, "case", str, where)
         if case not in ("1", "2", "3a", "3b"):
@@ -265,13 +270,13 @@ def certificate_from_json(doc):
         retries = raw.get("retries", 0)
         if not isinstance(retries, int) or isinstance(retries, bool) or retries < 0:
             raise SchemaError(f"{where}: bad retries value {retries!r}")
-        steps.append(ReductionStep(QuadraticElement(i, j, m, n, shift),
-                                   case, before, after, retries))
+        q = QuadraticElement(i, j, m2, n2, lam.sector, shift)
+        steps.append(ReductionStep(q, case, before, after, retries))
     terminal = parse_scalar(_expect(doc, "terminal", str, "certificate"))
     return lam, ReductionCertificate(initial, tuple(steps), terminal)
 
 
-def _step_mode(text: str, sector: Sector, where: str) -> Mode:
+def _step_mode(text: str, sector: Sector, where: str) -> int:
     m = _MODE_TEXT.fullmatch(text)
     if m is None:
         raise SchemaError(f"{where}: bad mode {text!r}")
@@ -279,7 +284,7 @@ def _step_mode(text: str, sector: Sector, where: str) -> Mode:
         d2 = _doubled(m[1], m[2])
     except ValueError as exc:  # more digits than int() converts
         raise SchemaError(f"{where}: over-long mode {text[:24]!r}...") from exc
-    return Mode(d2, sector)
+    return _check_positive(d2, sector)
 
 
 # -- reports and fibers ------------------------------------------------------------------

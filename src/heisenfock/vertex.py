@@ -36,8 +36,8 @@ All Virasoro operators are modes of the quadratic state
 omega = (1/2) sum_i x[i,1]^2, so both sectors run through the same engine.
 
 Everything here is a pure function of immutable values; the only shared
-state is the memoized coefficient table (and the omega state), both
-immutable once built, so concurrent use is safe.
+state is memoized: the coefficient table, the omega state and the field
+weights, all immutable once built, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -71,6 +71,12 @@ def _gbinom(top: Union[int, Fraction], k: int) -> Fraction:
     for s in range(k):
         num *= p - s * q
     return Fraction(num, q ** k * factorial(k))
+
+
+@lru_cache(maxsize=None)
+def _field_weight(d2: int, n: int) -> Fraction:
+    """binom(-d-1, n-1), the weight of mode d = d2/2 in the field of x[a,n]."""
+    return _gbinom(Fraction(-d2 - 2, 2), n - 1)
 
 
 def _as_state(u: FockVector, rank: int) -> FockVector:
@@ -127,7 +133,7 @@ def _modes_on(parts, k2: int, f: FockVector, lam: LambdaSequence) -> FockVector:
         # takes exactly what is left
         hi2 = cap2 if rest else min(cap2, left2)
         for d2 in range(left2 - len(rest) * cap2, hi2 + 1, 2):
-            w = weight * _gbinom(Fraction(-d2 - 2, 2), n - 1) if n > 1 else weight
+            w = weight * _field_weight(d2, n) if n > 1 else weight
             if not w:
                 continue
             if d2 < 0:

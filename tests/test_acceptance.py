@@ -210,7 +210,8 @@ def test_criterion_7_simplicity_certificates():
             for step in cert.steps:
                 if step.case == "2":
                     assert not weighted_partial(step.element.j,
-                                                step.element.n.value, current)
+                                                Fraction(step.element.n2, 2),
+                                                current)
                     case2_checked += 1
                 current = quadratic_act(lam, step.element, current)
     elapsed = time.perf_counter() - start

@@ -22,7 +22,7 @@ class TestReduceStep:
         step, b = reduce_step(lam, x(1, 1, 1))
         assert step.case == "3a"
         assert (step.element.i, step.element.j) == (1, 1)
-        assert (step.element.m.value, step.element.n.value) == (1, 1)
+        assert (step.element.m2, step.element.n2) == (2, 2)
         assert b == 2 * one(1)
 
     def test_off_diagonal_case(self):
@@ -36,14 +36,14 @@ class TestReduceStep:
         lam = lam_of(Sector.UNTWISTED, 1, [0], [1], [0])
         step, b = reduce_step(lam, x(1, 2, 1))
         assert step.case == "2"
-        assert (step.element.m.value, step.element.n.value) == (2, 1)
+        assert (step.element.m2, step.element.n2) == (4, 2)
         assert b == 2 * one(1)
 
     def test_high_mode_case(self):
         lam = lam_of(Sector.UNTWISTED, 1, [0], [0], [1])
         step, b = reduce_step(lam, x(1, 1, 1))
         assert step.case == "1"
-        assert (step.element.m.value, step.element.n.value) == (1, 2)
+        assert (step.element.m2, step.element.n2) == (2, 4)
         assert b
 
     def test_degree_strictly_decreases(self, rng):
@@ -122,7 +122,7 @@ class TestCertify:
             for step in cert.steps:
                 if step.case == "2":
                     q = step.element
-                    assert not weighted_partial(q.j, q.n.value, current)
+                    assert not weighted_partial(q.j, Fraction(q.n2, 2), current)
                     seen += 1
                 current = quadratic_act(lam, step.element, current)
         assert seen > 0
@@ -146,12 +146,32 @@ class TestVerification:
         lam, a, cert = self._cert()
         assert verify_certificate(lam, a, cert)
 
+    def test_each_vector_degree_is_read_once(self, monkeypatch):
+        # a retry-free certificate of s steps scans 1 + 2s degrees to build
+        # (the input, then each step's input and output) and 1 + s to replay
+        lam, a, _ = self._cert()
+        reads = []
+        degree2 = FockVector.degree2
+
+        def counted(f):
+            reads.append(f)
+            return degree2.fget(f)
+
+        monkeypatch.setattr(FockVector, "degree2", property(counted))
+        cert = certify_cyclic(lam, a)
+        s = len(cert.steps)
+        assert s >= 2 and not any(step.retries for step in cert.steps)
+        assert len(reads) <= 1 + 2 * s
+        reads.clear()
+        assert verify_certificate(lam, a, cert)
+        assert len(reads) <= 1 + s
+
     def test_tampered_shift_fails(self):
         lam, a, cert = self._cert()
         step = cert.steps[0]
         bad_q = QuadraticElement(step.element.i, step.element.j,
-                                 step.element.m, step.element.n,
-                                 step.element.shift + 1)
+                                 step.element.m2, step.element.n2,
+                                 step.element.sector, step.element.shift + 1)
         bad = ReductionCertificate(
             cert.initial,
             (replace(step, element=bad_q),) + cert.steps[1:],

@@ -188,6 +188,27 @@ def test_certify_check_index_outside_rank_exit_1(tmp_path, lambda_file, index):
     assert (code, out2) == (1, "")
 
 
+@pytest.mark.parametrize("rank", [0, -1])
+def test_dump_vector_rank_below_one_exit_1(tmp_path, rank):
+    path = write(tmp_path / "vec.json", {
+        "sector": "untwisted", "rank": rank,
+        "terms": [{"monomial": "1", "coeff": "1"}]})
+    assert run_cli("dump", "--kind", "vector", "--input", path) == (1, "")
+
+
+def test_certify_check_rank_zero_initial_exit_1(tmp_path, lambda_file):
+    vec = write(tmp_path / "vec.json", {
+        "sector": "untwisted", "rank": 1,
+        "terms": [{"monomial": "x[1,1]", "coeff": "1"}]})
+    code, out = run_cli("certify", "--lambda", lambda_file, "--vector", vec)
+    assert code == 0
+    doc = json.loads(out)
+    doc["initial"]["rank"] = 0
+    doc["initial"]["terms"] = [{"monomial": "1", "coeff": "1"}]
+    code, out2 = run_cli("certify", "--check", write(tmp_path / "bad.json", doc))
+    assert (code, out2) == (1, "")
+
+
 @pytest.mark.parametrize("kind,doc", [
     ("lambda", {"sector": "untwisted", "rank": True,
                 "entries": [[["0", "0"]], [["2", "0"]]]}),

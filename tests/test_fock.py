@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from heisenfock import (BosonIndexError, FockVector, Mode, ModeRangeError,
+from heisenfock import (BosonIndexError, FockVector, ModeRangeError,
                         Scalar, Sector, SectorMismatchError, monomial_text,
                         weighted_partial)
-from heisenfock.fock import doubled_mode, monomial_degree2, monomial_key
+from heisenfock.fock import (_check_positive, doubled_mode, monomial_degree2,
+                             monomial_key)
 from heisenfock.sampling import random_fock
 
 from conftest import one, sc, x
@@ -170,7 +171,7 @@ def test_sector_parity_fixes_the_doubled_lattice():
                 with pytest.raises(ModeRangeError, match=sector.value):
                     doubled_mode(Fraction(d2, 2), sector)
                 with pytest.raises(ModeRangeError, match=sector.value):
-                    Mode(d2, sector)
+                    _check_positive(d2, sector)
 
 
 def test_leading_term_selection():

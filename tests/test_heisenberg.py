@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from heisenfock import (BosonIndexError, FockVector, HighestWeightError,
-                        LambdaSequence, Mode, ModeRangeError, QuadraticElement, Scalar, Sector,
+                        LambdaSequence, ModeRangeError, QuadraticElement, Scalar, Sector,
                         SectorMismatchError, act_mode, commutator_check,
                         j_generator, quadratic_act, quadratic_check,
                         theta_involution)
@@ -45,10 +45,18 @@ class TestLambdaSequence:
             lam.pair2(8, i)  # beyond the support: still checked
 
     def test_proper_flag(self):
-        assert not LambdaSequence.zero(1).is_proper
-        assert not lam_of(Sector.UNTWISTED, 1, [1]).is_proper
-        assert lam_of(Sector.UNTWISTED, 1, [0], [1]).is_proper
-        assert lam_of(Sector.TWISTED, 1, [1]).is_proper
+        assert not LambdaSequence.zero(1).top_doubled > 0
+        assert not lam_of(Sector.UNTWISTED, 1, [1]).top_doubled > 0
+        assert lam_of(Sector.UNTWISTED, 1, [0], [1]).top_doubled > 0
+        assert lam_of(Sector.TWISTED, 1, [1]).top_doubled > 0
+
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_rank_below_one_refused(self, rank):
+        for sector in Sector:
+            with pytest.raises(BosonIndexError):
+                LambdaSequence.make(sector, rank, [])
+            with pytest.raises(BosonIndexError):
+                LambdaSequence.zero(rank, sector)
 
     def test_highest_weight_guard(self):
         with pytest.raises(HighestWeightError):
@@ -188,21 +196,54 @@ class TestQuadraticAction:
     def test_check_detects_a_wrong_shift(self):
         lam = lam_of(Sector.UNTWISTED, 1, [0], [sc(2)])
         q = QuadraticElement.build(lam, 1, 1, 1, 1)
-        wrong = QuadraticElement(q.i, q.j, q.m, q.n, q.shift + sc(1))
+        wrong = QuadraticElement(q.i, q.j, q.m2, q.n2, q.sector,
+                                 q.shift + sc(1))
         assert quadratic_check(lam, q, x(1, 1, 1))
         assert not quadratic_check(lam, wrong, x(1, 1, 1))
 
     @pytest.mark.parametrize("i,j", [(0, 1), (1, 0), (-1, 2)])
     def test_rejects_nonpositive_boson_index(self, i, j):
-        m = Mode.of(1, Sector.UNTWISTED)
         with pytest.raises(BosonIndexError):
-            QuadraticElement(i, j, m, m, sc(0))
+            QuadraticElement(i, j, 2, 2, Sector.UNTWISTED, sc(0))
 
     def test_rejects_nonpositive_modes(self):
         with pytest.raises(ModeRangeError):
-            Mode(0, Sector.UNTWISTED)
+            QuadraticElement(1, 1, 0, 2, Sector.UNTWISTED, sc(0))
         with pytest.raises(ModeRangeError):
-            Mode(-2, Sector.UNTWISTED)
+            QuadraticElement(1, 1, 2, -2, Sector.UNTWISTED, sc(0))
+
+
+class TestQuadraticElement:
+    @pytest.mark.parametrize("sector", list(Sector))
+    def test_modes_are_positive_doubled_modes_of_the_sector(self, sector):
+        good = 2 + sector.parity  # mode 1 untwisted, 3/2 twisted
+        QuadraticElement(1, 1, good, good, sector, sc(0))
+        for bad in (good + 1, 0, -2, -good):
+            with pytest.raises(ModeRangeError):
+                QuadraticElement(1, 1, bad, good, sector, sc(0))
+            with pytest.raises(ModeRangeError):
+                QuadraticElement(1, 1, good, bad, sector, sc(0))
+        for i, j in ((0, 1), (1, 0)):
+            with pytest.raises(BosonIndexError):
+                QuadraticElement(i, j, good, good, sector, sc(0))
+
+    @pytest.mark.parametrize("sector,m,n,shift", [
+        (Sector.UNTWISTED, Fraction(1), Fraction(1), sc(0, 3)),
+        (Sector.TWISTED, HALF, Fraction(3, 2), sc(0, 1)),
+    ])
+    def test_build_from_fractions_equals_doubled_construction(
+            self, sector, m, n, shift):
+        lam = lam_of(sector, 2, [sc(1), sc(2)], [sc(3), sc(0, 1)])
+        q = QuadraticElement.build(lam, 1, 2, m, n)
+        assert q == QuadraticElement(1, 2, int(2 * m), int(2 * n), sector,
+                                     shift)
+
+    def test_closed_form_checks_indices_against_the_rank(self):
+        lam = lam_of(Sector.UNTWISTED, 2, [0, 0], [sc(1), sc(1)])
+        for i, j in ((3, 1), (1, 3)):
+            q = QuadraticElement(i, j, 2, 2, Sector.UNTWISTED, sc(0))
+            with pytest.raises(BosonIndexError):
+                quadratic_act(lam, q, x(1, 1, 2))
 
 
 class TestTheta:

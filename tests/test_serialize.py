@@ -74,8 +74,15 @@ class TestVectorJson:
     def test_index_outside_rank_rejected(self, mono):
         doc = {"sector": "untwisted", "rank": 1,
                "terms": [{"monomial": mono, "coeff": "1"}]}
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=r"boson index \d outside 1\.\.1"):
             fock_from_json(doc)
+
+    @pytest.mark.parametrize("rank", [0, -3])
+    def test_rank_below_one_rejected(self, rank):
+        for terms in ([], [{"monomial": "1", "coeff": "1"}]):
+            doc = {"sector": "untwisted", "rank": rank, "terms": terms}
+            with pytest.raises(SchemaError):
+                fock_from_json(doc)
 
 
 class TestTypeJson:
@@ -130,6 +137,20 @@ class TestCertificateJson:
         doc["steps"][0][key] = index
         with pytest.raises(SchemaError):
             certificate_from_json(doc)
+
+    def test_twisted_round_trip_keeps_mode_text(self):
+        tw = Sector.TWISTED
+        lam = lam_of(tw, 2, [sc(1), sc(0)], [sc(0), sc(2)])
+        a = (x(1, HALF, 2, tw) * x(2, Fraction(3, 2), 2, tw)
+             + x(1, Fraction(5, 2), 2, tw))
+        doc = certificate_to_json(lam, certify_cyclic(lam, a))
+        assert doc["steps"]
+        lam2, cert2 = certificate_from_json(doc)
+        again = certificate_to_json(lam2, cert2)
+        modes = [(s["m"], s["n"]) for s in doc["steps"]]
+        assert [(s["m"], s["n"]) for s in again["steps"]] == modes
+        assert all(t.endswith("/2") for pair in modes for t in pair)
+        assert again == doc
 
     def test_mode_strings(self):
         lam = lam_of(Sector.TWISTED, 1, [1])

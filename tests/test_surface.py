@@ -3,7 +3,8 @@
 The package exports one spelling per concept; a name added to or dropped
 from ``heisenfock.__all__`` must change the pinned list below on purpose.
 Every exported name must resolve, and the library reads no environment
-variable: every option is an argument or a documented constant.
+variable: every option is an argument or a documented constant.  Mode
+errors are raised in one module, ``fock``, whose checks every caller uses.
 """
 
 import importlib
@@ -14,7 +15,7 @@ import heisenfock
 
 PUBLIC = [
     "BosonIndexError", "CmnTable", "FiberPoint", "FockVector",
-    "HighestWeightError", "IsotropicTopError", "LambdaSequence", "Mode",
+    "HighestWeightError", "IsotropicTopError", "LambdaSequence",
     "ModeRangeError", "NonSquareError", "NumericFailure", "PreconditionError",
     "QuadraticElement", "ReductionCertificate", "ReductionError",
     "ReductionStep", "Scalar", "SchemaError", "Sector", "SectorMismatchError",
@@ -60,3 +61,9 @@ def test_library_reads_no_environment():
         text = path.read_text(encoding="utf-8")
         for needle in ("os.environ", "getenv"):
             assert needle not in text, f"{path.name} uses {needle}"
+
+
+def test_mode_errors_have_one_home():
+    raising = [path.name for path in sorted(SOURCE.rglob("*.py"))
+               if "raise ModeRangeError(" in path.read_text(encoding="utf-8")]
+    assert raising == ["fock.py"]

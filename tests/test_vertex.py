@@ -64,6 +64,26 @@ class TestModeApply:
             expected = act_mode(lam, 1, k - 1, f).scaled(-k)
             assert mode_apply(u, k, f, lam) == expected
 
+    def test_field_weights_computed_once_per_mode(self, monkeypatch):
+        # binom(-d-1, n-1) depends only on (d, n): 22 pairs here, where the
+        # expansion visits about 190,000 nodes
+        from heisenfock import vertex
+        vertex._field_weight.cache_clear()
+        calls = []
+        gbinom = vertex._gbinom
+
+        def counted(top, k):
+            calls.append((top, k))
+            return gbinom(top, k)
+
+        monkeypatch.setattr(vertex, "_gbinom", counted)
+        lam = lam_of(Sector.UNTWISTED, 1, [1], [Fraction(1, 2)], [3])
+        x1, x2 = x(1, 1, 1), x(1, 2, 1)
+        u = x1 * x1 * x1 * x1 * x2 * x2
+        f = x1 * x1 * x2 + x(1, 3, 1) + 2 * one(1)
+        assert len(mode_apply(u, 1, f, lam).terms) == 483
+        assert len(calls) <= 22
+
     def test_grading(self, rng):
         lam0 = LambdaSequence.zero(2)
         for _ in range(30):
