@@ -29,6 +29,11 @@ monomial strings in both sectors (signs, inner spaces, ``/0``, ``i``,
 non-ASCII digits, 5000-digit runs, modes ``0`` and ``4/2``, ``^0``,
 repeated factors) with the canonical text of each parsed value, or the
 class name of the exception the parse raises.
+Under its key ``repeated`` it holds more mode cases, on states built of
+runs x[a,n]^e of equal factors (e 2-6, n 1-3, one or two runs per monomial,
+one or two monomials with complex coefficients), ranks 1-3, both sectors;
+twisted modes are integral and half-odd, of the parity the state reaches
+and, one time in four, of the other.
 
 After a change that is meant to alter outputs, re-record both files with
 ``PYTHONPATH=src python tests/test_golden.py --record`` and review the diff.
@@ -67,6 +72,8 @@ SAMPLING_SEED = 20261020
 SAMPLING_COUNT = 72
 TEXT_SEED = 20261021
 TEXT_COUNT = 300
+REPEATED_SEED = 20261022
+REPEATED_COUNT = 48
 
 
 def write_inputs(folder: Path) -> None:
@@ -153,6 +160,60 @@ MODE_CASES = MODES["cases"]
                          ids=[f"{n}-{c['lambda']['sector']}"
                               for n, c in enumerate(MODE_CASES)])
 def test_mode_output_unchanged(case):
+    assert apply_mode_case(case) == case["out"]
+
+
+def _run_state(rng: Random, rank: int) -> FockVector:
+    """1-2 monomials, each one or two runs x[a,n]^e, e in 2..6, n in 1..3;
+    a monomial of two runs has at most 7 factors and weight at most 15."""
+    state = FockVector.zero(rank)
+    for _ in range(rng.randint(1, 2)):
+        term = FockVector.constant(random_nonzero_scalar(rng), rank)
+        runs = [(rng.randint(1, rank), rng.randint(1, 3), rng.randint(2, 6))]
+        if rng.random() < 0.5:
+            a, n = rng.randint(1, rank), rng.randint(1, 3)
+            most = min(7 - runs[0][2], (15 - runs[0][1] * runs[0][2]) // n)
+            if (a, n) != runs[0][:2] and most >= 2:
+                runs.append((a, n, rng.randint(2, most)))
+        for a, n, e in runs:
+            for _ in range(e):
+                term = term.times_variable(a, 2 * n)
+        state = state + term
+    return state
+
+
+def draw_repeated_cases(seed: int, count: int):
+    """Mode cases on states made of runs of equal factors.
+
+    A twisted mode takes the parity of the first monomial's factor count,
+    or the other parity one time in four (that monomial then adds zero).
+    """
+    rng = Random(seed)
+    cases = []
+    while len(cases) < count:
+        sector = (Sector.UNTWISTED, Sector.TWISTED)[len(cases) % 2]
+        rank = rng.randint(1, 3)
+        lam = random_lambda(rng, rank, sector, max_r=2)
+        f = random_fock(rng, rank, sector, max_degree=2, max_terms=2)
+        state = _run_state(rng, rank)
+        if not state:
+            continue
+        factors = sum(e for _, _, e in next(iter(state.terms)))
+        k = Fraction(rng.randint(-1, state.degree2 // 2 + 1))
+        if sector is Sector.TWISTED and (factors % 2) != (rng.random() < 0.25):
+            k += Fraction(1, 2)
+        cases.append({"lambda": lambda_to_json(lam), "vector": fock_to_json(f),
+                      "state": fock_to_json(state), "k": str(k)})
+    return cases
+
+
+REPEATED_CASES = MODES["repeated"]["cases"]
+
+
+@pytest.mark.parametrize("case", REPEATED_CASES,
+                         ids=[f"{n}-{c['lambda']['sector']}"
+                              for n, c in enumerate(REPEATED_CASES)])
+def test_repeated_factor_mode_output_unchanged(case):
     assert apply_mode_case(case) == case["out"]
 
 
@@ -375,9 +436,13 @@ if __name__ == "__main__":
     texts = draw_text_cases(TEXT_SEED, TEXT_COUNT)
     for case in texts:
         case["out"] = parse_text_case(case)
+    repeated = draw_repeated_cases(REPEATED_SEED, REPEATED_COUNT)
+    for case in repeated:
+        case["out"] = apply_mode_case(case)
     MODES_DATA.write_text(json.dumps(
         {"seed": MODES_SEED, "cases": cases,
          "delta_z": {"seed": DELTA_SEED, "cases": deltas},
          "sampling": {"seed": SAMPLING_SEED, "cases": samples},
-         "text": {"seed": TEXT_SEED, "cases": texts}},
+         "text": {"seed": TEXT_SEED, "cases": texts},
+         "repeated": {"seed": REPEATED_SEED, "cases": repeated}},
         indent=1) + "\n", encoding="utf-8")
