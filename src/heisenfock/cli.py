@@ -5,10 +5,12 @@ Subcommands::
     type       --lambda FILE                 Whittaker type of lambda data
     fiber      --zeta FILE --l N [--exact]   one fiber point (both points at rank 1)
     verify     --lambda FILE --bound B       Virasoro spectrum report on the cyclic vector
+                                             (B <= 1024)
     certify    --lambda FILE --vector FILE   build a reduction certificate
     certify    --check CERT [--vector FILE]  replay/verify a certificate
     relations  [--l N --bound B --seed S --trials T]   randomized identity suites
     cmn        --order M                     exact twisted-correction coefficient table
+                                             (M <= 128)
     dump       --kind K --input FILE         parse and re-emit a canonical document
 
 All output is JSON on stdout.  Exit status: 0 success, 1 schema error,
@@ -46,6 +48,10 @@ EXIT_SCHEMA = 1
 EXIT_PRECONDITION = 2
 EXIT_CHECK_FAILED = 3
 EXIT_INTERNAL = 4
+
+# above these, the output grows past a few MB for no new information
+MAX_VERIFY_BOUND = 1024
+MAX_CMN_ORDER = 128
 
 
 def _load_json(path: str):
@@ -103,7 +109,13 @@ def cmd_fiber(args) -> int:
     return EXIT_OK
 
 
+def _at_most(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise PreconditionError(f"{flag} {value} exceeds the maximum {cap}")
+
+
 def cmd_verify(args) -> int:
+    _at_most("--bound", args.bound, MAX_VERIFY_BOUND)
     lam = lambda_from_json(_load_json(args.lambda_file))
     report = verify_whittaker_vector(lam, args.bound)
     _emit(report_to_json(report))
@@ -130,6 +142,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_cmn(args) -> int:
+    _at_most("--order", args.order, MAX_CMN_ORDER)
     _emit(cmn_to_json(cmn_table(args.order)))
     return EXIT_OK
 
@@ -256,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="Virasoro spectrum report")
     p.add_argument("--lambda", dest="lambda_file", required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=int, required=True,
+                   help=f"last row, at most {MAX_VERIFY_BOUND}")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("certify", help="build or replay a reduction certificate")
@@ -273,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_relations)
 
     p = sub.add_parser("cmn", help="exact twisted-correction coefficients")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=int, required=True,
+                   help=f"largest m and n, at most {MAX_CMN_ORDER}")
     p.set_defaults(func=cmd_cmn)
 
     p = sub.add_parser("dump", help="parse and re-emit a canonical document")

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from .errors import BosonIndexError, ModeRangeError, SectorMismatchError
-from .scalars import Scalar, as_scalar
+from .scalars import Scalar, _reduced, as_scalar
 
 # A monomial maps each variable to its exponent, stored as a sorted tuple of
 # (boson index, doubled mode, exponent) triples.  The empty tuple is the
@@ -345,9 +345,9 @@ def _weighted_partial2(i: int, d2: int, f: FockVector,
     """(n * d/dx[i,n] + shift) f for the doubled mode d2 = 2n, in one pass.
 
     The caller has checked the mode and the boson index; a ``shift`` of
-    None adds nothing.
+    None adds nothing.  A term with x[i,n]^e is scaled by n * e, the
+    integer d2 * e over 2.
     """
-    weight = Fraction(d2, 2)
     acc: Dict[Monomial, Scalar] = {}
     for mono, c in f.terms.items():
         if shift is not None:
@@ -358,6 +358,7 @@ def _weighted_partial2(i: int, d2: int, f: FockVector,
                     reduced = mono[:pos] + mono[pos + 1:]
                 else:
                     reduced = mono[:pos] + ((bi, bd2, e - 1),) + mono[pos + 1:]
-                _accumulate(acc, reduced, c.scale(weight * e))
+                m = d2 * e
+                _accumulate(acc, reduced, _reduced(c.a * m, c.b * m, 2 * c.d))
                 break
     return FockVector(f.rank, f.sector, acc)

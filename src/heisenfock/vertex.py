@@ -13,6 +13,14 @@ annihilation cap, the last factor takes the remainder, a derivative factor's
 binomial weight is multiplied in as its mode is fixed (zero skips the mode),
 an annihilator acts at once (a zero result prunes the subtree) and the
 creators multiply in at the leaf, after every annihilator (normal ordering).
+Equal factors commute, so each run x[a,n]^e of them is expanded once per
+multiset of modes: its modes are taken non-decreasing, and as each block of
+k equal modes closes the weight gains that block's share of the run's
+e!/prod k! orderings (nothing when the run holds one block).  In the last
+run the factors still to fix take no less than this one, so its mode is
+also capped at their equal share of what is left.  The weight
+carried down is the state coefficient itself, and each leaf adds its terms
+times that weight straight into the result.
 
 Parity rule: r half-odd twisted modes sum to an integer of the parity of
 r, so on twisted vectors a monomial whose factor count cannot reach the
@@ -36,8 +44,10 @@ All Virasoro operators are modes of the quadratic state
 omega = (1/2) sum_i x[i,1]^2, so both sectors run through the same engine.
 
 Everything here is a pure function of immutable values; the only shared
-state is memoized: the coefficient table, the omega state and the field
-weights, all immutable once built, so concurrent use is safe.
+state is memoized: the coefficient table, the omega state, the parts of
+exp(Delta_z) omega that every twisted Virasoro mode reads (a tuple per
+rank) and the field weights, all immutable once built, so concurrent use
+is safe.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Dict, List, Tuple, Union
 
 from .errors import PreconditionError, SectorMismatchError
@@ -99,13 +109,6 @@ def omega(rank: int) -> FockVector:
     return acc
 
 
-def _monomial_factors(mono: Monomial) -> List[Tuple[int, int]]:
-    out = []
-    for i, d2, e in mono:
-        out.extend([(i, d2 // 2)] * e)
-    return out
-
-
 # -- the normal-ordered derivative-field engine --------------------------------
 
 def _modes_on(parts, k2: int, f: FockVector, lam: LambdaSequence) -> FockVector:
@@ -120,41 +123,66 @@ def _modes_on(parts, k2: int, f: FockVector, lam: LambdaSequence) -> FockVector:
     if cap2 % 2 != parity:
         cap2 -= 1
 
-    def expand(out, factors, left2, weight, g, creators):
-        if not factors:
-            if left2 == 0:  # always, except for the vacuum state (identity)
-                for a, d2 in creators:
-                    g = g.times_variable(a, -d2)
-                for mono, c in g.terms.items():
-                    _accumulate(out, mono, c if weight == 1 else c.scale(weight))
-            return
-        (a, n), rest = factors[0], factors[1:]
-        # the factors after this one take at most cap2 each; the last one
-        # takes exactly what is left
-        hi2 = cap2 if rest else min(cap2, left2)
-        for d2 in range(left2 - len(rest) * cap2, hi2 + 1, 2):
-            w = weight * _field_weight(d2, n) if n > 1 else weight
-            if not w:
-                continue
+    def leaf(weight, g, creators):
+        for a, d2 in creators:
+            g = g.times_variable(a, -d2)
+        for mono, c in g.terms.items():
+            _accumulate(acc, mono, c * weight)
+
+    def expand(runs, t, prev2, block, rest, left2, weight, g, creators):
+        # fix factor t of the run runs[0] = (a, n, e), whose last ``block``
+        # factors sit at prev2; ``rest`` factors are left, this one included
+        a, n, e = runs[0]
+        # the factors after this one take at most cap2 each, and this run's
+        # take at least prev2
+        lo2 = left2 - (rest - 1) * cap2
+        if t and lo2 < prev2:
+            lo2 = prev2
+        # in the last run the e - t factors left share left2, none below
+        # this one (the range keeps the parity of lo2)
+        hi2 = cap2 if len(runs) > 1 else min(cap2, left2 // (e - t))
+        for d2 in range(lo2, hi2 + 1, 2):
+            w = weight
+            if n > 1:
+                fw = _field_weight(d2, n)
+                if not fw:
+                    continue
+                w = w.scale(fw)
+            if d2 == prev2:
+                k = block + 1
+            else:
+                k = 1
+                if block < t:  # the block at prev2 closes after t factors
+                    w = w.scale(comb(t, block))
             if d2 < 0:
-                expand(out, rest, left2 - d2, w, g, creators + ((a, d2),))
+                h, cr = g, creators + ((a, d2),)
+            else:
+                h, cr = act_mode2(lam, a, d2, g), creators
+                if not h:
+                    continue
+            if t + 1 < e:
+                expand(runs, t + 1, d2, k, rest - 1, left2 - d2, w, h, cr)
                 continue
-            h = act_mode2(lam, a, d2, g)
-            if h:
-                expand(out, rest, left2 - d2, w, h, creators)
+            if k < e:  # the last block closes with the run
+                w = w.scale(comb(e, k))
+            if len(runs) == 1:
+                leaf(w, h, cr)  # here d2 = left2: the modes add up
+            else:
+                expand(runs[1:], 0, None, 0, rest - 1, left2 - d2, w, h, cr)
 
     for j, state in parts:
         for mono, coeff in state.terms.items():
-            factors = _monomial_factors(mono)
+            runs = tuple((a, d2 // 2, e) for a, d2, e in mono)
+            count = sum(e for _, _, e in runs)
             # total doubled oscillator mode forced by the z-power bookkeeping
-            target2 = k2 - 2 * j + 2 - 2 * sum(n for _, n in factors)
+            target2 = k2 - 2 * j + 2 - 2 * sum(n * e for _, n, e in runs)
             # r modes of parity p sum to the parity of r*p; else the mode is 0
-            if (target2 - len(factors) * parity) % 2:
+            if (target2 - count * parity) % 2:
                 continue
-            out: Dict[Monomial, Scalar] = {}
-            expand(out, factors, target2, Fraction(1), f, ())
-            for m, c in out.items():
-                _accumulate(acc, m, c * coeff)
+            if runs:
+                expand(runs, 0, None, 0, count, target2, coeff, f, ())
+            elif target2 == 0:  # the vacuum state acts as the identity
+                leaf(coeff, f, ())
     return FockVector(f.rank, f.sector, acc)
 
 
@@ -171,11 +199,15 @@ def mode_apply(u: FockVector, k: ModeLike, f: FockVector,
 def twisted_mode_apply(u: FockVector, k: ModeLike, f: FockVector,
                        lam: LambdaSequence) -> FockVector:
     """The k-th twisted mode of u on f, including the exp(Delta_z) correction."""
+    _check_twisted(f, lam)
+    parts = delta_z_apply(_as_state(u, f.rank)).items()
+    return _modes_on(parts, _doubled_value(k), f, lam)
+
+
+def _check_twisted(f: FockVector, lam: LambdaSequence) -> None:
     if lam.sector is not Sector.TWISTED:
         raise SectorMismatchError("untwisted data passed; use mode_apply")
     lam._check_vector(f)
-    parts = delta_z_apply(_as_state(u, f.rank)).items()
-    return _modes_on(parts, _doubled_value(k), f, lam)
 
 
 # -- Virasoro operators -----------------------------------------------------------
@@ -185,9 +217,16 @@ def virasoro_mode(n: int, f: FockVector, lam: LambdaSequence) -> FockVector:
     return mode_apply(omega(f.rank), n + 1, f, lam)
 
 
+@lru_cache(maxsize=None)
+def _twisted_omega_parts(rank: int) -> Tuple[Tuple[int, FockVector], ...]:
+    """The parts of exp(Delta_z) omega, built once per rank."""
+    return tuple(delta_z_apply(omega(rank)).items())
+
+
 def twisted_virasoro_mode(n: int, f: FockVector, lam: LambdaSequence) -> FockVector:
     """L_n on a twisted vector; the rank/16 shift enters through Delta_z."""
-    return twisted_mode_apply(omega(f.rank), n + 1, f, lam)
+    _check_twisted(f, lam)
+    return _modes_on(_twisted_omega_parts(f.rank), _doubled_value(n + 1), f, lam)
 
 
 def virasoro_bracket_check(m: int, n: int, f: FockVector,

@@ -32,7 +32,7 @@ from .errors import (IsotropicTopError, NonSquareError, NumericFailure,
 from .fock import FockVector, Sector
 from .heisenberg import LambdaSequence
 from .scalars import Scalar, as_scalar, scalar_sqrt
-from .vertex import omega, mode_apply, twisted_mode_apply
+from .vertex import twisted_virasoro_mode, virasoro_mode
 
 TOLERANCE = 1e-10  # the largest type residual a numeric fiber point may have
 
@@ -167,11 +167,11 @@ def verify_whittaker_vector(lam: LambdaSequence, bound: int) -> WhittakerReport:
     eps = 1 - lam.sector.parity
     eig = type_eigenvalues(lam)
     one = FockVector.constant(1, lam.rank, lam.sector)
-    apply = mode_apply if lam.sector is Sector.UNTWISTED else twisted_mode_apply
-    om = omega(lam.rank)
+    ell = (virasoro_mode if lam.sector is Sector.UNTWISTED
+           else twisted_virasoro_mode)
     rows: List[ReportRow] = []
     for i in range(r + 1, bound + 1):
-        got = apply(om, i, one, lam)
+        got = ell(i - 1, one, lam)  # omega_i = L_(i-1)
         expected = eig.get(i, ZERO)
         ok = got == one.scaled(expected)
         rows.append(ReportRow(i, expected, str(got), ok))

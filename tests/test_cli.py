@@ -434,6 +434,22 @@ def test_cmn_command():
     assert doc["values"][2][1] == doc["values"][1][2]
 
 
+@pytest.mark.parametrize("argv, cap", [
+    (["cmn", "--order"], cli.MAX_CMN_ORDER),
+    (["verify", "--lambda", "@lambda", "--bound"], cli.MAX_VERIFY_BOUND),
+])
+def test_integer_flag_cap_edge(argv, cap, lambda_file):
+    argv = [lambda_file if a == "@lambda" else a for a in argv]
+    code, out = run_cli(*argv, str(cap))
+    assert code == 0 and json.loads(out)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(*argv, str(cap + 1))
+    assert (code, out) == (2, "")
+    assert err.getvalue() == (f"precondition violated: {argv[-1]} {cap + 1} "
+                              f"exceeds the maximum {cap}\n")
+
+
 def test_relations_all_pass():
     code, out = run_cli("relations", "--l", "2", "--bound", "3",
                         "--seed", "7", "--trials", "10")

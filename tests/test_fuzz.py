@@ -8,7 +8,9 @@ into junk mode text) and runs one subcommand that reads it.  Whatever the
 input, ``cli.main`` may only exit with 0-3: exit 4 is an internal error.
 A ``dump`` that succeeds must reproduce its own output when fed it back.
 The integer flags of ``relations``, ``cmn`` and ``verify`` are fuzzed
-over small ranges around their limits, with the same rule on exit codes.
+over small ranges around their lower limits, and ``cmn --order`` and
+``verify --bound`` also from just below their caps to far above them, with
+the same rule on exit codes.
 
 The junk stays small on purpose: exponents, modes and sizes are a few
 units, so every example runs in milliseconds; over-long digit strings
@@ -30,7 +32,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from heisenfock import certify_cyclic
-from heisenfock.cli import main
+from heisenfock.cli import MAX_CMN_ORDER, MAX_VERIFY_BOUND, main
 from heisenfock.serialize import (certificate_to_json, fock_from_json,
                                   lambda_from_json)
 
@@ -212,15 +214,21 @@ def test_cli_exits_0_to_3_and_dump_is_idempotent(case, folder):
         assert _run(argv, folder, json.loads(out)) == (0, out)
 
 
-def _flag(name, low, high):
-    return st.integers(low, high).map(lambda v: [name, str(v)])
+def _flag(name, low, high, cap=None):
+    """Values from low to high, and for a capped flag from just below its
+    cap to far above it."""
+    values = st.integers(low, high)
+    if cap is not None:
+        values = values | st.integers(cap - 1, 100 * cap)
+    return values.map(lambda v: [name, str(v)])
 
 
 flag_cases = st.one_of(
     st.tuples(st.just(["relations"]), _flag("--l", -1, 3),
               _flag("--bound", -1, 3), _flag("--trials", -1, 3)),
-    st.tuples(st.just(["cmn"]), _flag("--order", -2, 12)),
-    st.tuples(st.just(["verify", "--lambda", "@lambda"]), _flag("--bound", -1, 8)),
+    st.tuples(st.just(["cmn"]), _flag("--order", -2, 12, MAX_CMN_ORDER)),
+    st.tuples(st.just(["verify", "--lambda", "@lambda"]),
+              _flag("--bound", -1, 8, MAX_VERIFY_BOUND)),
 ).map(lambda parts: sum(parts, []))
 
 

@@ -1,12 +1,14 @@
 from fractions import Fraction
+from hashlib import sha256
 from math import factorial
 
 import pytest
 
 from heisenfock import (FockVector, LambdaSequence, Sector,
                         SectorMismatchError, act_mode, mode_apply, omega,
-                        twisted_mode_apply, virasoro_bracket_check,
-                        virasoro_mode, weighted_partial)
+                        twisted_mode_apply, twisted_virasoro_mode,
+                        virasoro_bracket_check, virasoro_mode,
+                        weighted_partial)
 from heisenfock.errors import ModeRangeError
 from heisenfock.sampling import random_fock, random_lambda, random_nonzero_scalar
 
@@ -83,6 +85,37 @@ class TestModeApply:
         f = x1 * x1 * x2 + x(1, 3, 1) + 2 * one(1)
         assert len(mode_apply(u, 1, f, lam).terms) == 483
         assert len(calls) <= 22
+
+    @pytest.mark.parametrize("power, terms, most, digest", [
+        (5, 155, 377,
+         "d4d93ff2da7818a085dd2c46006971d2983e452e4c02e6d4ef9331a6ff3e1924"),
+        (6, 319, 1198,
+         "aa22adac087bae24585493885d299a607a1f476c4eecd595299002b5bae0a589"),
+    ])
+    def test_equal_factors_expanded_once(self, monkeypatch, power, terms,
+                                         most, digest):
+        # each multiset of modes of the equal factors is reached once; an
+        # expansion of every ordering makes 8,640 and 89,419 calls here.
+        # The digest is that of the output text of the ordered expansion.
+        from heisenfock import vertex
+        calls = []
+        act = vertex.act_mode2
+
+        def counted(*args):
+            calls.append(args[2])
+            return act(*args)
+
+        monkeypatch.setattr(vertex, "act_mode2", counted)
+        lam = lam_of(Sector.UNTWISTED, 1, [1], [Fraction(1, 2)], [3])
+        x1 = x(1, 1, 1)
+        f = x1 * x1 * x(1, 2, 1) + x(1, 3, 1) + 2 * one(1)
+        u = one(1)
+        for _ in range(power):
+            u = u * x1
+        out = mode_apply(u, 1, f, lam)
+        assert len(out.terms) == terms
+        assert sha256(str(out).encode()).hexdigest() == digest
+        assert len(calls) <= most
 
     def test_grading(self, rng):
         lam0 = LambdaSequence.zero(2)
@@ -228,6 +261,24 @@ class TestVirasoro:
         lhs = (virasoro_mode(3, virasoro_mode(5, f, lam), lam)
                - virasoro_mode(5, virasoro_mode(3, f, lam), lam))
         assert lhs == virasoro_mode(8, f, lam).scaled(-2)
+
+    def test_twisted_omega_parts_built_once(self, rng, monkeypatch):
+        from heisenfock import vertex
+        vertex._twisted_omega_parts.cache_clear()
+        ranks = []
+        delta = vertex.delta_z_apply
+
+        def counted(u):
+            ranks.append(u.rank)
+            return delta(u)
+
+        monkeypatch.setattr(vertex, "delta_z_apply", counted)
+        lam = random_lambda(rng, 2, Sector.TWISTED, max_r=2)
+        f = random_fock(rng, 2, Sector.TWISTED, max_degree=4, max_terms=2)
+        for n in range(-4, 5):
+            twisted_virasoro_mode(n, f, lam)
+        assert ranks == [2]
+        assert vertex._twisted_omega_parts(2) == tuple(delta(omega(2)).items())
 
     def test_bracket_randomized(self, rng):
         # 200 random (f, m, n) samples split over both sectors
