@@ -91,7 +91,7 @@ class TestModeApply:
          "d4d93ff2da7818a085dd2c46006971d2983e452e4c02e6d4ef9331a6ff3e1924"),
         (6, 319, 1198,
          "aa22adac087bae24585493885d299a607a1f476c4eecd595299002b5bae0a589"),
-    ])
+    ], ids=["x^5", "x^6"])
     def test_equal_factors_expanded_once(self, monkeypatch, power, terms,
                                          most, digest):
         # each multiset of modes of the equal factors is reached once; an
