@@ -9,6 +9,7 @@ Subcommands::
     certify    --lambda FILE --vector FILE   build a reduction certificate
     certify    --check CERT [--vector FILE]  replay/verify a certificate
     relations  [--l N --bound B --seed S --trials T]   randomized identity suites
+                                             (N <= 16, B <= 64, T <= 1000)
     cmn        --order M                     exact twisted-correction coefficient table
                                              (M <= 128)
     dump       --kind K --input FILE         parse and re-emit a canonical document
@@ -52,6 +53,11 @@ EXIT_INTERNAL = 4
 # above these, the output grows past a few MB for no new information
 MAX_VERIFY_BOUND = 1024
 MAX_CMN_ORDER = 128
+# relations at any one of these, the others at their defaults, runs in about
+# a second; its cost grows with the product of all three
+MAX_RELATIONS_RANK = 16
+MAX_RELATIONS_BOUND = 64
+MAX_RELATIONS_TRIALS = 1000
 
 
 def _load_json(path: str):
@@ -167,6 +173,9 @@ def cmd_relations(args) -> int:
     if args.l < 1 or args.bound < 1 or args.trials < 1:
         raise PreconditionError(
             "relations needs --l >= 1, --bound >= 1 and --trials >= 1")
+    _at_most("--l", args.l, MAX_RELATIONS_RANK)
+    _at_most("--bound", args.bound, MAX_RELATIONS_BOUND)
+    _at_most("--trials", args.trials, MAX_RELATIONS_TRIALS)
     rng = Random(args.seed)
     both = (Sector.UNTWISTED, Sector.TWISTED)
     light = max(1, args.trials // 5)
@@ -280,10 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("relations", help="randomized identity suites")
-    p.add_argument("--l", type=int, default=2)
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--l", type=int, default=2,
+                   help=f"rank, at most {MAX_RELATIONS_RANK}")
+    p.add_argument("--bound", type=int, default=4,
+                   help=f"largest |mode|, at most {MAX_RELATIONS_BOUND}")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=int, default=50,
+                   help=f"trials per suite, at most {MAX_RELATIONS_TRIALS}")
     p.set_defaults(func=cmd_relations)
 
     p = sub.add_parser("cmn", help="exact twisted-correction coefficients")

@@ -13,7 +13,9 @@ parity of every doubled mode, ``Sector.parity``: 0 untwisted, 1 twisted; the
 other lattice facts (where lambda entry k sits, a type's epsilon) follow.
 
 Values are immutable after construction; every operation returns a new
-vector, so sharing across threads is safe.
+vector, so sharing across threads is safe.  A vector's degree is scanned
+once, on its first read, and kept in the vector: the terms it derives from
+never change.
 
     >>> f = FockVector.variable(1, 1, rank=2)
     >>> g = f * f + 3 * FockVector.variable(2, 2, rank=2)
@@ -87,10 +89,6 @@ def mode_text(d2: int) -> str:
     return str(d2 // 2) if d2 % 2 == 0 else f"{d2}/2"
 
 
-def monomial_degree2(mono: Monomial) -> int:
-    return sum(d2 * e for _, d2, e in mono)
-
-
 def monomial_key(mono: Monomial):
     """Graded-lexicographic sort key: degree, then boson index, then mode.
 
@@ -98,13 +96,18 @@ def monomial_key(mono: Monomial):
     at equal degree neither list can end where the other goes on, so the
     larger exponent of a shared variable sorts first.
     """
-    return (monomial_degree2(mono), tuple((i, d2, -e) for i, d2, e in mono))
+    degree2, variables = 0, []
+    for i, d2, e in mono:
+        degree2 += d2 * e
+        variables.append((i, d2, -e))
+    return degree2, variables
 
 
 class FockVector:
     """Finite exact linear combination of x[i,n] monomials of one sector."""
 
-    __slots__ = ("rank", "sector", "terms")
+    # _degree2 is filled on the first read of the degree and never cleared
+    __slots__ = ("rank", "sector", "terms", "_degree2")
 
     def __init__(self, rank: int, sector: Sector, terms: Dict[Monomial, Scalar]):
         if rank < 1:
@@ -214,10 +217,20 @@ class FockVector:
 
     @property
     def degree2(self) -> Union[int, float]:
-        """Doubled degree, or -inf for the zero vector."""
-        if not self.terms:
-            return NEG_INFINITY
-        return max(monomial_degree2(m) for m in self.terms)
+        """Doubled degree, or -inf for the zero vector; scanned once."""
+        try:
+            return self._degree2
+        except AttributeError:
+            pass
+        best = NEG_INFINITY
+        for mono in self.terms:
+            d = 0
+            for _, d2, e in mono:
+                d += d2 * e
+            if d > best:
+                best = d
+        self._degree2 = best
+        return best
 
     @property
     def degree(self) -> Union[Fraction, float]:
@@ -282,11 +295,13 @@ def monomial_text(mono: Monomial) -> str:
     """Canonical text form: ``x[i,n]^e`` factors joined by ``*``; ``1`` if empty."""
     if not mono:
         return "1"
-    parts = []
-    for i, d2, e in mono:
-        base = f"x[{i},{mode_text(d2)}]"
-        parts.append(base if e == 1 else f"{base}^{e}")
-    return "*".join(parts)
+    return "*".join([_factor_text(i, d2, e) for i, d2, e in mono])
+
+
+def _factor_text(i: int, d2: int, e: int) -> str:
+    """One factor of a monomial's text: ``x[i,n]``, or ``x[i,n]^e`` for e > 1."""
+    base = f"x[{i},{mode_text(d2)}]"
+    return base if e == 1 else f"{base}^{e}"
 
 
 def _check_boson(i: int, rank: int):
@@ -308,16 +323,20 @@ def _accumulate(acc: Dict[Monomial, Scalar], mono: Monomial, c: Scalar):
 
 
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
+    """The product of two monomials: one sort, then equal variables joined."""
     if not m1:
         return m2
     if not m2:
         return m1
-    exps: Dict[Tuple[int, int], int] = {}
-    for i, d2, e in m1:
-        exps[(i, d2)] = e
-    for i, d2, e in m2:
-        exps[(i, d2)] = exps.get((i, d2), 0) + e
-    return tuple((i, d2, e) for (i, d2), e in sorted(exps.items()))
+    merged = sorted(m1 + m2)
+    out = [merged[0]]
+    for factor in merged[1:]:
+        i, d2, e = out[-1]
+        if factor[0] == i and factor[1] == d2:
+            out[-1] = (i, d2, e + factor[2])
+        else:
+            out.append(factor)
+    return tuple(out)
 
 
 def _insert_variable(mono: Monomial, i: int, d2: int) -> Monomial:
@@ -345,10 +364,21 @@ def _weighted_partial2(i: int, d2: int, f: FockVector,
     """(n * d/dx[i,n] + shift) f for the doubled mode d2 = 2n, in one pass.
 
     The caller has checked the mode and the boson index; a ``shift`` of
-    None adds nothing.  A term with x[i,n]^e is scaled by n * e, the
-    integer d2 * e over 2.
+    None adds nothing.
     """
     acc: Dict[Monomial, Scalar] = {}
+    _add_weighted_partial2(acc, i, d2, f, shift)
+    return FockVector(f.rank, f.sector, acc)
+
+
+def _add_weighted_partial2(acc: Dict[Monomial, Scalar], i: int, d2: int,
+                           f: FockVector, shift: Optional[Scalar] = None,
+                           scale: Optional[Scalar] = None) -> None:
+    """Add (scale * n * d/dx[i,n] + shift) f into the terms ``acc``.
+
+    None stands for a ``scale`` of 1 and a ``shift`` of 0.  A term with
+    x[i,n]^e is scaled by n * e, the integer d2 * e over 2.
+    """
     for mono, c in f.terms.items():
         if shift is not None:
             _accumulate(acc, mono, c * shift)
@@ -358,7 +388,8 @@ def _weighted_partial2(i: int, d2: int, f: FockVector,
                     reduced = mono[:pos] + mono[pos + 1:]
                 else:
                     reduced = mono[:pos] + ((bi, bd2, e - 1),) + mono[pos + 1:]
+                if scale is not None:
+                    c = c * scale
                 m = d2 * e
                 _accumulate(acc, reduced, _reduced(c.a * m, c.b * m, 2 * c.d))
                 break
-    return FockVector(f.rank, f.sector, acc)

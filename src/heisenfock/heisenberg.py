@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .errors import (BosonIndexError, HighestWeightError, SchemaError,
                      SectorMismatchError)
-from .fock import (FockVector, ModeLike, Sector, _check_boson, _check_parity,
+from .fock import (FockVector, ModeLike, Monomial, Sector, _accumulate,
+                   _add_weighted_partial2, _check_boson, _check_parity,
                    _check_positive, _weighted_partial2, doubled_mode)
 from .scalars import Scalar, as_scalar
 
@@ -209,19 +210,25 @@ def quadratic_act(lam: LambdaSequence, q: QuadraticElement,
     cm = lam.pair2(q.m2, q.i)
     cn = lam.pair2(q.n2, q.j)
     dj = _weighted_partial2(q.j, q.n2, f)
-    out = _weighted_partial2(q.i, q.m2, dj)
-    if cm:
-        out = out + dj.scaled(cm)
+    acc: Dict[Monomial, Scalar] = {}
+    # d_im d_jn f and cm * d_jn f in one pass, then cn * d_im f
+    _add_weighted_partial2(acc, q.i, q.m2, dj, cm if cm else None)
     if cn:
-        out = out + _weighted_partial2(q.i, q.m2, f).scaled(cn)
-    return out
+        _add_weighted_partial2(acc, q.i, q.m2, f, scale=cn)
+    return FockVector(f.rank, f.sector, acc)
 
 
 def _compose_quadratic(lam: LambdaSequence, q: QuadraticElement,
                        f: FockVector) -> FockVector:
     """h_i(m) h_j(n) f - shift * f by two oscillator actions."""
     composed = act_mode2(lam, q.i, q.m2, act_mode2(lam, q.j, q.n2, f))
-    return composed - f.scaled(q.shift)
+    if not q.shift:
+        return composed
+    acc = dict(composed.terms)
+    minus_shift = -q.shift
+    for mono, c in f.terms.items():
+        _accumulate(acc, mono, c * minus_shift)
+    return FockVector(f.rank, f.sector, acc)
 
 
 def quadratic_check(lam: LambdaSequence, q: QuadraticElement,

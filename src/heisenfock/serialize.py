@@ -6,6 +6,11 @@ Floating-point payloads carry an explicit ``"numeric": true`` marker and
 encode complex numbers as two-element ``[re, im]`` arrays.  Every document
 carries ``"schema": <name>/<version>``; parsers accept documents without the
 marker but validate everything else strictly, raising ``SchemaError``.
+
+A vector document reads each distinct factor text ``x[i,n]^e`` once and
+writes each distinct factor once, through a table that lives for that one
+call; text whose factors come sorted and distinct, as canonical text does,
+becomes its monomial without a merge.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from typing import Dict, List, Optional, Sequence
 
 from .certify import ReductionCertificate, ReductionStep
 from .errors import SchemaError
-from .fock import (FockVector, Monomial, Sector, _check_positive, mode_text,
-                   monomial_text)
+from .fock import (FockVector, Monomial, Sector, _accumulate, _check_positive,
+                   _factor_text, mode_text)
 from .heisenberg import LambdaSequence, QuadraticElement
 from .scalars import Scalar, format_scalar, parse_rational, parse_scalar
 from .vertex import CmnTable
@@ -135,32 +140,69 @@ def _doubled(digits: str, half: Optional[str]) -> int:
 
 
 def parse_monomial(text: str, sector: Sector) -> Monomial:
+    """Read ``1`` or ``x[i,n]^e`` pieces joined by ``*``, in any order; the
+    first bad piece raises."""
+    return _monomial(text, sector, {})
+
+
+def _monomial(text: str, sector: Sector, factors: Dict) -> Monomial:
+    """``parse_monomial``, reading each piece through the table ``factors``
+    of the pieces a document has already parsed."""
     text = text.strip()
     if text == "1":
         return ()
-    factors: Dict = {}
+    mono = []
+    ordered = True
+    last_i, last_d2 = -1, 0
     for piece in text.split("*"):
-        m = _MONOMIAL_FACTOR.fullmatch(piece.strip())
-        if not m:
-            raise SchemaError(f"bad monomial factor {piece!r}")
-        try:
-            i, d2, e = int(m[1]), _doubled(m[2], m[3]), int(m[4] or 1)
-        except ValueError as exc:  # more digits than int() converts
-            raise SchemaError(f"over-long number in {piece[:24]!r}...") from exc
-        _check_positive(d2, sector)
-        if e < 1:
-            raise SchemaError(f"bad exponent in {piece!r}")
-        factors[i, d2] = factors.get((i, d2), 0) + e
-    return tuple((i, d2, e) for (i, d2), e in sorted(factors.items()))
+        factor = factors.get(piece)
+        if factor is None:
+            factor = factors[piece] = _monomial_factor(piece, sector)
+        i, d2, _ = factor
+        if i < last_i or i == last_i and d2 <= last_d2:
+            ordered = False
+        last_i, last_d2 = i, d2
+        mono.append(factor)
+    if ordered:  # canonical text: sorted, each variable once
+        return tuple(mono)
+    exps: Dict = {}
+    for i, d2, e in mono:
+        exps[i, d2] = exps.get((i, d2), 0) + e
+    return tuple((i, d2, e) for (i, d2), e in sorted(exps.items()))
+
+
+def _monomial_factor(piece: str, sector: Sector):
+    """One ``x[i,n]^e`` piece of a monomial as its (i, 2n, e) triple."""
+    m = _MONOMIAL_FACTOR.fullmatch(piece.strip())
+    if not m:
+        raise SchemaError(f"bad monomial factor {piece!r}")
+    try:
+        i, d2, e = int(m[1]), _doubled(m[2], m[3]), int(m[4] or 1)
+    except ValueError as exc:  # more digits than int() converts
+        raise SchemaError(f"over-long number in {piece[:24]!r}...") from exc
+    _check_positive(d2, sector)
+    if e < 1:
+        raise SchemaError(f"bad exponent in {piece!r}")
+    return i, d2, e
 
 
 def fock_to_json(f: FockVector) -> dict:
+    texts: Dict = {}  # the text of each factor, formatted once per vector
+    terms = []
+    for mono, c in f.sorted_terms():
+        parts = []
+        for factor in mono:
+            part = texts.get(factor)
+            if part is None:
+                part = texts[factor] = _factor_text(*factor)
+            parts.append(part)
+        terms.append({"monomial": "*".join(parts) if parts else "1",
+                      "coeff": format_scalar(c)})
     return {
         "schema": _schema("vector"),
         "sector": f.sector.value,
         "rank": f.rank,
-        "terms": [{"monomial": monomial_text(mono), "coeff": format_scalar(c)}
-                  for mono, c in f.sorted_terms()],
+        "terms": terms,
     }
 
 
@@ -168,17 +210,19 @@ def fock_from_json(doc) -> FockVector:
     sector = parse_sector(_expect(doc, "sector", str, "vector"))
     rank = _rank(doc, "vector")
     terms = _expect(doc, "terms", list, "vector")
-    pairs = []
+    factors: Dict = {}  # each distinct factor text, parsed once per document
+    acc: Dict[Monomial, Scalar] = {}
     for idx, item in enumerate(terms):
         mono_text = _expect(item, "monomial", str, f"vector term {idx}")
         coeff_text = _expect(item, "coeff", str, f"vector term {idx}")
-        mono = parse_monomial(mono_text, sector)
-        for i, _, _ in mono:
-            if not 1 <= i <= rank:
-                raise SchemaError(
-                    f"vector term {idx}: boson index {i} outside 1..{rank}")
-        pairs.append((mono, parse_scalar(coeff_text)))
-    return FockVector.from_terms(rank, sector, pairs)
+        mono = _monomial(mono_text, sector, factors)
+        # sorted by boson index: only the ends can fall outside the rank
+        if mono and (mono[0][0] < 1 or mono[-1][0] > rank):
+            i = next(i for i, _, _ in mono if not 1 <= i <= rank)
+            raise SchemaError(
+                f"vector term {idx}: boson index {i} outside 1..{rank}")
+        _accumulate(acc, mono, parse_scalar(coeff_text))
+    return FockVector(rank, sector, acc)
 
 
 # -- Whittaker types -----------------------------------------------------------------

@@ -12,7 +12,8 @@ lies between what the remaining factors can still make up and the
 annihilation cap, the last factor takes the remainder, a derivative factor's
 binomial weight is multiplied in as its mode is fixed (zero skips the mode),
 an annihilator acts at once (a zero result prunes the subtree) and the
-creators multiply in at the leaf, after every annihilator (normal ordering).
+creators, carried down as one sorted monomial, are merged into each term at
+the leaf, after every annihilator (normal ordering).
 Equal factors commute, so each run x[a,n]^e of them is expanded once per
 multiset of modes: its modes are taken non-decreasing, and as each block of
 k equal modes closes the weight gains that block's share of the run's
@@ -60,7 +61,8 @@ from typing import Dict, List, Tuple, Union
 
 from .errors import PreconditionError, SectorMismatchError
 from .fock import (FockVector, ModeLike, Monomial, Sector, _accumulate,
-                   _doubled_value, doubled_mode, weighted_partial)
+                   _doubled_value, _insert_variable, _merge_monomials,
+                   doubled_mode, weighted_partial)
 from .heisenberg import LambdaSequence, act_mode2
 from .scalars import Scalar
 
@@ -124,10 +126,8 @@ def _modes_on(parts, k2: int, f: FockVector, lam: LambdaSequence) -> FockVector:
         cap2 -= 1
 
     def leaf(weight, g, creators):
-        for a, d2 in creators:
-            g = g.times_variable(a, -d2)
         for mono, c in g.terms.items():
-            _accumulate(acc, mono, c * weight)
+            _accumulate(acc, _merge_monomials(mono, creators), c * weight)
 
     def expand(runs, t, prev2, block, rest, left2, weight, g, creators):
         # fix factor t of the run runs[0] = (a, n, e), whose last ``block``
@@ -155,7 +155,7 @@ def _modes_on(parts, k2: int, f: FockVector, lam: LambdaSequence) -> FockVector:
                 if block < t:  # the block at prev2 closes after t factors
                     w = w.scale(comb(t, block))
             if d2 < 0:
-                h, cr = g, creators + ((a, d2),)
+                h, cr = g, _insert_variable(creators, a, -d2)
             else:
                 h, cr = act_mode2(lam, a, d2, g), creators
                 if not h:

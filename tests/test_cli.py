@@ -437,6 +437,12 @@ def test_cmn_command():
 @pytest.mark.parametrize("argv, cap", [
     (["cmn", "--order"], cli.MAX_CMN_ORDER),
     (["verify", "--lambda", "@lambda", "--bound"], cli.MAX_VERIFY_BOUND),
+    (["relations", "--bound", "1", "--trials", "1", "--l"],
+     cli.MAX_RELATIONS_RANK),
+    (["relations", "--l", "1", "--trials", "1", "--bound"],
+     cli.MAX_RELATIONS_BOUND),
+    (["relations", "--l", "1", "--bound", "1", "--trials"],
+     cli.MAX_RELATIONS_TRIALS),
 ])
 def test_integer_flag_cap_edge(argv, cap, lambda_file):
     argv = [lambda_file if a == "@lambda" else a for a in argv]

@@ -6,11 +6,16 @@ from hypothesis import given, strategies as st
 from heisenfock import (BosonIndexError, FockVector, ModeRangeError,
                         Scalar, Sector, SectorMismatchError, monomial_text,
                         weighted_partial)
-from heisenfock.fock import (_check_positive, doubled_mode, monomial_degree2,
-                             monomial_key)
+from heisenfock.fock import (NEG_INFINITY, _check_positive, _weighted_partial2,
+                             doubled_mode, monomial_key)
 from heisenfock.sampling import random_fock
 
 from conftest import one, sc, x
+
+
+def monomial_degree2(mono):
+    """The reference doubled degree of one monomial."""
+    return sum(d2 * e for _, d2, e in mono)
 
 
 class TestWeightedPartial:
@@ -31,7 +36,6 @@ class TestWeightedPartial:
         assert out == one(1, Sector.TWISTED).scaled(Fraction(3, 2))
 
     def test_degree_drop_is_exact(self, rng):
-        from heisenfock.fock import monomial_degree2
         for _ in range(50):
             f = random_fock(rng, 2, Sector.UNTWISTED, max_degree=6)
             d2 = f.min_mode2()
@@ -194,3 +198,28 @@ def test_variable_validation():
         FockVector.variable(1, Fraction(1, 2), rank=2)
     with pytest.raises(ModeRangeError):
         FockVector.variable(1, 2, rank=2, sector=Sector.TWISTED)
+
+
+def test_each_vector_reports_its_own_degree():
+    # the degree is kept on the vector after its first read; every new
+    # vector, whatever built it, measures its own
+    f = x(1, 2, 2) * x(2, 1, 2) + x(2, 1, 2)
+    assert f.degree2 == 6
+    bigger = f + x(1, 5, 2)
+    assert (bigger.degree2, f.degree2) == (10, 6)
+    assert (f - x(1, 2, 2) * x(2, 1, 2)).degree2 == 2
+    assert (f - f).degree2 == NEG_INFINITY and (f - f).degree == NEG_INFINITY
+    assert f.scaled(3).degree2 == 6 and f.scaled(0).degree2 == NEG_INFINITY
+    assert _weighted_partial2(1, 4, f).degree2 == 2
+    assert _weighted_partial2(2, 4, f).degree2 == NEG_INFINITY
+    assert FockVector.zero(2).degree2 == NEG_INFINITY
+    assert FockVector.constant(5, 2).degree2 == 0
+    assert f.degree2 == 6
+
+
+@pytest.mark.parametrize("sector", list(Sector))
+def test_degree_is_the_largest_monomial_degree(rng, sector):
+    for _ in range(40):
+        f = random_fock(rng, 3, sector, max_degree=8, nonzero=False)
+        want = max((monomial_degree2(m) for m in f.terms), default=NEG_INFINITY)
+        assert f.degree2 == want

@@ -8,9 +8,11 @@ into junk mode text) and runs one subcommand that reads it.  Whatever the
 input, ``cli.main`` may only exit with 0-3: exit 4 is an internal error.
 A ``dump`` that succeeds must reproduce its own output when fed it back.
 The integer flags of ``relations``, ``cmn`` and ``verify`` are fuzzed
-over small ranges around their lower limits, and ``cmn --order`` and
-``verify --bound`` also from just below their caps to far above them, with
-the same rule on exit codes.
+over small ranges around their lower limits, ``cmn --order`` and
+``verify --bound`` also from just below their caps to far above them, and
+one flag of ``relations`` at a time from just past its cap to far above
+it, with the same rule on exit codes.  A ``relations`` run at its caps
+costs seconds, so the fuzz leaves the caps themselves to the edge test.
 
 The junk stays small on purpose: exponents, modes and sizes are a few
 units, so every example runs in milliseconds; over-long digit strings
@@ -32,7 +34,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from heisenfock import certify_cyclic
-from heisenfock.cli import MAX_CMN_ORDER, MAX_VERIFY_BOUND, main
+from heisenfock.cli import (MAX_CMN_ORDER, MAX_RELATIONS_BOUND,
+                            MAX_RELATIONS_RANK, MAX_RELATIONS_TRIALS,
+                            MAX_VERIFY_BOUND, main)
 from heisenfock.serialize import (certificate_to_json, fock_from_json,
                                   lambda_from_json)
 
@@ -223,9 +227,24 @@ def _flag(name, low, high, cap=None):
     return values.map(lambda v: [name, str(v)])
 
 
+RELATIONS_CAPS = {"--l": MAX_RELATIONS_RANK, "--bound": MAX_RELATIONS_BOUND,
+                  "--trials": MAX_RELATIONS_TRIALS}
+
+
+@st.composite
+def _relations_flags(draw):
+    """Small values, but for at most one flag drawn past its cap."""
+    wide = draw(st.sampled_from([None, *RELATIONS_CAPS]))
+    argv = ["relations"]
+    for name, cap in RELATIONS_CAPS.items():
+        values = (st.integers(cap + 1, 100 * cap) if name == wide
+                  else st.integers(-1, 3))
+        argv += [name, str(draw(values))]
+    return argv
+
+
 flag_cases = st.one_of(
-    st.tuples(st.just(["relations"]), _flag("--l", -1, 3),
-              _flag("--bound", -1, 3), _flag("--trials", -1, 3)),
+    _relations_flags().map(lambda argv: [argv]),
     st.tuples(st.just(["cmn"]), _flag("--order", -2, 12, MAX_CMN_ORDER)),
     st.tuples(st.just(["verify", "--lambda", "@lambda"]),
               _flag("--bound", -1, 8, MAX_VERIFY_BOUND)),

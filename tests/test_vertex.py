@@ -117,6 +117,33 @@ class TestModeApply:
         assert sha256(str(out).encode()).hexdigest() == digest
         assert len(calls) <= most
 
+    @pytest.mark.parametrize("sector", list(Sector))
+    def test_creators_merged_without_times_variable(self, rng, monkeypatch,
+                                                    sector):
+        # the leaf merges the creators' monomial into each term once; one
+        # times_variable per creator would rebuild the whole vector each time
+        lam = random_lambda(rng, 2, sector, max_r=2)
+        f = random_fock(rng, 2, sector, max_degree=4, max_terms=3)
+        u = x(1, 1, 2) * x(2, 1, 2) * x(1, 2, 2) + 3 * x(2, 3, 2)
+        modes = [Fraction(k, 2) for k in range(-8, 4)]
+        if sector is Sector.UNTWISTED:
+            modes = [k for k in modes if k.denominator == 1]
+            ell = mode_apply
+        else:
+            ell = twisted_mode_apply
+        expected = [ell(u, k, f, lam) for k in modes]
+        assert sum(1 for out in expected if out.degree > f.degree) >= 3
+        calls = []
+        original = FockVector.times_variable
+
+        def counted(self, i, d2):
+            calls.append((i, d2))
+            return original(self, i, d2)
+
+        monkeypatch.setattr(FockVector, "times_variable", counted)
+        assert [ell(u, k, f, lam) for k in modes] == expected
+        assert not calls
+
     def test_grading(self, rng):
         lam0 = LambdaSequence.zero(2)
         for _ in range(30):
