@@ -9,7 +9,7 @@ Subcommands::
     certify    --lambda FILE --vector FILE   build a reduction certificate
     certify    --check CERT [--vector FILE]  replay/verify a certificate
     relations  [--l N --bound B --seed S --trials T]   randomized identity suites
-                                             (N <= 16, B <= 64, T <= 1000)
+                                             (N <= 8, B <= 32, T <= 500)
     cmn        --order M                     exact twisted-correction coefficient table
                                              (M <= 128)
     dump       --kind K --input FILE         parse and re-emit a canonical document
@@ -53,11 +53,11 @@ EXIT_INTERNAL = 4
 # above these, the output grows past a few MB for no new information
 MAX_VERIFY_BOUND = 1024
 MAX_CMN_ORDER = 128
-# relations at any one of these, the others at their defaults, runs in about
-# a second; its cost grows with the product of all three
-MAX_RELATIONS_RANK = 16
-MAX_RELATIONS_BOUND = 64
-MAX_RELATIONS_TRIALS = 1000
+# relations at all three of these runs in a few seconds: its cost grows with
+# their product
+MAX_RELATIONS_RANK = 8
+MAX_RELATIONS_BOUND = 32
+MAX_RELATIONS_TRIALS = 500
 
 
 def _load_json(path: str):
