@@ -323,12 +323,18 @@ def _accumulate(acc: Dict[Monomial, Scalar], mono: Monomial, c: Scalar):
 
 
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    """The product of two monomials: one sort, then equal variables joined."""
+    """The product of two monomials."""
     if not m1:
         return m2
     if not m2:
         return m1
-    merged = sorted(m1 + m2)
+    return _sorted_monomial(m1 + m2)
+
+
+def _sorted_monomial(factors) -> Monomial:
+    """The monomial of nonempty (i, d2, e) factors in any order: one sort,
+    then the exponents of equal variables added."""
+    merged = sorted(factors)
     out = [merged[0]]
     for factor in merged[1:]:
         i, d2, e = out[-1]

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 from .certify import ReductionCertificate, ReductionStep
 from .errors import SchemaError
 from .fock import (FockVector, Monomial, Sector, _accumulate, _check_positive,
-                   _factor_text, mode_text)
+                   _factor_text, _sorted_monomial, mode_text)
 from .heisenberg import LambdaSequence, QuadraticElement
 from .scalars import Scalar, format_scalar, parse_rational, parse_scalar
 from .vertex import CmnTable
@@ -140,8 +140,8 @@ def _doubled(digits: str, half: Optional[str]) -> int:
 
 
 def parse_monomial(text: str, sector: Sector) -> Monomial:
-    """Read ``1`` or ``x[i,n]^e`` pieces joined by ``*``, in any order; the
-    first bad piece raises."""
+    """Read ``1``, or ``x[i,n]^e`` pieces joined by ``*`` in any order with
+    repeats summed; the first bad piece raises."""
     return _monomial(text, sector, {})
 
 
@@ -163,12 +163,8 @@ def _monomial(text: str, sector: Sector, factors: Dict) -> Monomial:
             ordered = False
         last_i, last_d2 = i, d2
         mono.append(factor)
-    if ordered:  # canonical text: sorted, each variable once
-        return tuple(mono)
-    exps: Dict = {}
-    for i, d2, e in mono:
-        exps[i, d2] = exps.get((i, d2), 0) + e
-    return tuple((i, d2, e) for (i, d2), e in sorted(exps.items()))
+    # canonical text comes sorted, each variable once
+    return tuple(mono) if ordered else _sorted_monomial(mono)
 
 
 def _monomial_factor(piece: str, sector: Sector):
