@@ -22,10 +22,10 @@ tried and the retry count is recorded in the step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Tuple
 
+from ._record import Record, _set
 from .errors import PreconditionError, ReductionError, SchemaError
 from .fock import FockVector
 from .heisenberg import (LambdaSequence, QuadraticElement, _compose_quadratic,
@@ -38,27 +38,40 @@ CASE_DIAG = "3a"    # n = m, (lambda_m, h_i0) != 0
 CASE_OFFDIAG = "3b"  # n = m, (lambda_m, h_i0) = 0
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    element: QuadraticElement
-    case: str
-    degree_before: Fraction
-    degree_after: Fraction
-    retries: int = 0
+class ReductionStep(Record):
+    __slots__ = ("element", "case", "degree_before", "degree_after", "retries")
+
+    def __init__(self, element: QuadraticElement, case: str,
+                 degree_before: Fraction, degree_after: Fraction,
+                 retries: int = 0):
+        _set(self, "element", element)
+        _set(self, "case", case)
+        _set(self, "degree_before", degree_before)
+        _set(self, "degree_after", degree_after)
+        _set(self, "retries", retries)
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
-    initial: FockVector
-    steps: Tuple[ReductionStep, ...]
-    terminal: Scalar
+class ReductionCertificate(Record):
+    __slots__ = ("initial", "steps", "terminal")
+
+    def __init__(self, initial: FockVector, steps: Tuple[ReductionStep, ...],
+                 terminal: Scalar):
+        _set(self, "initial", initial)
+        _set(self, "steps", steps)
+        _set(self, "terminal", terminal)
 
 
 def _mode_candidates(a: FockVector) -> Tuple[int, List[int]]:
-    """Smallest doubled mode present and the boson indices carrying it."""
-    m2 = a.min_mode2()
-    indices = sorted({i for mono in a.terms for i, d2, _ in mono if d2 == m2})
-    return m2, indices
+    """Smallest doubled mode present and the boson indices carrying it, in
+    one scan of the monomials."""
+    m2, indices = 0, set()
+    for mono in a.terms:
+        for i, d2, _ in mono:
+            if d2 < m2 or not m2:
+                m2, indices = d2, {i}
+            elif d2 == m2:
+                indices.add(i)
+    return m2, sorted(indices)
 
 
 def _case_and_element(lam: LambdaSequence, i0: int, m2: int,

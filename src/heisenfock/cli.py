@@ -66,8 +66,13 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        # the decoder recurses once per nested array or object
+        raise SchemaError(f"{path} nests too deeply") from exc
 
 
 def _emit(doc) -> None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .errors import BosonIndexError, ModeRangeError, SectorMismatchError
 from .scalars import Scalar, _reduced, as_scalar
@@ -136,14 +136,6 @@ class FockVector:
         _check_boson(i, rank)
         return cls(rank, sector, {((i, d2, 1),): as_scalar(1)})
 
-    @classmethod
-    def from_terms(cls, rank: int, sector: Sector,
-                   terms: Iterable[Tuple[Monomial, Scalar]]) -> "FockVector":
-        acc: Dict[Monomial, Scalar] = {}
-        for mono, c in terms:
-            _accumulate(acc, mono, c)
-        return cls(rank, sector, acc)
-
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other) -> "FockVector":
@@ -246,15 +238,6 @@ class FockVector:
         for mono in self.terms:
             for _, d2, _ in mono:
                 if d2 > best:
-                    best = d2
-        return best
-
-    def min_mode2(self) -> int:
-        """Smallest doubled mode present, or 0 when no variables occur."""
-        best = 0
-        for mono in self.terms:
-            for _, d2, _ in mono:
-                if best == 0 or d2 < best:
                     best = d2
         return best
 

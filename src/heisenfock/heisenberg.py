@@ -19,10 +19,10 @@ test suites).  A ``QuadraticElement`` stores both of its modes doubled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
+from ._record import Record, _set
 from .errors import (BosonIndexError, HighestWeightError, SchemaError,
                      SectorMismatchError)
 from .fock import (FockVector, ModeLike, Monomial, Sector, _accumulate,
@@ -33,8 +33,7 @@ from .scalars import Scalar, as_scalar
 ZERO = as_scalar(0)
 
 
-@dataclass(frozen=True)
-class LambdaSequence:
+class LambdaSequence(Record):
     """Finitely supported sequence of C^l vectors indexing a Fock action.
 
     Entry k sits at the doubled mode 2k + p, p = ``sector.parity``: at
@@ -43,13 +42,15 @@ class LambdaSequence:
     entry is always nonzero.
     """
 
-    sector: Sector
-    rank: int
-    entries: Tuple[Tuple[Scalar, ...], ...]
+    __slots__ = ("sector", "rank", "entries")
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise BosonIndexError(f"rank must be >= 1, got {self.rank}")
+    def __init__(self, sector: Sector, rank: int,
+                 entries: Tuple[Tuple[Scalar, ...], ...]):
+        if rank < 1:
+            raise BosonIndexError(f"rank must be >= 1, got {rank}")
+        _set(self, "sector", sector)
+        _set(self, "rank", rank)
+        _set(self, "entries", entries)
 
     @classmethod
     def make(cls, sector: Sector, rank: int,
@@ -165,24 +166,25 @@ def commutator_check(i: int, j: int, m: ModeLike, n: ModeLike,
 
 # -- quadratic elements ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadraticElement:
+class QuadraticElement(Record):
     """h_i(m) h_j(n) - shift, with positive annihilation modes m, n of one
     sector, stored doubled: m2 = 2m, n2 = 2n."""
 
-    i: int
-    j: int
-    m2: int
-    n2: int
-    sector: Sector
-    shift: Scalar
+    __slots__ = ("i", "j", "m2", "n2", "sector", "shift")
 
-    def __post_init__(self):
-        _check_positive(self.m2, self.sector)
-        _check_positive(self.n2, self.sector)
-        if self.i < 1 or self.j < 1:
+    def __init__(self, i: int, j: int, m2: int, n2: int, sector: Sector,
+                 shift: Scalar):
+        _check_positive(m2, sector)
+        _check_positive(n2, sector)
+        if i < 1 or j < 1:
             raise BosonIndexError(
-                f"boson indices must be >= 1, got i={self.i}, j={self.j}")
+                f"boson indices must be >= 1, got i={i}, j={j}")
+        _set(self, "i", i)
+        _set(self, "j", j)
+        _set(self, "m2", m2)
+        _set(self, "n2", n2)
+        _set(self, "sector", sector)
+        _set(self, "shift", shift)
 
     @classmethod
     def build(cls, lam: LambdaSequence, i: int, j: int,

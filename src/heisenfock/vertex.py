@@ -53,12 +53,12 @@ is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, List, Tuple, Union
 
+from ._record import Record, _set
 from .errors import PreconditionError, SectorMismatchError
 from .fock import (FockVector, ModeLike, Monomial, Sector, _accumulate,
                    _doubled_value, _insert_variable, _merge_monomials,
@@ -246,12 +246,14 @@ def virasoro_bracket_check(m: int, n: int, f: FockVector,
 
 # -- the twisted correction -------------------------------------------------------
 
-@dataclass(frozen=True)
-class CmnTable:
+class CmnTable(Record):
     """Exact rational coefficients c[m,n] of the twisted lowering operator."""
 
-    order: int
-    values: Tuple[Tuple[Fraction, ...], ...]
+    __slots__ = ("order", "values")
+
+    def __init__(self, order: int, values: Tuple[Tuple[Fraction, ...], ...]):
+        _set(self, "order", order)
+        _set(self, "values", values)
 
     def c(self, m: int, n: int) -> Fraction:
         return self.values[m][n]

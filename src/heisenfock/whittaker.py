@@ -21,12 +21,12 @@ refinement sweep on the triangular system.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
 from ._linalg import solve as _solve_linear
+from ._record import Record, _set
 from .errors import (IsotropicTopError, NonSquareError, NumericFailure,
                      PreconditionError)
 from .fock import FockVector, Sector
@@ -47,16 +47,16 @@ def bilinear(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     return sum(a * b for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
-class WhittakerType:
+class WhittakerType(Record):
     """Eigenvalue data (r, zeta_{r+1..2r+eps}) with nonzero last entry."""
 
-    sector: Sector
-    r: int
-    zeta: Tuple
-    exact: bool = True
+    __slots__ = ("sector", "r", "zeta", "exact")
 
-    def __post_init__(self):
+    def __init__(self, sector: Sector, r: int, zeta: Tuple, exact: bool = True):
+        _set(self, "sector", sector)
+        _set(self, "r", r)
+        _set(self, "zeta", zeta)
+        _set(self, "exact", exact)
         if self.r < self.sector.parity:
             raise PreconditionError(
                 f"{self.sector.value} type needs r >= {self.sector.parity}")
@@ -131,22 +131,27 @@ def whittaker_type_of(lam: LambdaSequence) -> WhittakerType:
 
 # -- eigenvector verification ---------------------------------------------------
 
-@dataclass(frozen=True)
-class ReportRow:
-    index: int
-    expected: Scalar
-    actual: str
-    ok: bool
+class ReportRow(Record):
+    __slots__ = ("index", "expected", "actual", "ok")
+
+    def __init__(self, index: int, expected: Scalar, actual: str, ok: bool):
+        _set(self, "index", index)
+        _set(self, "expected", expected)
+        _set(self, "actual", actual)
+        _set(self, "ok", ok)
 
 
-@dataclass(frozen=True)
-class WhittakerReport:
-    sector: Sector
-    r: int
-    epsilon: int
-    bound: int
-    valid_type: bool
-    rows: Tuple[ReportRow, ...]
+class WhittakerReport(Record):
+    __slots__ = ("sector", "r", "epsilon", "bound", "valid_type", "rows")
+
+    def __init__(self, sector: Sector, r: int, epsilon: int, bound: int,
+                 valid_type: bool, rows: Tuple[ReportRow, ...]):
+        _set(self, "sector", sector)
+        _set(self, "r", r)
+        _set(self, "epsilon", epsilon)
+        _set(self, "bound", bound)
+        _set(self, "valid_type", valid_type)
+        _set(self, "rows", rows)
 
     @property
     def all_ok(self) -> bool:
@@ -181,23 +186,30 @@ def verify_whittaker_vector(lam: LambdaSequence, bound: int) -> WhittakerReport:
 
 # -- the fiber over a type --------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiberPoint:
+class FiberPoint(Record):
     """One solution lambda over a type, with its parameterization data.
 
     ``free_params`` follow the back-substitution order: index 0 belongs to
     the highest unknown below the top entry, descending from there.
     """
 
-    sector: Sector
-    rank: int
-    r: int
-    exact: bool
-    sphere_point: Optional[Tuple]
-    top_vector: Tuple
-    free_params: Tuple[Tuple, ...]
-    lambda_entries: Tuple[Tuple, ...]
-    residual: Union[Fraction, float]
+    __slots__ = ("sector", "rank", "r", "exact", "sphere_point", "top_vector",
+                 "free_params", "lambda_entries", "residual")
+
+    def __init__(self, sector: Sector, rank: int, r: int, exact: bool,
+                 sphere_point: Optional[Tuple], top_vector: Tuple,
+                 free_params: Tuple[Tuple, ...],
+                 lambda_entries: Tuple[Tuple, ...],
+                 residual: Union[Fraction, float]):
+        _set(self, "sector", sector)
+        _set(self, "rank", rank)
+        _set(self, "r", r)
+        _set(self, "exact", exact)
+        _set(self, "sphere_point", sphere_point)
+        _set(self, "top_vector", top_vector)
+        _set(self, "free_params", free_params)
+        _set(self, "lambda_entries", lambda_entries)
+        _set(self, "residual", residual)
 
     def to_lambda(self) -> LambdaSequence:
         if not self.exact:

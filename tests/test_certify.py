@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,7 +6,8 @@ from heisenfock import (FockVector, HighestWeightError, LambdaSequence,
                         QuadraticElement, Scalar, Sector, certify_cyclic,
                         quadratic_act, reduce_step, verify_certificate,
                         weighted_partial)
-from heisenfock.certify import ReductionCertificate
+from heisenfock import certify
+from heisenfock.certify import ReductionCertificate, ReductionStep
 from heisenfock.errors import PreconditionError
 from heisenfock.sampling import random_fock, random_lambda
 
@@ -177,6 +177,40 @@ class TestVerification:
         assert verify_certificate(lam, fresh, cert)
         assert len(scans) <= 1 + s
 
+    def test_each_step_scans_its_vector_once_for_modes(self, monkeypatch):
+        # the smallest mode and the indices carrying it come from one scan
+        lam = lam_of(Sector.UNTWISTED, 2, [0, 0], [1, 0], [0, 1])
+        a = (x(1, 2, 2) * x(2, 1, 2) * x(1, 1, 2) + 3 * x(2, 1, 2) * x(2, 3, 2)
+             + x(1, 2, 2))
+        scans = []
+        candidates = certify._mode_candidates
+
+        class Terms(dict):
+            def __iter__(self):
+                scans[-1] += 1
+                return super().__iter__()
+
+            def items(self):
+                scans[-1] += 1
+                return super().items()
+
+        def counted(f):
+            scans.append(0)
+            terms, f.terms = f.terms, Terms(f.terms)
+            try:
+                got = candidates(f)
+            finally:
+                f.terms = terms
+            m2 = min(d2 for mono in f.terms for _, d2, _ in mono)
+            assert got == (m2, sorted({i for mono in f.terms
+                                       for i, d2, _ in mono if d2 == m2}))
+            return got
+
+        monkeypatch.setattr(certify, "_mode_candidates", counted)
+        cert = certify_cyclic(lam, a)
+        assert len(cert.steps) >= 2
+        assert scans == [1] * len(cert.steps)
+
     def test_tampered_shift_fails(self):
         lam, a, cert = self._cert()
         step = cert.steps[0]
@@ -185,7 +219,8 @@ class TestVerification:
                                  step.element.sector, step.element.shift + 1)
         bad = ReductionCertificate(
             cert.initial,
-            (replace(step, element=bad_q),) + cert.steps[1:],
+            (ReductionStep(bad_q, step.case, step.degree_before,
+                           step.degree_after, step.retries),) + cert.steps[1:],
             cert.terminal)
         assert not verify_certificate(lam, a, bad)
 
@@ -207,9 +242,14 @@ class TestVerification:
     def test_step_index_outside_rank_fails(self, key):
         lam, a, cert = self._cert()
         step = cert.steps[0]
-        bad_q = replace(step.element, **{key: 3})
+        q = step.element
+        bad_q = QuadraticElement(3 if key == "i" else q.i,
+                                 3 if key == "j" else q.j,
+                                 q.m2, q.n2, q.sector, q.shift)
         bad = ReductionCertificate(
-            cert.initial, (replace(step, element=bad_q),) + cert.steps[1:],
+            cert.initial,
+            (ReductionStep(bad_q, step.case, step.degree_before,
+                           step.degree_after, step.retries),) + cert.steps[1:],
             cert.terminal)
         assert verify_certificate(lam, a, bad) is False
 
@@ -218,6 +258,8 @@ class TestVerification:
         step = cert.steps[0]
         bad = ReductionCertificate(
             cert.initial,
-            (replace(step, degree_after=step.degree_after + 1),) + cert.steps[1:],
+            (ReductionStep(step.element, step.case, step.degree_before,
+                           step.degree_after + 1, step.retries),)
+            + cert.steps[1:],
             cert.terminal)
         assert not verify_certificate(lam, a, bad)

@@ -56,6 +56,26 @@ def test_type_schema_exit_1(tmp_path):
     assert code == 1
 
 
+def test_undecodable_input_exit_1(tmp_path):
+    path = tmp_path / "lam.json"
+    path.write_bytes(b"\xff\xfe\x00[1]")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("type", "--lambda", str(path))
+    assert (code, out) == (1, "")
+    assert err.getvalue().startswith(f"schema error: {path} is not valid UTF-8")
+
+
+def test_over_deep_input_exit_1(tmp_path):
+    path = tmp_path / "lam.json"
+    path.write_text("[" * 100_000)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("type", "--lambda", str(path))
+    assert (code, out) == (1, "")
+    assert err.getvalue() == f"schema error: {path} nests too deeply\n"
+
+
 def test_fiber_rank_one_two_points(tmp_path):
     zeta = write(tmp_path / "z.json", {
         "sector": "untwisted", "r": 0, "zeta": ["1/2"]})
@@ -509,11 +529,15 @@ def test_determinism_byte_identical(tmp_path, lambda_file):
 
 
 def test_cli_imports_only_the_standard_library():
-    # -S keeps site-packages hooks (such as a certifi .pth) out of the process
+    # -S keeps site-packages hooks (such as a certifi .pth) out of the process.
+    # Neither dataclasses nor inspect (which it pulls in, with ast and dis)
+    # is loaded: they cost every command-line start more than the package's
+    # own work in most requests.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     script = ("import json, sys, heisenfock.cli; "
-              "print(json.dumps(sorted({m.partition('.')[0] for m in sys.modules} "
-              "- set(sys.stdlib_module_names))))")
+              "print(json.dumps(sorted({m.partition('.')[0] for m in sys.modules})))")
     out = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert set(json.loads(out)) <= {"__main__", "heisenfock"}
+    loaded = set(json.loads(out))
+    assert loaded - set(sys.stdlib_module_names) <= {"__main__", "heisenfock"}
+    assert not loaded & {"dataclasses", "inspect"}

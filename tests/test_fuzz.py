@@ -23,6 +23,10 @@ too large for numeric mode; numeric types whose doubled top eigenvalue
 overflows, which once ended in a NaN residual (exit 3); and finite numeric
 types whose fiber residual overflows to inf or NaN (once exit 3, now the
 precondition exit 2).
+
+A second fuzz mutates the document's bytes instead: text that is not
+UTF-8, or nesting deeper than the JSON decoder recurses, must end in the
+schema exit 1 (both once ended in exit 4).
 """
 
 import copy
@@ -171,7 +175,9 @@ def folder(tmp_path_factory):
 
 
 def _run(argv, folder, doc):
-    (folder / "doc").write_text(json.dumps(doc), encoding="utf-8")
+    """Run argv with @doc as the document, or as the raw bytes if given."""
+    text = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+    (folder / "doc").write_bytes(text)
     args = [str(folder / a[1:]) if a.startswith("@") else a for a in argv]
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
@@ -216,6 +222,35 @@ def test_cli_exits_0_to_3_and_dump_is_idempotent(case, folder):
     assert code in (0, 1, 2, 3), (argv, doc)
     if argv[0] == "dump" and code == 0:
         assert _run(argv, folder, json.loads(out)) == (0, out)
+
+
+NOT_UTF8 = [b"\xff", b"\xfe\x00", b"\xc3(", b"\xed\xa0\x80", b"\x80"]
+
+
+@st.composite
+def mangled(draw):
+    """A case whose document text takes one byte-level mutation: bytes that
+    are not UTF-8 put in anywhere, or the text nested in arrays deeper than
+    the decoder recurses, closed or left open."""
+    argv, doc = draw(cases)
+    text = json.dumps(doc).encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        return argv, text[:at] + draw(st.sampled_from(NOT_UTF8)) + text[at:]
+    depth = draw(st.sampled_from([10 ** 4, 10 ** 5]))
+    closers = b"]" * depth if draw(st.booleans()) else b""
+    return argv, b"[" * depth + text + closers
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mangled())
+@example(case=(["type", "--lambda", "@doc"],
+               b"\xff\xfe\x00" + json.dumps(LAMBDA).encode()))
+@example(case=(["type", "--lambda", "@doc"], b"[" * 100_000))
+def test_undecodable_or_over_deep_text_exits_1(case, folder):
+    argv, text = case
+    assert _run(argv, folder, text) == (1, ""), argv
 
 
 def _flag(name, low, high, cap=None):

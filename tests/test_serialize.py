@@ -208,6 +208,15 @@ def reference_parse_monomial(text, sector):
     return tuple((i, d2, e) for (i, d2), e in sorted(factors.items()))
 
 
+def _summed(rank, sector, pairs):
+    """The vector of the (monomial, coefficient) pairs, equal monomials
+    summed and zero sums dropped, without package code."""
+    acc = {}
+    for mono, c in pairs:
+        acc[mono] = acc[mono] + c if mono in acc else c
+    return FockVector(rank, sector, {m: c for m, c in acc.items() if c})
+
+
 def reference_fock_from_json(doc):
     sector = Sector(doc["sector"])
     rank = doc["rank"]
@@ -219,7 +228,7 @@ def reference_fock_from_json(doc):
                 raise SchemaError(
                     f"vector term {idx}: boson index {i} outside 1..{rank}")
         pairs.append((mono, parse_scalar(item["coeff"])))
-    return FockVector.from_terms(rank, sector, pairs)
+    return _summed(rank, sector, pairs)
 
 
 def reference_fock_to_json(f):
@@ -339,7 +348,7 @@ def _vectors(draw):
         exps = draw(st.dictionaries(variable, st.integers(1, 4), max_size=4))
         mono = tuple((i, d2, e) for (i, d2), e in sorted(exps.items()))
         terms.append((mono, draw(_COEFFS)))
-    return FockVector.from_terms(rank, sector, terms)
+    return _summed(rank, sector, terms)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
