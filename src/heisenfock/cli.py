@@ -4,6 +4,7 @@ Subcommands::
 
     type       --lambda FILE                 Whittaker type of lambda data
     fiber      --zeta FILE --l N [--exact]   one fiber point (both points at rank 1)
+                                             (N <= 64)
     verify     --lambda FILE --bound B       Virasoro spectrum report on the cyclic vector
                                              (B <= 1024)
     certify    --lambda FILE --vector FILE   build a reduction certificate
@@ -53,6 +54,9 @@ EXIT_INTERNAL = 4
 # above these, the output grows past a few MB for no new information
 MAX_VERIFY_BOUND = 1024
 MAX_CMN_ORDER = 128
+# an exact fiber at this rank takes under a second; its cost grows about as
+# the cube of the rank
+MAX_FIBER_RANK = 64
 # relations at all three of these runs in a few seconds: its cost grows with
 # their product
 MAX_RELATIONS_RANK = 8
@@ -96,6 +100,7 @@ def _one_vector(path, rank: int, where: str, exact: bool):
 
 
 def cmd_fiber(args) -> int:
+    _at_most("--l", args.l, MAX_FIBER_RANK)
     zeta = whittaker_type_from_json(_load_json(args.zeta))
     rank = args.l
     sphere = params = top = None

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
 from .errors import BosonIndexError, ModeRangeError, SectorMismatchError
-from .scalars import Scalar, _reduced, as_scalar
+from .scalars import ONE, Scalar, _reduced, as_scalar
 
 # A monomial maps each variable to its exponent, stored as a sorted tuple of
 # (boson index, doubled mode, exponent) triples.  The empty tuple is the
@@ -356,29 +356,49 @@ def _weighted_partial2(i: int, d2: int, f: FockVector,
     None adds nothing.
     """
     acc: Dict[Monomial, Scalar] = {}
-    _add_weighted_partial2(acc, i, d2, f, shift)
+    _add_weighted_partial2(acc, i, d2, f.terms, shift)
     return FockVector(f.rank, f.sector, acc)
 
 
 def _add_weighted_partial2(acc: Dict[Monomial, Scalar], i: int, d2: int,
-                           f: FockVector, shift: Optional[Scalar] = None,
-                           scale: Optional[Scalar] = None) -> None:
-    """Add (scale * n * d/dx[i,n] + shift) f into the terms ``acc``.
+                           terms: Dict[Monomial, Scalar],
+                           shift: Optional[Scalar] = None,
+                           scale: Optional[Scalar] = None,
+                           creators: Monomial = ()) -> None:
+    """Add scale * (n * d/dx[i,n] + shift) f, times the monomial
+    ``creators``, into the terms ``acc``; ``terms`` are those of f.
 
-    None stands for a ``scale`` of 1 and a ``shift`` of 0.  A term with
-    x[i,n]^e is scaled by n * e, the integer d2 * e over 2.
+    None stands for a ``scale`` of 1 and a ``shift`` of 0, and a factor
+    equal to 1 is not multiplied in.  A d2 of 0 leaves the shift alone (no
+    variable has mode 0).  A term with x[i,n]^e is scaled by n * e, the
+    integer d2 * e over 2, in the same reduction as ``scale``.
     """
-    for mono, c in f.terms.items():
+    if scale is not None and scale == ONE:
+        scale = None
+    if shift is not None and scale is not None:
+        shift = shift * scale
+    unit = shift is not None and shift == ONE
+    for mono, c in terms.items():
         if shift is not None:
-            _accumulate(acc, mono, c * shift)
+            _accumulate(acc, _merge_monomials(mono, creators) if creators
+                        else mono, c if unit else c * shift)
+        if not d2:
+            continue
         for pos, (bi, bd2, e) in enumerate(mono):
             if bi == i and bd2 == d2:
                 if e == 1:
                     reduced = mono[:pos] + mono[pos + 1:]
                 else:
                     reduced = mono[:pos] + ((bi, bd2, e - 1),) + mono[pos + 1:]
-                if scale is not None:
-                    c = c * scale
+                if creators:
+                    reduced = _merge_monomials(reduced, creators)
                 m = d2 * e
-                _accumulate(acc, reduced, _reduced(c.a * m, c.b * m, 2 * c.d))
+                if scale is None:
+                    _accumulate(acc, reduced, _reduced(c.a * m, c.b * m, 2 * c.d))
+                else:
+                    a, b, sa, sb = c.a, c.b, scale.a, scale.b
+                    _accumulate(acc, reduced,
+                                _reduced((a * sa - b * sb) * m,
+                                         (a * sb + b * sa) * m,
+                                         2 * c.d * scale.d))
                 break

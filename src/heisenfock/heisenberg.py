@@ -211,12 +211,13 @@ def quadratic_act(lam: LambdaSequence, q: QuadraticElement,
     # the pairings check both boson indices before any derivation runs
     cm = lam.pair2(q.m2, q.i)
     cn = lam.pair2(q.n2, q.j)
-    dj = _weighted_partial2(q.j, q.n2, f)
+    dj: Dict[Monomial, Scalar] = {}
+    _add_weighted_partial2(dj, q.j, q.n2, f.terms)
     acc: Dict[Monomial, Scalar] = {}
     # d_im d_jn f and cm * d_jn f in one pass, then cn * d_im f
     _add_weighted_partial2(acc, q.i, q.m2, dj, cm if cm else None)
     if cn:
-        _add_weighted_partial2(acc, q.i, q.m2, f, scale=cn)
+        _add_weighted_partial2(acc, q.i, q.m2, f.terms, scale=cn)
     return FockVector(f.rank, f.sector, acc)
 
 

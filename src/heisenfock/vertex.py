@@ -13,15 +13,23 @@ annihilation cap, the last factor takes the remainder, a derivative factor's
 binomial weight is multiplied in as its mode is fixed (zero skips the mode),
 an annihilator acts at once (a zero result prunes the subtree) and the
 creators, carried down as one sorted monomial, are merged into each term at
-the leaf, after every annihilator (normal ordering).
+the leaf, after every annihilator (normal ordering).  Nodes pass plain term
+dicts down, not vectors; every annihilator runs through the one weighted
+derivation kernel of ``fock``.  Annihilators commute, so the terms left by
+a multiset of them depend on nothing else: they are computed once per call,
+keyed by the sorted (boson, doubled mode) pairs, and shared by every state
+monomial and part of the call.
 Equal factors commute, so each run x[a,n]^e of them is expanded once per
 multiset of modes: its modes are taken non-decreasing, and as each block of
 k equal modes closes the weight gains that block's share of the run's
 e!/prod k! orderings (nothing when the run holds one block).  In the last
 run the factors still to fix take no less than this one, so its mode is
 also capped at their equal share of what is left.  The weight
-carried down is the state coefficient itself, and each leaf adds its terms
-times that weight straight into the result.
+carried down is the state coefficient itself.  The last factor writes
+straight into the result, the only vector a call builds: an annihilator
+adds its shift lambda times the weight and its derivative scaled by the
+weight, a creator the node's terms times the weight, with the creators
+merged in; a weight of 1 is not multiplied.
 
 Parity rule: r half-odd twisted modes sum to an integer of the parity of
 r, so on twisted vectors a monomial whose factor count cannot reach the
@@ -48,7 +56,7 @@ Everything here is a pure function of immutable values; the only shared
 state is memoized: the coefficient table, the omega state, the parts of
 exp(Delta_z) omega that every twisted Virasoro mode reads (a tuple per
 rank) and the field weights, all immutable once built, so concurrent use
-is safe.
+is safe.  The engine's table of annihilated terms lives for one call.
 """
 
 from __future__ import annotations
@@ -60,8 +68,8 @@ from typing import Dict, List, Tuple, Union
 
 from ._record import Record, _set
 from .errors import PreconditionError, SectorMismatchError
-from .fock import (FockVector, ModeLike, Monomial, Sector, _accumulate,
-                   _doubled_value, _insert_variable, _merge_monomials,
+from .fock import (FockVector, ModeLike, Monomial, Sector,
+                   _add_weighted_partial2, _doubled_value, _insert_variable,
                    doubled_mode, weighted_partial)
 from .heisenberg import LambdaSequence, act_mode2
 from .scalars import Scalar
@@ -115,7 +123,8 @@ def omega(rank: int) -> FockVector:
 
 def _modes_on(parts, k2: int, f: FockVector, lam: LambdaSequence) -> FockVector:
     """Sum over the (j, state) parts of mode k - j of the state on f, where
-    ``k2`` = 2k; the depth-first expansion of the module docstring."""
+    ``k2`` = 2k; the depth-first expansion of the module docstring.  The
+    callers have checked lam against f, so its entries are read directly."""
     acc: Dict[Monomial, Scalar] = {}
     if not f.terms:
         return FockVector(f.rank, f.sector, acc)
@@ -124,12 +133,19 @@ def _modes_on(parts, k2: int, f: FockVector, lam: LambdaSequence) -> FockVector:
     cap2 = max(f.max_mode2(), lam.top_doubled, 0)
     if cap2 % 2 != parity:
         cap2 -= 1
+    entries = lam.entries
+    # annihilators commute: the terms left by each multiset of them, keyed
+    # by its sorted (a, d2) pairs, shared by every part and state monomial
+    after: Dict[tuple, Dict[Monomial, Scalar]] = {(): f.terms}
 
-    def leaf(weight, g, creators):
-        for mono, c in g.terms.items():
-            _accumulate(acc, _merge_monomials(mono, creators), c * weight)
+    def pairing(a, d2):
+        # (lambda_n, h_a) for n = d2/2 >= 0, or None where it is zero
+        slot = d2 // 2
+        if slot < len(entries):
+            return entries[slot][a - 1] or None
+        return None
 
-    def expand(runs, t, prev2, block, rest, left2, weight, g, creators):
+    def expand(runs, t, prev2, block, rest, left2, weight, key, g, creators):
         # fix factor t of the run runs[0] = (a, n, e), whose last ``block``
         # factors sit at prev2; ``rest`` factors are left, this one included
         a, n, e = runs[0]
@@ -138,6 +154,7 @@ def _modes_on(parts, k2: int, f: FockVector, lam: LambdaSequence) -> FockVector:
         lo2 = left2 - (rest - 1) * cap2
         if t and lo2 < prev2:
             lo2 = prev2
+        last = rest == 1
         # in the last run the e - t factors left share left2, none below
         # this one (the range keeps the parity of lo2)
         hi2 = cap2 if len(runs) > 1 else min(cap2, left2 // (e - t))
@@ -154,21 +171,34 @@ def _modes_on(parts, k2: int, f: FockVector, lam: LambdaSequence) -> FockVector:
                 k = 1
                 if block < t:  # the block at prev2 closes after t factors
                     w = w.scale(comb(t, block))
+            if t + 1 == e and k < e:  # the last block closes with the run
+                w = w.scale(comb(e, k))
+            if last:  # here d2 = left2: the modes add up
+                if d2 < 0:  # the result takes g times w and the creators
+                    _add_weighted_partial2(acc, a, 0, g, w, None,
+                                           _insert_variable(creators, a, -d2))
+                    continue
+                # the last annihilator writes into the result
+                c = pairing(a, d2)
+                if c is not None or d2:
+                    _add_weighted_partial2(acc, a, d2, g, c, w, creators)
+                continue
             if d2 < 0:
-                h, cr = g, _insert_variable(creators, a, -d2)
+                h, hkey, cr = g, key, _insert_variable(creators, a, -d2)
             else:
-                h, cr = act_mode2(lam, a, d2, g), creators
+                hkey = tuple(sorted(key + ((a, d2),)))
+                h = after.get(hkey)
+                if h is None:
+                    h = after[hkey] = {}
+                    _add_weighted_partial2(h, a, d2, g, pairing(a, d2))
                 if not h:
                     continue
+                cr = creators
             if t + 1 < e:
-                expand(runs, t + 1, d2, k, rest - 1, left2 - d2, w, h, cr)
-                continue
-            if k < e:  # the last block closes with the run
-                w = w.scale(comb(e, k))
-            if len(runs) == 1:
-                leaf(w, h, cr)  # here d2 = left2: the modes add up
+                expand(runs, t + 1, d2, k, rest - 1, left2 - d2, w, hkey, h, cr)
             else:
-                expand(runs[1:], 0, None, 0, rest - 1, left2 - d2, w, h, cr)
+                expand(runs[1:], 0, None, 0, rest - 1, left2 - d2, w, hkey, h,
+                       cr)
 
     for j, state in parts:
         for mono, coeff in state.terms.items():
@@ -180,9 +210,9 @@ def _modes_on(parts, k2: int, f: FockVector, lam: LambdaSequence) -> FockVector:
             if (target2 - count * parity) % 2:
                 continue
             if runs:
-                expand(runs, 0, None, 0, count, target2, coeff, f, ())
+                expand(runs, 0, None, 0, count, target2, coeff, (), f.terms, ())
             elif target2 == 0:  # the vacuum state acts as the identity
-                leaf(coeff, f, ())
+                _add_weighted_partial2(acc, 0, 0, f.terms, coeff)
     return FockVector(f.rank, f.sector, acc)
 
 

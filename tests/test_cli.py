@@ -32,6 +32,13 @@ def lambda_file(tmp_path):
     })
 
 
+@pytest.fixture
+def zeta_file(tmp_path):
+    # 2 * zeta_top = 1 has an exact square root, so --exact solves it
+    return write(tmp_path / "zeta.json", {
+        "sector": "untwisted", "r": 1, "zeta": ["1", "1/2"]})
+
+
 def test_type_command(lambda_file):
     code, out = run_cli("type", "--lambda", lambda_file)
     assert code == 0
@@ -463,9 +470,11 @@ def test_cmn_command():
      cli.MAX_RELATIONS_BOUND),
     (["relations", "--l", "1", "--bound", "1", "--trials"],
      cli.MAX_RELATIONS_TRIALS),
+    (["fiber", "--zeta", "@zeta", "--exact", "--l"], cli.MAX_FIBER_RANK),
 ])
-def test_integer_flag_cap_edge(argv, cap, lambda_file):
-    argv = [lambda_file if a == "@lambda" else a for a in argv]
+def test_integer_flag_cap_edge(argv, cap, lambda_file, zeta_file):
+    files = {"@lambda": lambda_file, "@zeta": zeta_file}
+    argv = [files.get(a, a) for a in argv]
     code, out = run_cli(*argv, str(cap))
     assert code == 0 and json.loads(out)
     err = io.StringIO()

@@ -38,9 +38,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from heisenfock import certify_cyclic
-from heisenfock.cli import (MAX_CMN_ORDER, MAX_RELATIONS_BOUND,
-                            MAX_RELATIONS_RANK, MAX_RELATIONS_TRIALS,
-                            MAX_VERIFY_BOUND, main)
+from heisenfock.cli import (MAX_CMN_ORDER, MAX_FIBER_RANK,
+                            MAX_RELATIONS_BOUND, MAX_RELATIONS_RANK,
+                            MAX_RELATIONS_TRIALS, MAX_VERIFY_BOUND, main)
 from heisenfock.serialize import (certificate_to_json, fock_from_json,
                                   lambda_from_json)
 
@@ -283,6 +283,8 @@ flag_cases = st.one_of(
     st.tuples(st.just(["cmn"]), _flag("--order", -2, 12, MAX_CMN_ORDER)),
     st.tuples(st.just(["verify", "--lambda", "@lambda"]),
               _flag("--bound", -1, 8, MAX_VERIFY_BOUND)),
+    st.tuples(st.just(["fiber", "--zeta", "@zeta"]),
+              _flag("--l", -1, 3, MAX_FIBER_RANK)),
 ).map(lambda parts: sum(parts, []))
 
 

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from hashlib import sha256
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -87,25 +87,27 @@ class TestModeApply:
         assert len(calls) <= 22
 
     @pytest.mark.parametrize("power, terms, most, digest", [
-        (5, 155, 377,
+        (5, 155, 164,
          "d4d93ff2da7818a085dd2c46006971d2983e452e4c02e6d4ef9331a6ff3e1924"),
-        (6, 319, 1198,
+        (6, 319, 403,
          "aa22adac087bae24585493885d299a607a1f476c4eecd595299002b5bae0a589"),
     ], ids=["x^5", "x^6"])
     def test_equal_factors_expanded_once(self, monkeypatch, power, terms,
                                          most, digest):
-        # each multiset of modes of the equal factors is reached once; an
-        # expansion of every ordering makes 8,640 and 89,419 calls here.
-        # The digest is that of the output text of the ordered expansion.
+        # each multiset of modes of the equal factors is reached once: the
+        # kernel runs once per new multiset of annihilators and once per
+        # leaf, where an expansion of every ordering makes 6,388 and 63,019
+        # calls here.  The digest is that of the output text of the ordered
+        # expansion.
         from heisenfock import vertex
         calls = []
-        act = vertex.act_mode2
+        kernel = vertex._add_weighted_partial2
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args[2])
-            return act(*args)
+            return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(vertex, "act_mode2", counted)
+        monkeypatch.setattr(vertex, "_add_weighted_partial2", counted)
         lam = lam_of(Sector.UNTWISTED, 1, [1], [Fraction(1, 2)], [3])
         x1 = x(1, 1, 1)
         f = x1 * x1 * x(1, 2, 1) + x(1, 3, 1) + 2 * one(1)
@@ -115,7 +117,25 @@ class TestModeApply:
         out = mode_apply(u, 1, f, lam)
         assert len(out.terms) == terms
         assert sha256(str(out).encode()).hexdigest() == digest
-        assert len(calls) <= most
+        assert 0 < len(calls) <= most
+
+    def test_one_vector_per_call(self, monkeypatch):
+        # nodes pass term dicts down and the last annihilator writes into
+        # the result, so only the result is a FockVector
+        lam = lam_of(Sector.UNTWISTED, 2, [1, 2], [Fraction(1, 2), 0], [0, 3])
+        u = x(1, 1, 2) * x(1, 2, 2) * x(2, 1, 2)
+        f = x(1, 1, 2) * x(2, 2, 2) + 3 * x(1, 3, 2) + 2 * one(2)
+        built = []
+        init = FockVector.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(FockVector, "__init__", counted)
+        out = mode_apply(u, 1, f, lam)
+        assert len(built) == 1
+        assert len(out.terms) == 44
 
     @pytest.mark.parametrize("sector", list(Sector))
     def test_creators_merged_without_times_variable(self, rng, monkeypatch,
@@ -349,3 +369,147 @@ class TestOmegaSpectrum:
             r = lam.support_bound
             for j in range(2 * r + 2, 2 * r + 6):
                 assert not mode_apply(omega(2), j, one(2), lam)
+
+
+# -- the engine against the act_mode2-based reference -------------------------
+
+def reference_modes_on(parts, k2, f, lam):
+    """The engine as it stood before nodes passed term dicts: every
+    annihilator builds a vector through act_mode2, and the leaf merges the
+    creators into each of its terms and multiplies by the weight."""
+    from heisenfock.fock import _accumulate, _insert_variable, _merge_monomials
+    from heisenfock.heisenberg import act_mode2
+    from heisenfock.vertex import _field_weight
+    acc = {}
+    if not f.terms:
+        return FockVector(f.rank, f.sector, acc)
+    parity = f.sector.parity
+    cap2 = max(f.max_mode2(), lam.top_doubled, 0)
+    if cap2 % 2 != parity:
+        cap2 -= 1
+
+    def leaf(weight, g, creators):
+        for mono, c in g.terms.items():
+            _accumulate(acc, _merge_monomials(mono, creators), c * weight)
+
+    def expand(runs, t, prev2, block, rest, left2, weight, g, creators):
+        a, n, e = runs[0]
+        lo2 = left2 - (rest - 1) * cap2
+        if t and lo2 < prev2:
+            lo2 = prev2
+        hi2 = cap2 if len(runs) > 1 else min(cap2, left2 // (e - t))
+        for d2 in range(lo2, hi2 + 1, 2):
+            w = weight
+            if n > 1:
+                fw = _field_weight(d2, n)
+                if not fw:
+                    continue
+                w = w.scale(fw)
+            if d2 == prev2:
+                k = block + 1
+            else:
+                k = 1
+                if block < t:
+                    w = w.scale(comb(t, block))
+            if d2 < 0:
+                h, cr = g, _insert_variable(creators, a, -d2)
+            else:
+                h, cr = act_mode2(lam, a, d2, g), creators
+                if not h:
+                    continue
+            if t + 1 < e:
+                expand(runs, t + 1, d2, k, rest - 1, left2 - d2, w, h, cr)
+                continue
+            if k < e:
+                w = w.scale(comb(e, k))
+            if len(runs) == 1:
+                leaf(w, h, cr)
+            else:
+                expand(runs[1:], 0, None, 0, rest - 1, left2 - d2, w, h, cr)
+
+    for j, state in parts:
+        for mono, coeff in state.terms.items():
+            runs = tuple((a, d2 // 2, e) for a, d2, e in mono)
+            count = sum(e for _, _, e in runs)
+            target2 = k2 - 2 * j + 2 - 2 * sum(n * e for _, n, e in runs)
+            if (target2 - count * parity) % 2:
+                continue
+            if runs:
+                expand(runs, 0, None, 0, count, target2, coeff, f, ())
+            elif target2 == 0:
+                leaf(coeff, f, ())
+    return FockVector(f.rank, f.sector, acc)
+
+
+def sweep_lambda(rng, rank, sector, kind):
+    """Zero lambda, lambda with zero entries, or (untwisted) a lambda whose
+    mode-0 entry is nonzero, so that d2 = 0 annihilators act."""
+    if kind == "zero":
+        return LambdaSequence.zero(rank, sector)
+    rows = [[random_nonzero_scalar(rng) if rng.random() < 0.5 else 0
+             for _ in range(rank)] for _ in range(rng.randint(1, 3))]
+    rows[-1][rng.randrange(rank)] = random_nonzero_scalar(rng)
+    if kind == "lambda_0":
+        rows[0][rng.randrange(rank)] = random_nonzero_scalar(rng)
+    else:
+        rows[0] = [0] * rank
+    return LambdaSequence.make(sector, rank, rows)
+
+
+def sweep_state(rng, rank):
+    """One or two monomials, each a run x[a,n]^e with e up to 4 and at times
+    a second run of one or two factors, and at times a constant term."""
+    u = FockVector.constant(random_nonzero_scalar(rng), rank) \
+        if rng.random() < 0.3 else FockVector.zero(rank)
+    for _ in range(rng.randint(1, 2)):
+        term = FockVector.constant(random_nonzero_scalar(rng), rank)
+        runs = [(rng.randint(1, 2), rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            runs.append((rng.randint(1, 2), rng.randint(1, 2)))
+        for n, e in runs:
+            a = rng.randint(1, rank)
+            for _ in range(e):
+                term = term.times_variable(a, 2 * n)
+        u = u + term
+    return u
+
+
+def sweep_vector(rng, rank, sector, kind):
+    if kind == "zero":
+        return FockVector.zero(rank, sector)
+    if kind == "constant":
+        return FockVector.constant(random_nonzero_scalar(rng), rank, sector)
+    return random_fock(rng, rank, sector, max_degree=3, max_terms=3)
+
+
+class TestEngineAgainstReference:
+    @pytest.mark.parametrize("sector", list(Sector))
+    def test_seeded_sweep(self, sector):
+        from random import Random
+        from heisenfock.vertex import _modes_on, delta_z_apply
+        rng = Random(20261019 + sector.parity)
+        lam_kinds = ["zero", "zero_entries"]
+        if sector is Sector.UNTWISTED:
+            lam_kinds.append("lambda_0")
+        seen = {"nonzero": 0, "parts": 0, "zero_f": 0, "constant_f": 0}
+        for trial in range(40):
+            rank = rng.randint(1, 2)
+            lam = sweep_lambda(rng, rank, sector, lam_kinds[trial % len(lam_kinds)])
+            f_kind = ("zero", "constant", "random", "random")[trial // 2 % 4]
+            f = sweep_vector(rng, rank, sector, f_kind)
+            u = sweep_state(rng, rank)
+            if sector is Sector.UNTWISTED:
+                parts = ((0, u),)
+            else:
+                parts = tuple(delta_z_apply(u).items())
+            for k2 in range(-4 + sector.parity, 5, 2 - sector.parity):
+                got = _modes_on(parts, k2, f, lam)
+                assert got == reference_modes_on(parts, k2, f, lam)
+                if got:
+                    seen["nonzero"] += 1
+                    seen["parts"] += len(parts) > 1
+                    seen["constant_f"] += f_kind == "constant"
+            seen["zero_f"] += f_kind == "zero"
+        assert seen["nonzero"] > 100 and seen["zero_f"] and seen["constant_f"]
+        if sector is Sector.TWISTED:
+            assert seen["parts"] > 10
