@@ -25,24 +25,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-from random import Random
 
 from .certify import certify_cyclic, verify_certificate
 from .errors import (NumericFailure, PreconditionError, ReductionError,
                      SchemaError)
-from .fock import FockVector, Sector
-from .heisenberg import (LambdaSequence, QuadraticElement, commutator_check,
-                         quadratic_check)
-from .sampling import random_fock, random_lambda
+from .sampling import run_suites
 from .scalars import Scalar
 from .serialize import (certificate_from_json, certificate_to_json,
                         cmn_to_json, fiber_to_json, fock_from_json,
                         fock_to_json, lambda_from_json, lambda_to_json,
                         report_to_json, vectors_from_json,
                         whittaker_type_from_json, whittaker_type_to_json)
-from .vertex import (binom_mode_identity_check, cmn_table,
-                     virasoro_bracket_check)
+from .vertex import cmn_table
 from .whittaker import solve_fiber, verify_whittaker_vector, whittaker_type_of
 
 EXIT_OK = 0
@@ -140,6 +134,9 @@ def cmd_verify(args) -> int:
 
 def cmd_certify(args) -> int:
     if args.check:
+        if args.lambda_file:
+            raise SchemaError("certify --check takes its lambda from the "
+                              "certificate, not from --lambda")
         lam, cert = certificate_from_json(_load_json(args.check))
         vector = cert.initial
         if args.vector:
@@ -186,82 +183,11 @@ def cmd_relations(args) -> int:
     _at_most("--l", args.l, MAX_RELATIONS_RANK)
     _at_most("--bound", args.bound, MAX_RELATIONS_BOUND)
     _at_most("--trials", args.trials, MAX_RELATIONS_TRIALS)
-    rng = Random(args.seed)
-    both = (Sector.UNTWISTED, Sector.TWISTED)
-    light = max(1, args.trials // 5)
-    plan = (("commutator", _commutator_trial, both, args.trials),
-            ("quadratic", _quadratic_trial, both, args.trials),
-            ("virasoro", _virasoro_trial, both, light),
-            ("binom", _binom_trial, (Sector.UNTWISTED,), light))
-    suites = {}
-    for name, trial, sectors, count in plan:
-        checked = failures = 0
-        for sector in sectors:
-            for _ in range(count):
-                ok = trial(rng, args, sector)
-                if ok is None:
-                    continue
-                checked += 1
-                if not ok:
-                    failures += 1
-        suites[name] = {"checked": checked, "failures": failures}
+    suites = run_suites(args.seed, args.l, args.bound, args.trials)
     all_pass = all(s["failures"] == 0 for s in suites.values())
     _emit({"schema": "relations-report/1", "seed": args.seed, "l": args.l,
            "bound": args.bound, "suites": suites, "all_pass": all_pass})
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
-
-
-# Each trial draws its inputs from rng and reports whether its identity held,
-# or None when the draw gives nothing to check.
-
-def _commutator_trial(rng, args, sector):
-    lam = random_lambda(rng, args.l, sector)
-    f = random_fock(rng, args.l, sector, max_degree=6)
-    i = rng.randint(1, args.l)
-    j = rng.randint(1, args.l)
-    m, n = _random_mode_pair(rng, sector, args.bound)
-    return commutator_check(i, j, m, n, f, lam)
-
-
-def _quadratic_trial(rng, args, sector):
-    lam = random_lambda(rng, args.l, sector)
-    f = random_fock(rng, args.l, sector, max_degree=6)
-    m, _ = _random_mode_pair(rng, sector, args.bound)
-    n, _ = _random_mode_pair(rng, sector, args.bound)
-    m, n = abs(m), abs(n)
-    if not m or not n:
-        return None
-    q = QuadraticElement.build(lam, rng.randint(1, args.l),
-                               rng.randint(1, args.l), m, n)
-    return quadratic_check(lam, q, f)
-
-
-def _virasoro_trial(rng, args, sector):
-    lam = random_lambda(rng, args.l, sector, max_r=2)
-    f = random_fock(rng, args.l, sector, max_degree=4, max_terms=2)
-    m = rng.randint(-args.bound, args.bound)
-    n = rng.randint(-args.bound, args.bound)
-    return virasoro_bracket_check(m, n, f, lam)
-
-
-def _binom_trial(rng, args, sector):
-    bound_m = rng.randint(0, 2)
-    lam = LambdaSequence.zero(args.l)
-    if bound_m > 0 and rng.random() < 0.7:
-        lam = random_lambda(rng, args.l, sector, max_r=bound_m)
-    u = random_fock(rng, args.l, sector, max_degree=bound_m,
-                    max_terms=2, nonzero=False)
-    p, q = rng.randint(0, 2), rng.randint(0, 2)
-    n = rng.randint(-2, 2 * bound_m + 2)
-    return binom_mode_identity_check(rng.randint(1, args.l),
-                                     rng.randint(1, args.l),
-                                     p, q, n, u, lam, bound_m)
-
-
-def _random_mode_pair(rng, sector, bound):
-    p = sector.parity
-    values = [Fraction(2 * v + p, 2) for v in range(-bound, bound + 1 - p)]
-    return rng.choice(values), rng.choice(values)
 
 
 # -- wiring ------------------------------------------------------------------------

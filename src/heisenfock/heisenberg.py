@@ -28,9 +28,7 @@ from .errors import (BosonIndexError, HighestWeightError, SchemaError,
 from .fock import (FockVector, ModeLike, Monomial, Sector, _accumulate,
                    _add_weighted_partial2, _check_boson, _check_parity,
                    _check_positive, _weighted_partial2, doubled_mode)
-from .scalars import Scalar, as_scalar
-
-ZERO = as_scalar(0)
+from .scalars import ZERO, Scalar, as_scalar
 
 
 class LambdaSequence(Record):
@@ -143,9 +141,6 @@ def act_mode2(lam: LambdaSequence, i: int, d2: int, f: FockVector) -> FockVector
     """Doubled-integer fast path of ``act_mode`` (no parity re-checks)."""
     if d2 < 0:
         return f.times_variable(i, -d2)
-    if d2 == 0:
-        # the weighted derivation 0 * d/dx[i,0] vanishes identically
-        return f.scaled(lam.pair2(0, i))
     coeff = lam.pair2(d2, i)
     return _weighted_partial2(i, d2, f, coeff if coeff else None)
 

@@ -31,12 +31,10 @@ from .errors import (IsotropicTopError, NonSquareError, NumericFailure,
                      PreconditionError)
 from .fock import FockVector, Sector
 from .heisenberg import LambdaSequence
-from .scalars import Scalar, as_scalar, scalar_sqrt
+from .scalars import ONE, ZERO, Scalar, as_scalar, scalar_sqrt
 from .vertex import twisted_virasoro_mode, virasoro_mode
 
 TOLERANCE = 1e-10  # the largest type residual a numeric fiber point may have
-
-ZERO = as_scalar(0)
 
 
 def bilinear(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
@@ -252,7 +250,7 @@ def _numeric_value(x) -> complex:
         raise PreconditionError("a value is too large for numeric mode") from exc
 
 
-_EXACT = _Field(True, _exact_value, ZERO, as_scalar(1), scalar_sqrt,
+_EXACT = _Field(True, _exact_value, ZERO, ONE, scalar_sqrt,
                 lambda x: not x,
                 lambda top: next(idx for idx, c in enumerate(top) if c))
 _NUMERIC = _Field(False, _numeric_value, 0j, 1.0 + 0j, cmath.sqrt,
@@ -354,10 +352,13 @@ def solve_fiber(zeta: WhittakerType, rank: int,
     complement basis of the top entry.  In exact mode a caller who already
     owns an exactly scaled top vector may pass it as ``top_vector`` to avoid
     the square-root requirement; in numeric mode ``top_vector`` only fixes
-    the direction of the top entry.
+    the direction of the top entry.  At most one of ``sphere_point`` and
+    ``top_vector`` may be given.
     """
     if rank < 1:
         raise PreconditionError("rank must be >= 1")
+    if sphere_point is not None and top_vector is not None:
+        raise PreconditionError("give sphere_point or top_vector, not both")
     steps = zeta.r - 1 + zeta.epsilon  # entries below the top one
     if free_params is None:
         free_params = [[0] * (rank - 1) for _ in range(steps)]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from heisenfock import cli
+from heisenfock import cli, sampling
 from heisenfock.cli import main
 
 
@@ -155,6 +155,16 @@ def test_fiber_short_sphere_point_exit_0(tmp_path):
     assert doc["residual"] == 0.0
 
 
+def test_fiber_sphere_with_top_exit_2(tmp_path):
+    zeta = write(tmp_path / "z.json", {
+        "sector": "untwisted", "r": 0, "zeta": ["1/2"]})
+    sphere = write(tmp_path / "s.json", [["1", "0"]])
+    top = write(tmp_path / "t.json", [["0", "1"]])
+    code, out = run_cli("fiber", "--zeta", zeta, "--l", "2", "--exact",
+                        "--sphere", sphere, "--top", top)
+    assert (code, out) == (2, "")
+
+
 def test_verify_command(lambda_file):
     code, out = run_cli("verify", "--lambda", lambda_file, "--bound", "7")
     assert code == 0
@@ -187,6 +197,20 @@ def test_certify_and_check(tmp_path, lambda_file):
     code, out2 = run_cli("certify", "--check", str(cert_path))
     assert code == 0
     assert json.loads(out2)["valid"] is True
+
+
+def test_certify_check_with_lambda_exit_1(tmp_path, lambda_file):
+    vec = write(tmp_path / "vec.json", {
+        "sector": "untwisted", "rank": 1,
+        "terms": [{"monomial": "x[1,1]", "coeff": "1"}]})
+    code, out = run_cli("certify", "--lambda", lambda_file, "--vector", vec)
+    assert code == 0
+    cert = write(tmp_path / "cert.json", json.loads(out))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("certify", "--check", cert, "--lambda", lambda_file)
+    assert (code, out) == (1, "")
+    assert err.getvalue().startswith("schema error: ")
 
 
 def test_certify_check_tampered_exit_3(tmp_path, lambda_file):
@@ -492,6 +516,27 @@ def test_relations_all_pass():
     doc = json.loads(out)
     assert doc["all_pass"] is True
     assert all(s["failures"] == 0 for s in doc["suites"].values())
+
+
+def test_run_suites_counts_failures(monkeypatch):
+    passing = sampling.run_suites(7, 2, 3, 10)
+    monkeypatch.setattr(sampling, "commutator_check", lambda *args: False)
+    failing = sampling.run_suites(7, 2, 3, 10)
+    # the check draws nothing, so every suite sees the same inputs
+    assert failing["commutator"] == {"checked": 20, "failures": 20}
+    assert {k: v for k, v in failing.items() if k != "commutator"} == \
+        {k: v for k, v in passing.items() if k != "commutator"}
+
+
+def test_relations_failure_exit_3(monkeypatch):
+    monkeypatch.setattr(sampling, "quadratic_check", lambda *args: False)
+    code, out = run_cli("relations", "--l", "2", "--bound", "3",
+                        "--seed", "7", "--trials", "10")
+    doc = json.loads(out)
+    assert code == 3
+    assert doc["all_pass"] is False
+    quadratic = doc["suites"]["quadratic"]
+    assert quadratic["failures"] == quadratic["checked"] > 0
 
 
 @pytest.mark.parametrize("flag", ["--l", "--bound", "--trials"])

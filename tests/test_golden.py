@@ -20,7 +20,7 @@ The harness turns a factor list [[a, n], ...] into the state
 x[a1,n1]*x[a2,n2]*... of that rank, or of the largest boson index listed
 when the rank is null.
 Under its key ``sampling`` it holds the text of seeded ``random_lambda`` /
-``random_fock`` / ``cli._random_mode_pair`` draws (ranks 1-3, both
+``random_fock`` / ``random_mode_pair`` draws (ranks 1-3, both
 sectors, ``anisotropic_top`` on and off) with the lattice facts of each
 drawn lambda: ``support_bound``, ``top_doubled``, ``positive_support2`` and
 ``pair2`` (or the error it raises) for the doubled modes -3..9.
@@ -53,10 +53,10 @@ import pytest
 from heisenfock import (FockVector, LambdaSequence, Sector,
                         delta_z_apply, format_scalar, mode_apply,
                         monomial_text, parse_scalar, twisted_mode_apply)
-from heisenfock.cli import _random_mode_pair, main
+from heisenfock.cli import main
 from heisenfock.sampling import (random_fock, random_lambda,
-                                 random_nonzero_scalar, random_rational,
-                                 random_scalar)
+                                 random_mode_pair, random_nonzero_scalar,
+                                 random_rational, random_scalar)
 from heisenfock.serialize import (fock_from_json, fock_to_json,
                                   lambda_from_json, lambda_to_json,
                                   parse_monomial)
@@ -309,7 +309,7 @@ def sample_case(case) -> str:
         lam = LambdaSequence.zero(rank, sector)
     f = random_fock(rng, rank, sector, max_degree=case["max_degree"],
                     max_terms=3, nonzero=case["max_degree"] > 0)
-    pairs = [_random_mode_pair(rng, sector, bound) for bound in (1, 2, 4)]
+    pairs = [random_mode_pair(rng, sector, bound) for bound in (1, 2, 4)]
     pair2 = [_pair2_text(lam, d2, i)
              for d2 in range(-3, 10) for i in range(1, rank + 1)]
     return "\n".join([

@@ -5,8 +5,10 @@ from ``heisenfock.__all__`` must change the pinned list below on purpose.
 Every exported name must resolve, and the library reads no environment
 variable: every option is an argument or a documented constant.  Mode
 errors are raised in one module, ``fock``, whose checks every caller uses.
+The docstring examples of every module run and pass.
 """
 
+import doctest
 import importlib
 import pkgutil
 from pathlib import Path
@@ -67,3 +69,12 @@ def test_mode_errors_have_one_home():
     raising = [path.name for path in sorted(SOURCE.rglob("*.py"))
                if "raise ModeRangeError(" in path.read_text(encoding="utf-8")]
     assert raising == ["fock.py"]
+
+
+def test_docstring_examples_pass():
+    attempted = 0
+    for module in _modules():
+        result = doctest.testmod(module, verbose=False)
+        assert result.failed == 0, module.__name__
+        attempted += result.attempted
+    assert attempted >= 1

@@ -186,6 +186,16 @@ class TestFiberSolver:
         with pytest.raises(PreconditionError):
             solve_fiber(wt, 2, exact=exact, **{key: [sc(2), sc(0), sc(0)]})
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_sphere_point_with_top_vector_rejected(self, exact):
+        # either one fixes the top entry, so together one would be dropped
+        wt = WhittakerType(Sector.UNTWISTED, 0, (sc("1/2"),))
+        given = {"sphere_point": [sc(1), sc(0)], "top_vector": [sc(0), sc(1)]}
+        for key, value in given.items():
+            solve_fiber(wt, 2, exact=exact, **{key: value})
+        with pytest.raises(PreconditionError):
+            solve_fiber(wt, 2, exact=exact, **given)
+
     def test_short_sphere_point_is_not_isotropic(self):
         # (s, s) = 1e-16 is tiny only because s is short; its direction is fine
         wt = WhittakerType(Sector.UNTWISTED, 0, (0.5 + 0j,), exact=False)
