@@ -30,7 +30,6 @@ from .certify import certify_cyclic, verify_certificate
 from .errors import (NumericFailure, PreconditionError, ReductionError,
                      SchemaError)
 from .sampling import run_suites
-from .scalars import Scalar
 from .serialize import (certificate_from_json, certificate_to_json,
                         cmn_to_json, fiber_to_json, fock_from_json,
                         fock_to_json, lambda_from_json, lambda_to_json,
@@ -71,6 +70,9 @@ def _load_json(path: str):
     except RecursionError as exc:
         # the decoder recurses once per nested array or object
         raise SchemaError(f"{path} nests too deeply") from exc
+    except ValueError as exc:
+        # an integer literal past Python's int-string conversion limit
+        raise SchemaError(f"{path} holds an integer too long to read") from exc
 
 
 def _emit(doc) -> None:
@@ -106,10 +108,8 @@ def cmd_fiber(args) -> int:
         params = vectors_from_json(_load_json(args.params), rank - 1, "params",
                                    numeric=not args.exact)
     if rank == 1 and sphere is None and top is None:
-        signs = ([Scalar(1)], [Scalar(-1)]) if args.exact \
-            else ([1.0 + 0j], [-1.0 + 0j])
-        points = [solve_fiber(zeta, 1, sphere_point=s, free_params=params,
-                              exact=args.exact) for s in signs]
+        points = [solve_fiber(zeta, 1, sphere_point=[s], free_params=params,
+                              exact=args.exact) for s in (1, -1)]
         _emit({"schema": "fiber-set/1",
                "points": [fiber_to_json(p) for p in points]})
         return EXIT_OK

@@ -241,11 +241,6 @@ class FockVector:
                     best = d2
         return best
 
-    def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero vector has no leading monomial")
-        return max(self.terms, key=monomial_key)
-
     def sorted_terms(self):
         """Terms in descending graded-lexicographic order (leading first)."""
         return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]),
@@ -345,18 +340,8 @@ def weighted_partial(i: int, mode: ModeLike, f: FockVector) -> FockVector:
     """
     d2 = _check_positive(_doubled_value(mode), f.sector)
     _check_boson(i, f.rank)
-    return _weighted_partial2(i, d2, f)
-
-
-def _weighted_partial2(i: int, d2: int, f: FockVector,
-                       shift: Optional[Scalar] = None) -> FockVector:
-    """(n * d/dx[i,n] + shift) f for the doubled mode d2 = 2n, in one pass.
-
-    The caller has checked the mode and the boson index; a ``shift`` of
-    None adds nothing.
-    """
     acc: Dict[Monomial, Scalar] = {}
-    _add_weighted_partial2(acc, i, d2, f.terms, shift)
+    _add_weighted_partial2(acc, i, d2, f.terms)
     return FockVector(f.rank, f.sector, acc)
 
 

@@ -27,7 +27,7 @@ from .errors import (BosonIndexError, HighestWeightError, SchemaError,
                      SectorMismatchError)
 from .fock import (FockVector, ModeLike, Monomial, Sector, _accumulate,
                    _add_weighted_partial2, _check_boson, _check_parity,
-                   _check_positive, _weighted_partial2, doubled_mode)
+                   _check_positive, doubled_mode)
 from .scalars import ZERO, Scalar, as_scalar
 
 
@@ -142,7 +142,9 @@ def act_mode2(lam: LambdaSequence, i: int, d2: int, f: FockVector) -> FockVector
     if d2 < 0:
         return f.times_variable(i, -d2)
     coeff = lam.pair2(d2, i)
-    return _weighted_partial2(i, d2, f, coeff if coeff else None)
+    acc: Dict[Monomial, Scalar] = {}
+    _add_weighted_partial2(acc, i, d2, f.terms, coeff if coeff else None)
+    return FockVector(f.rank, f.sector, acc)
 
 
 def commutator_check(i: int, j: int, m: ModeLike, n: ModeLike,

@@ -122,9 +122,6 @@ class Scalar:
     def __pos__(self) -> "Scalar":
         return self
 
-    def conjugate(self) -> "Scalar":
-        return _reduced(self.a, -self.b, self.d)
-
     # -- comparisons / conversions ------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -164,7 +161,6 @@ def _reduced(a: int, b: int, d: int) -> Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-I = Scalar(0, 1)
 
 
 def _coerce(x) -> Optional[Scalar]:

@@ -361,8 +361,7 @@ def fiber_to_json(point: FiberPoint) -> dict:
         doc["top_vector"] = [format_scalar(c) for c in point.top_vector]
         doc["free_params"] = [[format_scalar(c) for c in row]
                               for row in point.free_params]
-        doc["lambda"] = lambda_to_json(LambdaSequence.make(
-            point.sector, point.rank, point.lambda_entries))
+        doc["lambda"] = lambda_to_json(point.to_lambda())
         doc["residual"] = str(point.residual)
     else:
         doc["sphere_point"] = [complex_pair(c) for c in point.sphere_point]

@@ -45,9 +45,10 @@ whose rational coefficients are the Taylor coefficients of
 multiplies the (m,n) coefficient by m+n and turns that logarithm into a
 product of two binomial series, so ``cmn_table`` reads them off the closed
 form c[m,n] = b_m b_n / (2(m+n)), b_k = binom(-1/2, k).  ``delta_z_apply``
-applies the (terminating) exponential, and ``twisted_mode_apply`` hands its
-parts, the coefficients of z^(-j), to the same kernel, which reads mode
-k - j of each.
+applies the (terminating) exponential on term dicts, through the same
+weighted derivation kernel of ``fock`` with c[m,n]/k as its scale, and
+``twisted_mode_apply`` hands its parts, the coefficients of z^(-j), to the
+engine, which reads mode k - j of each.
 
 All Virasoro operators are modes of the quadratic state
 omega = (1/2) sum_i x[i,1]^2, so both sectors run through the same engine.
@@ -70,9 +71,9 @@ from ._record import Record, _set
 from .errors import PreconditionError, SectorMismatchError
 from .fock import (FockVector, ModeLike, Monomial, Sector,
                    _add_weighted_partial2, _doubled_value, _insert_variable,
-                   doubled_mode, weighted_partial)
+                   doubled_mode)
 from .heisenberg import LambdaSequence, act_mode2
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 
 __all__ = [
     "CmnTable", "omega", "mode_apply", "twisted_mode_apply", "virasoro_mode",
@@ -307,44 +308,39 @@ def cmn_table(order: int) -> CmnTable:
     return CmnTable(order, values)
 
 
-def _variables(v: FockVector) -> List[Tuple[int, int]]:
-    """The (boson, mode) pairs of the variables present in v, sorted."""
-    return sorted({(i, d2 // 2) for mono in v.terms for i, d2, _ in mono})
-
-
 def delta_z_apply(u: FockVector) -> Dict[int, FockVector]:
     """exp(Delta_z) u as a map {j: coefficient of z^(-j)}.
 
     Delta_z = sum_i sum_{m,n >= 1} c[m,n] (m d/dx[i,m]) (n d/dx[i,n]) z^(-m-n)
     lowers the weight by m+n >= 2, so the exponential terminates.  Only the
-    variables present in a term are differentiated.
+    variables present in a term are differentiated.  Each power
+    Delta_z^k u / k! passes term dicts, keyed by j, to the next: both
+    derivatives run through the weighted derivation kernel, the second with
+    c[m,n]/k as its scale, and one vector is built per part, at the end.
     """
     state = _as_state(u, u.rank)
-    result: Dict[int, FockVector] = {0: state}
-    if not state:
-        return result
-    table = cmn_table(state.degree2 // 2)
-    term: Dict[int, FockVector] = {0: state}
+    parts: Dict[int, Dict[Monomial, Scalar]] = {0: state.terms}
+    table = cmn_table(state.max_mode2() // 2)
+    power = {0: state.terms}
     k = 0
-    while term:
+    while power:
         k += 1
-        nxt: Dict[int, FockVector] = {}
-        for j, v in term.items():
-            for i, n in _variables(v):
-                dn = weighted_partial(i, n, v)
-                for a, m in _variables(dn):
-                    if a != i:
-                        continue
-                    add = weighted_partial(i, m, dn).scaled_fraction(table.c(m, n))
-                    key = j + m + n
-                    nxt[key] = nxt.get(key, FockVector.zero(state.rank)) + add
-        term = {}
-        for j, v in nxt.items():
-            v = v.scaled_fraction(Fraction(1, k))
-            if v:
-                term[j] = v
-                result[j] = result.get(j, FockVector.zero(state.rank)) + v
-    return {j: v for j, v in result.items() if v or j == 0}
+        nxt: Dict[int, Dict[Monomial, Scalar]] = {}
+        for j, terms in power.items():
+            for i, n2 in sorted({(i, d2) for mono in terms for i, d2, _ in mono}):
+                dn: Dict[Monomial, Scalar] = {}
+                _add_weighted_partial2(dn, i, n2, terms)
+                for m2 in sorted({d2 for mono in dn for a, d2, _ in mono
+                                  if a == i}):
+                    scale = Scalar(table.c(m2 // 2, n2 // 2) / k)
+                    _add_weighted_partial2(
+                        nxt.setdefault(j + (m2 + n2) // 2, {}), i, m2, dn,
+                        None, scale)
+        power = {j: terms for j, terms in nxt.items() if terms}
+        for j, terms in power.items():
+            _add_weighted_partial2(parts.setdefault(j, {}), 0, 0, terms, ONE)
+    return {j: FockVector(state.rank, Sector.UNTWISTED, terms)
+            for j, terms in parts.items() if terms or j == 0}
 
 
 # -- quadratic-state transfer identity ----------------------------------------------

@@ -83,6 +83,20 @@ def test_over_deep_input_exit_1(tmp_path):
     assert err.getvalue() == f"schema error: {path} nests too deeply\n"
 
 
+def test_over_long_json_integer_exit_1(tmp_path):
+    # past Python's 4,300-digit int-string limit the decoder raises a plain
+    # ValueError, which once ended in the internal-error exit 4
+    path = tmp_path / "lam.json"
+    path.write_text('{"sector": "untwisted", "rank": ' + "1" * 5000
+                    + ', "entries": []}')
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("type", "--lambda", str(path))
+    assert (code, out) == (1, "")
+    assert err.getvalue() == \
+        f"schema error: {path} holds an integer too long to read\n"
+
+
 def test_fiber_rank_one_two_points(tmp_path):
     zeta = write(tmp_path / "z.json", {
         "sector": "untwisted", "r": 0, "zeta": ["1/2"]})

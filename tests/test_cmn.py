@@ -8,6 +8,7 @@ c[m,n] = b_m b_n / (2(m+n)).
 
 from fractions import Fraction
 from functools import lru_cache
+from random import Random
 
 import pytest
 import sympy
@@ -15,8 +16,9 @@ import sympy
 from heisenfock import (FockVector, LambdaSequence, Sector,
                         SectorMismatchError, bilinear, cmn_table,
                         delta_z_apply, omega, twisted_mode_apply,
-                        twisted_virasoro_mode)
-from heisenfock.sampling import random_fock, random_lambda, virasoro_trial
+                        twisted_virasoro_mode, weighted_partial)
+from heisenfock.sampling import (random_fock, random_lambda,
+                                 random_nonzero_scalar, virasoro_trial)
 
 from conftest import lam_of, one, sc, x
 
@@ -81,8 +83,9 @@ class TestDeltaZ:
             assert out == {0: omega(rank), 2: shift}
 
     def test_vacuum_uncorrected(self):
-        vac = FockVector.constant(1, 1)
-        assert delta_z_apply(vac) == {0: vac}
+        for rank in (1, 2, 3):
+            for vac in (FockVector.constant(1, rank), FockVector.zero(rank)):
+                assert delta_z_apply(vac) == {0: vac}
 
     def test_order_zero_part_is_the_state(self, rng):
         for _ in range(10):
@@ -106,6 +109,98 @@ class TestDeltaZ:
             12 * Fraction(1, 16))
         assert out[4] == FockVector.constant(1, 1).scaled_fraction(
             12 * Fraction(1, 16) ** 2)
+
+
+def reference_delta_z_apply(u):
+    """exp(Delta_z) u as it stood before the powers passed term dicts: every
+    derivative builds a vector through weighted_partial, is scaled by
+    c[m,n] as a vector and summed into its power, and each power is scaled
+    by 1/k and summed into the parts as vectors."""
+    def variables(v):
+        return sorted({(i, d2 // 2) for mono in v.terms for i, d2, _ in mono})
+
+    result = {0: u}
+    if not u:
+        return result
+    table = cmn_table(u.degree2 // 2)
+    term = {0: u}
+    k = 0
+    while term:
+        k += 1
+        nxt = {}
+        for j, v in term.items():
+            for i, n in variables(v):
+                dn = weighted_partial(i, n, v)
+                for a, m in variables(dn):
+                    if a != i:
+                        continue
+                    add = weighted_partial(i, m, dn).scaled_fraction(table.c(m, n))
+                    key = j + m + n
+                    nxt[key] = nxt.get(key, FockVector.zero(u.rank)) + add
+        term = {}
+        for j, v in nxt.items():
+            v = v.scaled_fraction(Fraction(1, k))
+            if v:
+                term[j] = v
+                result[j] = result.get(j, FockVector.zero(u.rank)) + v
+    return {j: v for j, v in result.items() if v or j == 0}
+
+
+def weighted_state(rng, rank, weight=8):
+    """One to three monomials of weight at most ``weight``, each a product
+    of runs x[a,n]^e (n up to 4, so derivative factors occur), at times
+    with a constant term."""
+    u = FockVector.constant(random_nonzero_scalar(rng), rank) \
+        if rng.random() < 0.3 else FockVector.zero(rank)
+    for _ in range(rng.randint(1, 3)):
+        term = FockVector.constant(random_nonzero_scalar(rng), rank)
+        left = weight
+        for _ in range(rng.randint(1, 3)):
+            n = rng.randint(1, 4)
+            e = min(rng.randint(1, 4), left // n)
+            a = rng.randint(1, rank)
+            for _ in range(e):
+                term = term.times_variable(a, 2 * n)
+            left -= n * e
+        u = u + term
+    return u
+
+
+class TestDeltaZAgainstReference:
+    def test_seeded_sweep(self):
+        rng = Random(20261019)
+        seen = {"parts": 0, "runs": 0, "derivative": 0}
+        for trial in range(150):
+            rank = 1 + trial % 3
+            u = weighted_state(rng, rank)
+            assert u.degree2 <= 16
+            got = delta_z_apply(u)
+            want = reference_delta_z_apply(u)
+            assert got == want
+            assert list(got) == list(want)  # the parts come in one order
+            monos = [mono for mono in u.terms if mono]
+            seen["parts"] += len(got) > 2
+            seen["runs"] += any(e > 1 for mono in monos for _, _, e in mono)
+            seen["derivative"] += any(d2 > 2 for mono in monos
+                                      for _, d2, _ in mono)
+        assert min(seen.values()) > 30, seen
+
+    def test_one_vector_per_part(self, monkeypatch):
+        # the powers pass term dicts to each other; only the returned parts
+        # are vectors, where the reference builds 83 here
+        u = (x(1, 1, 2) * x(1, 1, 2) * x(1, 2, 2) * x(2, 1, 2) * x(2, 3, 2)
+             + 3 * x(1, 2, 2) * x(1, 2, 2) * x(2, 2, 2))
+        built = []
+        init = FockVector.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(FockVector, "__init__", counted)
+        out = delta_z_apply(u)
+        assert len(out) >= 3
+        assert len(built) == len(out)
 
 
 class TestTwistedModes:

@@ -26,7 +26,8 @@ precondition exit 2).
 
 A second fuzz mutates the document's bytes instead: text that is not
 UTF-8, or nesting deeper than the JSON decoder recurses, must end in the
-schema exit 1 (both once ended in exit 4).
+schema exit 1 (both once ended in exit 4), as must an integer literal past
+Python's int-string conversion limit, a pinned example there.
 """
 
 import copy
@@ -248,6 +249,8 @@ def mangled(draw):
 @example(case=(["type", "--lambda", "@doc"],
                b"\xff\xfe\x00" + json.dumps(LAMBDA).encode()))
 @example(case=(["type", "--lambda", "@doc"], b"[" * 100_000))
+@example(case=(["type", "--lambda", "@doc"],
+               b'{"sector": "untwisted", "rank": ' + b"1" * 5000 + b"}"))
 def test_undecodable_or_over_deep_text_exits_1(case, folder):
     argv, text = case
     assert _run(argv, folder, text) == (1, ""), argv

@@ -4,10 +4,12 @@ The package exports one spelling per concept; a name added to or dropped
 from ``heisenfock.__all__`` must change the pinned list below on purpose.
 Every exported name must resolve, and the library reads no environment
 variable: every option is an argument or a documented constant.  Mode
-errors are raised in one module, ``fock``, whose checks every caller uses.
+errors are raised in one module, ``fock``, whose checks every caller uses,
+and the weighted derivation has its one home there too.
 The docstring examples of every module run and pass.
 """
 
+import ast
 import doctest
 import importlib
 import pkgutil
@@ -69,6 +71,26 @@ def test_mode_errors_have_one_home():
     raising = [path.name for path in sorted(SOURCE.rglob("*.py"))
                if "raise ModeRangeError(" in path.read_text(encoding="utf-8")]
     assert raising == ["fock.py"]
+
+
+def test_derivation_has_one_home():
+    # every derivative runs through fock's kernel: no other module defines
+    # a derivation or goes through the public, re-checking weighted_partial
+    defining, calling = [], []
+    for path in sorted(SOURCE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and (
+                    "partial" in node.name or "deriv" in node.name):
+                defining.append((path.name, node.name))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    getattr(func, "attr", None)
+                if name == "weighted_partial":
+                    calling.append(path.name)
+    assert defining == [("fock.py", "weighted_partial"),
+                        ("fock.py", "_add_weighted_partial2")]
+    assert set(calling) <= {"fock.py"}
 
 
 def test_docstring_examples_pass():
