@@ -1,4 +1,4 @@
-"""Tiny exact dense linear algebra over any field-like scalar type.
+"""``determinant``: the exact determinant of a small square matrix.
 
 Works for ``fractions.Fraction`` and for :class:`~heisenfock.scalars.Scalar`;
 entries only need +, -, *, / and truthiness.  Sizes here are single digits,
@@ -7,7 +7,7 @@ so plain Gaussian elimination is plenty.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 
 def determinant(matrix: Sequence[Sequence]):
@@ -36,42 +36,3 @@ def determinant(matrix: Sequence[Sequence]):
                 rows[r] = [rows[r][c] - factor * rows[col][c] for c in range(n)]
     return det if sign > 0 else -det
 
-
-def solve(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[List]:
-    """Solve A x = b exactly; None when the system is singular/inconsistent.
-
-    A may be rectangular (more equations than unknowns); a solution is
-    returned only if it satisfies every equation exactly.
-    """
-    m = len(matrix)
-    if m == 0:
-        return []
-    n = len(matrix[0])
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot_row = next((k for k in range(r, m) if rows[k][col]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][col]
-        rows[r] = [v / pivot for v in rows[r]]
-        for k in range(m):
-            if k != r and rows[k][col]:
-                factor = rows[k][col]
-                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    # inconsistent rows
-    for k in range(r, m):
-        if rows[k][n]:
-            return None
-    if len(pivots) < n:
-        return None
-    solution = [None] * n
-    for row_idx, col in enumerate(pivots):
-        solution[col] = rows[row_idx][n]
-    return solution

@@ -15,6 +15,9 @@ Subcommands::
                                              (M <= 128)
     dump       --kind K --input FILE         parse and re-emit a canonical document
 
+Every subcommand but ``dump`` refuses lambda data or a type whose support
+bound r exceeds 64 (exit 2).
+
 All output is JSON on stdout.  Exit status: 0 success, 1 schema error,
 2 mathematical precondition violated, 3 identity/verification failure,
 4 internal error (an unexpected exception; one line on stderr).
@@ -50,6 +53,10 @@ MAX_CMN_ORDER = 128
 # an exact fiber at this rank takes under a second; its cost grows about as
 # the cube of the rank
 MAX_FIBER_RANK = 64
+# the support bound r of a type or of lambda data: the solves and eigenvalue
+# sums grow about as its cube, and at this bound the slowest fiber (--l 64
+# --exact) takes under two seconds
+MAX_SUPPORT_BOUND = 64
 # relations at all three of these runs in a few seconds: its cost grows with
 # their product
 MAX_RELATIONS_RANK = 8
@@ -84,6 +91,7 @@ def _emit(doc) -> None:
 
 def cmd_type(args) -> int:
     lam = lambda_from_json(_load_json(args.lambda_file))
+    _at_most("r", lam.support_bound, MAX_SUPPORT_BOUND)
     _emit(whittaker_type_to_json(whittaker_type_of(lam)))
     return EXIT_OK
 
@@ -98,6 +106,7 @@ def _one_vector(path, rank: int, where: str, exact: bool):
 def cmd_fiber(args) -> int:
     _at_most("--l", args.l, MAX_FIBER_RANK)
     zeta = whittaker_type_from_json(_load_json(args.zeta))
+    _at_most("r", zeta.r, MAX_SUPPORT_BOUND)
     rank = args.l
     sphere = params = top = None
     if args.sphere:
@@ -127,6 +136,7 @@ def _at_most(flag: str, value: int, cap: int) -> None:
 def cmd_verify(args) -> int:
     _at_most("--bound", args.bound, MAX_VERIFY_BOUND)
     lam = lambda_from_json(_load_json(args.lambda_file))
+    _at_most("r", lam.support_bound, MAX_SUPPORT_BOUND)
     report = verify_whittaker_vector(lam, args.bound)
     _emit(report_to_json(report))
     return EXIT_OK if report.all_ok else EXIT_CHECK_FAILED
@@ -138,6 +148,7 @@ def cmd_certify(args) -> int:
             raise SchemaError("certify --check takes its lambda from the "
                               "certificate, not from --lambda")
         lam, cert = certificate_from_json(_load_json(args.check))
+        _at_most("r", lam.support_bound, MAX_SUPPORT_BOUND)
         vector = cert.initial
         if args.vector:
             vector = fock_from_json(_load_json(args.vector))
@@ -148,6 +159,7 @@ def cmd_certify(args) -> int:
     if not args.lambda_file or not args.vector:
         raise SchemaError("certify needs --lambda and --vector (or --check)")
     lam = lambda_from_json(_load_json(args.lambda_file))
+    _at_most("r", lam.support_bound, MAX_SUPPORT_BOUND)
     vector = fock_from_json(_load_json(args.vector))
     cert = certify_cyclic(lam, vector)
     _emit(certificate_to_json(lam, cert))

@@ -4,8 +4,17 @@
 subclasses mark mathematically invalid requests (the operation is fine, the
 arguments are not).  ``ReductionError`` signals that the certificate search
 exhausted every admissible choice, which indicates a bug or a genuinely
-pathological input rather than bad arguments.
+pathological input rather than bad arguments.  An error message that
+quotes input quotes at most its first ``_QUOTED_MAX`` characters.
 """
+
+_QUOTED_MAX = 40
+
+
+def _quoted(value) -> str:
+    """``repr(value)``, cut to ``_QUOTED_MAX`` characters and ``...``."""
+    text = repr(value)
+    return text if len(text) <= _QUOTED_MAX else text[:_QUOTED_MAX] + "..."
 
 
 class SchemaError(ValueError):

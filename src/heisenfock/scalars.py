@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Union
 
-from .errors import SchemaError
+from .errors import SchemaError, _quoted
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["Scalar", int, Fraction]
@@ -207,14 +207,14 @@ def parse_scalar(text: str) -> Scalar:
     s = text.strip().replace(" ", "")
     m = _SCALAR.fullmatch(s)
     if not s or m is None:
-        raise SchemaError(f"bad scalar {text!r}")
+        raise SchemaError(f"bad scalar {_quoted(text)}")
     try:
         p, q, t = int(m[1] or 0), int(m[2] or 1), int(m[5] or 1)
         r = 0 if m[3] is None else int(m[3] + (m[4] or "1"))
     except ValueError as exc:  # more digits than int() converts
-        raise SchemaError(f"over-long number in scalar {text[:24]!r}...") from exc
+        raise SchemaError(f"over-long number in scalar {_quoted(text)}") from exc
     if q == 0 or t == 0:
-        raise SchemaError(f"zero denominator in scalar {text!r}")
+        raise SchemaError(f"zero denominator in scalar {_quoted(text)}")
     return _reduced(p * t, r * q, q * t)
 
 
@@ -234,11 +234,11 @@ def parse_rational(text: str) -> Fraction:
     """
     m = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
     if m is None:
-        raise SchemaError(f"bad rational {text!r}")
+        raise SchemaError(f"bad rational {_quoted(text)}")
     try:
         return Fraction(int(m[1]), int(m[2] or 1))
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rational {text!r}") from exc
+        raise SchemaError(f"bad rational {_quoted(text)}") from exc
 
 
 # -- exact square roots ------------------------------------------------------

@@ -20,7 +20,7 @@ import re as _re
 from typing import Dict, List, Optional, Sequence
 
 from .certify import ReductionCertificate, ReductionStep
-from .errors import SchemaError
+from .errors import SchemaError, _quoted
 from .fock import (FockVector, Monomial, Sector, _accumulate, _check_positive,
                    _factor_text, _sorted_monomial, mode_text)
 from .heisenberg import LambdaSequence, QuadraticElement
@@ -63,7 +63,7 @@ def parse_sector(text) -> Sector:
     try:
         return Sector(text)
     except ValueError as exc:
-        raise SchemaError(f"unknown sector {text!r}") from exc
+        raise SchemaError(f"unknown sector {_quoted(text)}") from exc
 
 
 def fraction_pair(value, where: str) -> Scalar:
@@ -73,7 +73,7 @@ def fraction_pair(value, where: str) -> Scalar:
     try:
         return Scalar(parse_rational(value[0]), parse_rational(value[1]))
     except SchemaError as exc:
-        raise SchemaError(f"{where}: bad rational in {value!r}") from exc
+        raise SchemaError(f"{where}: bad rational in {_quoted(value)}") from exc
 
 
 def scalar_pair(x: Scalar) -> List[str]:
@@ -96,9 +96,10 @@ def _finite(re, im, where: str) -> complex:
     try:
         z = complex(re, im)
     except OverflowError as exc:
-        raise SchemaError(f"{where}: number out of range in {[re, im]!r}") from exc
+        raise SchemaError(
+            f"{where}: number out of range in {_quoted([re, im])}") from exc
     if not cmath.isfinite(z):
-        raise SchemaError(f"{where}: non-finite number in {[re, im]!r}")
+        raise SchemaError(f"{where}: non-finite number in {_quoted([re, im])}")
     return z
 
 
@@ -120,7 +121,8 @@ def lambda_from_json(doc) -> LambdaSequence:
     rows = []
     for idx, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != rank:
-            raise SchemaError(f"lambda: entry {idx} must list {rank} coordinates")
+            raise SchemaError(
+                f"lambda: entry {idx} must list {_quoted(rank)} coordinates")
         rows.append([fraction_pair(c, f"lambda entry {idx}") for c in row])
     return LambdaSequence.make(sector, rank, rows)
 
@@ -171,14 +173,14 @@ def _monomial_factor(piece: str, sector: Sector):
     """One ``x[i,n]^e`` piece of a monomial as its (i, 2n, e) triple."""
     m = _MONOMIAL_FACTOR.fullmatch(piece.strip())
     if not m:
-        raise SchemaError(f"bad monomial factor {piece!r}")
+        raise SchemaError(f"bad monomial factor {_quoted(piece)}")
     try:
         i, d2, e = int(m[1]), _doubled(m[2], m[3]), int(m[4] or 1)
     except ValueError as exc:  # more digits than int() converts
-        raise SchemaError(f"over-long number in {piece[:24]!r}...") from exc
+        raise SchemaError(f"over-long number in {_quoted(piece)}") from exc
     _check_positive(d2, sector)
     if e < 1:
-        raise SchemaError(f"bad exponent in {piece!r}")
+        raise SchemaError(f"bad exponent in {_quoted(piece)}")
     return i, d2, e
 
 
@@ -216,7 +218,7 @@ def fock_from_json(doc) -> FockVector:
         if mono and (mono[0][0] < 1 or mono[-1][0] > rank):
             i = next(i for i, _, _ in mono if not 1 <= i <= rank)
             raise SchemaError(
-                f"vector term {idx}: boson index {i} outside 1..{rank}")
+                f"vector term {idx}: boson index {_quoted(i)} outside 1..{rank}")
         _accumulate(acc, mono, parse_scalar(coeff_text))
     return FockVector(rank, sector, acc)
 
@@ -230,11 +232,9 @@ def whittaker_type_to_json(wt: WhittakerType) -> dict:
         "r": wt.r,
         "epsilon": wt.epsilon,
     }
-    if wt.exact:
-        doc["zeta"] = [format_scalar(z) for z in wt.zeta]
-    else:
+    if not wt.exact:
         doc["numeric"] = True
-        doc["zeta"] = [complex_pair(complex(z)) for z in wt.zeta]
+    doc["zeta"] = _coordinates(wt.zeta, wt.exact)
     return doc
 
 
@@ -257,7 +257,7 @@ def whittaker_type_from_json(doc) -> WhittakerType:
 
 
 def _bad_zeta(z):
-    raise SchemaError(f"type zeta entry {z!r} must be a scalar string")
+    raise SchemaError(f"type zeta entry {_quoted(z)} must be a scalar string")
 
 
 # -- certificates ---------------------------------------------------------------------
@@ -294,13 +294,14 @@ def certificate_from_json(doc):
         for key, index in (("i", i), ("j", j)):
             if not 1 <= index <= lam.rank:
                 raise SchemaError(
-                    f"{where}: boson index {key}={index} outside 1..{lam.rank}")
+                    f"{where}: boson index {key}={_quoted(index)} "
+                    f"outside 1..{lam.rank}")
         m2 = _step_mode(_expect(raw, "m", str, where), lam.sector, where)
         n2 = _step_mode(_expect(raw, "n", str, where), lam.sector, where)
         shift = parse_scalar(_expect(raw, "shift", str, where))
         case = _expect(raw, "case", str, where)
         if case not in ("1", "2", "3a", "3b"):
-            raise SchemaError(f"{where}: unknown case tag {case!r}")
+            raise SchemaError(f"{where}: unknown case tag {_quoted(case)}")
         texts = (_expect(raw, "deg_before", str, where),
                  _expect(raw, "deg_after", str, where))
         try:
@@ -309,7 +310,7 @@ def certificate_from_json(doc):
             raise SchemaError(f"{where}: bad degree") from exc
         retries = raw.get("retries", 0)
         if not isinstance(retries, int) or isinstance(retries, bool) or retries < 0:
-            raise SchemaError(f"{where}: bad retries value {retries!r}")
+            raise SchemaError(f"{where}: bad retries value {_quoted(retries)}")
         q = QuadraticElement(i, j, m2, n2, lam.sector, shift)
         steps.append(ReductionStep(q, case, before, after, retries))
     terminal = parse_scalar(_expect(doc, "terminal", str, "certificate"))
@@ -319,11 +320,11 @@ def certificate_from_json(doc):
 def _step_mode(text: str, sector: Sector, where: str) -> int:
     m = _MODE_TEXT.fullmatch(text)
     if m is None:
-        raise SchemaError(f"{where}: bad mode {text!r}")
+        raise SchemaError(f"{where}: bad mode {_quoted(text)}")
     try:
         d2 = _doubled(m[1], m[2])
     except ValueError as exc:  # more digits than int() converts
-        raise SchemaError(f"{where}: over-long mode {text[:24]!r}...") from exc
+        raise SchemaError(f"{where}: over-long mode {_quoted(text)}") from exc
     return _check_positive(d2, sector)
 
 
@@ -348,35 +349,34 @@ def report_to_json(report: WhittakerReport) -> dict:
 
 
 def fiber_to_json(point: FiberPoint) -> dict:
-    doc = {
+    exact = point.exact
+    sphere = point.sphere_point
+    return {
         "schema": _schema("fiber-point"),
         "sector": point.sector.value,
         "rank": point.rank,
         "r": point.r,
-        "numeric": not point.exact,
-    }
-    if point.exact:
-        doc["sphere_point"] = ([format_scalar(c) for c in point.sphere_point]
-                               if point.sphere_point is not None else None)
-        doc["top_vector"] = [format_scalar(c) for c in point.top_vector]
-        doc["free_params"] = [[format_scalar(c) for c in row]
-                              for row in point.free_params]
-        doc["lambda"] = lambda_to_json(point.to_lambda())
-        doc["residual"] = str(point.residual)
-    else:
-        doc["sphere_point"] = [complex_pair(c) for c in point.sphere_point]
-        doc["top_vector"] = [complex_pair(c) for c in point.top_vector]
-        doc["free_params"] = [[complex_pair(complex(c)) for c in row]
-                              for row in point.free_params]
-        doc["lambda"] = {
+        "numeric": not exact,
+        "sphere_point": None if sphere is None else _coordinates(sphere, exact),
+        "top_vector": _coordinates(point.top_vector, exact),
+        "free_params": [_coordinates(row, exact) for row in point.free_params],
+        # a numeric lambda has no schema: the lambda reader is exact only
+        "lambda": lambda_to_json(point.to_lambda()) if exact else {
             "sector": point.sector.value,
             "rank": point.rank,
             "numeric": True,
-            "entries": [[complex_pair(c) for c in row]
+            "entries": [_coordinates(row, False)
                         for row in point.lambda_entries],
-        }
-        doc["residual"] = point.residual
-    return doc
+        },
+        "residual": str(point.residual) if exact else point.residual,
+    }
+
+
+def _coordinates(values: Sequence, exact: bool) -> list:
+    """Scalar strings, or ``[re, im]`` float pairs, one per value."""
+    if exact:
+        return [format_scalar(c) for c in values]
+    return [complex_pair(complex(c)) for c in values]
 
 
 def cmn_to_json(table: CmnTable) -> dict:
@@ -411,8 +411,9 @@ def vectors_from_json(doc, rank: int, where: str,
 def _as_float(c, where):
     if _is_number(c):
         return _finite(c, 0, where)
-    raise SchemaError(f"{where}: bad numeric coordinate {c!r}")
+    raise SchemaError(f"{where}: bad numeric coordinate {_quoted(c)}")
 
 
 def _bad_coord(c, where):
-    raise SchemaError(f"{where}: exact coordinates must be scalar strings, got {c!r}")
+    raise SchemaError(
+        f"{where}: exact coordinates must be scalar strings, got {_quoted(c)}")

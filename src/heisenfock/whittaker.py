@@ -25,10 +25,9 @@ from fractions import Fraction
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
-from ._linalg import solve as _solve_linear
 from ._record import Record, _set
 from .errors import (IsotropicTopError, NonSquareError, NumericFailure,
-                     PreconditionError)
+                     PreconditionError, _quoted)
 from .fock import FockVector, Sector
 from .heisenberg import LambdaSequence
 from .scalars import ONE, ZERO, Scalar, as_scalar, scalar_sqrt
@@ -60,7 +59,8 @@ class WhittakerType(Record):
                 f"{self.sector.value} type needs r >= {self.sector.parity}")
         if len(self.zeta) != self.r + self.epsilon:
             raise PreconditionError(
-                f"expected {self.r + self.epsilon} eigenvalues, got {len(self.zeta)}")
+                f"expected {_quoted(self.r + self.epsilon)} eigenvalues, "
+                f"got {len(self.zeta)}")
         if not self.zeta or not self.zeta[-1]:
             raise PreconditionError("top eigenvalue must be nonzero")
 
@@ -258,13 +258,17 @@ _NUMERIC = _Field(False, _numeric_value, 0j, 1.0 + 0j, cmath.sqrt,
                   lambda top: max(range(len(top)), key=lambda idx: abs(top[idx])))
 
 
-def _complement_basis(top: Tuple, field: _Field) -> List[Tuple]:
-    """Deterministic orthogonal complement basis of a non-isotropic vector.
+def _complement_basis(top: Tuple, field: _Field) -> Tuple[List[Tuple],
+                                                       Optional[int]]:
+    """Deterministic basis of the orthogonal complement of a non-isotropic
+    vector, and its pivot.
 
-    Gram-Schmidt seeded from the standard basis.  Exact mode does not
+    Gram-Schmidt seeded from the standard basis gives pairwise orthogonal,
+    non-isotropic vectors and the pivot ``None``.  Exact mode does not
     normalize (square roots may not exist in Q(i)); numeric mode does.  If
-    (numerically) isotropic intermediates starve it, fall back to the pivot
-    hyperplane basis, which is always valid.
+    (numerically) isotropic intermediates starve it, the fallback is the
+    pivot basis e_s - (top_s / top_j*) e_j* for s != j*, which is always
+    valid, and the pivot is j*.
     """
     rank = len(top)
     tt = bilinear(top, top)
@@ -285,8 +289,7 @@ def _complement_basis(top: Tuple, field: _Field) -> List[Tuple]:
                 v = [scale * a for a in v]
             accepted.append(tuple(v))
         if len(accepted) == rank - 1:
-            return accepted
-    # pivot fallback: e_s - (top_s / top_j*) e_j*
+            return accepted, None
     jstar = field.pivot(top)
     basis = []
     for s in range(rank):
@@ -296,7 +299,7 @@ def _complement_basis(top: Tuple, field: _Field) -> List[Tuple]:
         v[s] = field.one
         v[jstar] = -(top[s] / top[jstar])
         basis.append(tuple(v))
-    return basis
+    return basis, jstar
 
 
 def _vector_of(values: Sequence, rank: int, name: str, field: _Field):
@@ -394,7 +397,7 @@ def solve_fiber(zeta: WhittakerType, rank: int,
             raise NonSquareError(
                 "2 * zeta_top has no square root in Q(i); supply top_vector")
         top = tuple(s * c for c in sp)
-    basis = _complement_basis(top, field)
+    basis, _ = _complement_basis(top, field)
     params = [tuple(field.coerce(c) for c in row) for row in free_params]
     entries = [None] * steps + [top]
     _back_substitute(zeta, entries, basis, params, field)
@@ -442,7 +445,10 @@ def extract_fiber_data(lam: LambdaSequence) -> Tuple[Tuple[Scalar, ...],
     """Recover (top_vector, free_params) so that solve_fiber reproduces lam.
 
     Exact inverse of the parameterization on its own image; requires the top
-    entry to be non-isotropic.
+    entry to be non-isotropic.  Each lower entry less its component along
+    the top is orthogonal to the top, so its coordinates are read straight
+    off the complement basis: (resid, w) / (w, w) on a Gram-Schmidt basis,
+    and the entries of resid off the pivot on the pivot basis.
     """
     if lam.is_zero:
         raise PreconditionError("zero sequence")
@@ -450,15 +456,14 @@ def extract_fiber_data(lam: LambdaSequence) -> Tuple[Tuple[Scalar, ...],
     tt = bilinear(top, top)
     if not tt:
         raise IsotropicTopError("top entry is isotropic")
-    basis = _complement_basis(top, _EXACT)
+    basis, pivot = _complement_basis(top, _EXACT)
     params: List[Tuple[Scalar, ...]] = []
     for v in reversed(lam.entries[:-1]):
         coef = bilinear(v, top) / tt
         resid = [a - coef * b for a, b in zip(v, top)]
-        matrix = [[basis[s][row] for s in range(len(basis))]
-                  for row in range(lam.rank)]
-        coords = _solve_linear(matrix, resid)
-        if coords is None:
-            raise PreconditionError("entry does not lie in the parameterized space")
-        params.append(tuple(coords))
+        if pivot is None:
+            params.append(tuple(bilinear(resid, w) / bilinear(w, w)
+                                for w in basis))
+        else:
+            params.append(tuple(c for s, c in enumerate(resid) if s != pivot))
     return top, params

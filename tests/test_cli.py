@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -521,6 +522,104 @@ def test_integer_flag_cap_edge(argv, cap, lambda_file, zeta_file):
     assert (code, out) == (2, "")
     assert err.getvalue() == (f"precondition violated: {argv[-1]} {cap + 1} "
                               f"exceeds the maximum {cap}\n")
+
+
+def _support_files(tmp_path, r):
+    """Rank-1 untwisted lambda data and a type, each with support bound r."""
+    return {
+        "@lambda": write(tmp_path / "lam.json", {
+            "sector": "untwisted", "rank": 1,
+            "entries": [[["1", "0"]]] * (r + 1)}),
+        "@zeta": write(tmp_path / "zeta.json", {
+            "sector": "untwisted", "r": r, "zeta": ["1"] * r + ["1/2"]}),
+    }
+
+
+def _certificate_over(tmp_path, lam_path):
+    """A valid certificate whose lambda is replaced by the one at lam_path."""
+    lam = write(tmp_path / "small.json", {
+        "sector": "untwisted", "rank": 1, "entries": [[["0", "0"]], [["1", "0"]]]})
+    vec = write(tmp_path / "vec.json", {
+        "sector": "untwisted", "rank": 1,
+        "terms": [{"monomial": "x[1,1]", "coeff": "1"}]})
+    code, out = run_cli("certify", "--lambda", lam, "--vector", vec)
+    assert code == 0
+    doc = json.loads(out)
+    doc["lambda"] = json.loads(Path(lam_path).read_text())
+    return write(tmp_path / "cert.json", doc)
+
+
+SUPPORT_COMMANDS = [
+    ["type", "--lambda", "@lambda"],
+    ["fiber", "--zeta", "@zeta", "--l", "2", "--exact"],
+    ["verify", "--lambda", "@lambda", "--bound", "@above"],
+    ["certify", "--lambda", "@lambda", "--vector", "@vector"],
+    ["certify", "--check", "@certificate"],
+]
+
+
+@pytest.mark.parametrize("argv", SUPPORT_COMMANDS)
+def test_support_bound_cap_edge(tmp_path, argv):
+    cap = cli.MAX_SUPPORT_BOUND
+    for r, code in ((cap, 0), (cap + 1, 2)):
+        files = _support_files(tmp_path, r)
+        files["@above"] = str(r + 1)
+        files["@vector"] = write(tmp_path / "vector.json", {
+            "sector": "untwisted", "rank": 1,
+            "terms": [{"monomial": "x[1,1]", "coeff": "1"}]})
+        if "@certificate" in argv:
+            if r == cap:
+                continue  # replaying the swapped lambda is not the point
+            files["@certificate"] = _certificate_over(tmp_path, files["@lambda"])
+        err = io.StringIO()
+        with redirect_stderr(err):
+            got, out = run_cli(*[files.get(a, a) for a in argv])
+        assert got == code, (argv, r, err.getvalue())
+        if code:
+            assert out == ""
+            assert err.getvalue() == (f"precondition violated: r {cap + 1} "
+                                      f"exceeds the maximum {cap}\n")
+
+
+def test_dump_keeps_large_support_bound(tmp_path):
+    files = _support_files(tmp_path, 2 * cli.MAX_SUPPORT_BOUND)
+    for kind, key in (("lambda", "@lambda"), ("zeta", "@zeta")):
+        code, out = run_cli("dump", "--kind", kind, "--input", files[key])
+        assert code == 0 and json.loads(out)
+
+
+def test_large_support_bound_refused_quickly(tmp_path):
+    # an 8 KB type that used to keep an exact fiber solve busy for minutes
+    path = _support_files(tmp_path, 1600)["@zeta"]
+    start = time.perf_counter()
+    with redirect_stderr(io.StringIO()):
+        code, out = run_cli("fiber", "--zeta", path, "--l", "2", "--exact")
+    assert (code, out) == (2, "")
+    assert time.perf_counter() - start < 5
+
+
+LONG_INPUT = "1" * 5000
+
+
+@pytest.mark.parametrize("kind,doc", [
+    ("lambda", {"sector": "untwisted", "rank": 1,
+                "entries": [[[LONG_INPUT, "0"]]]}),
+    ("vector", {"sector": "untwisted", "rank": 1,
+                "terms": [{"monomial": "1", "coeff": LONG_INPUT + "z"}]}),
+    ("vector", {"sector": "untwisted", "rank": 1,
+                "terms": [{"monomial": "x[1,1]" + LONG_INPUT, "coeff": "1"}]}),
+    ("lambda", {"sector": "s" * 5000, "rank": 1, "entries": []}),
+    ("zeta", {"sector": "untwisted", "r": 0, "zeta": [list(range(3000))]}),
+    ("zeta", {"sector": "untwisted", "r": 10 ** 4000, "zeta": ["1"]}),
+])
+def test_schema_error_quotes_input_briefly(tmp_path, kind, doc):
+    path = write(tmp_path / "doc.json", doc)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("dump", "--kind", kind, "--input", path)
+    assert (code, out) == (1, "")
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and len(lines[0]) <= 200, lines[0][:300]
 
 
 def test_relations_all_pass():

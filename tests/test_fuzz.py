@@ -6,6 +6,8 @@ mutations to it (replace a value by junk, delete a key or an element,
 append junk to a list, and in a certificate rewrite a step's ``m`` or ``n``
 into junk mode text) and runs one subcommand that reads it.  Whatever the
 input, ``cli.main`` may only exit with 0-3: exit 4 is an internal error.
+Whatever the input quotes, stderr holds at most one line of at most 200
+characters.
 A ``dump`` that succeeds must reproduce its own output when fed it back.
 The integer flags of ``relations``, ``cmn`` and ``verify`` are fuzzed
 over small ranges around their lower limits, ``cmn --order`` and
@@ -22,7 +24,8 @@ vector or sphere point whose self-pairing overflows, and an exact type
 too large for numeric mode; numeric types whose doubled top eigenvalue
 overflows, which once ended in a NaN residual (exit 3); and finite numeric
 types whose fiber residual overflows to inf or NaN (once exit 3, now the
-precondition exit 2).
+precondition exit 2); and a 5,000-digit rational in lambda data and a
+3,000-entry list as a zeta entry, whose schema errors once quoted them whole.
 
 A second fuzz mutates the document's bytes instead: text that is not
 UTF-8, or nesting deeper than the JSON decoder recurses, must end in the
@@ -180,9 +183,11 @@ def _run(argv, folder, doc):
     text = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
     (folder / "doc").write_bytes(text)
     args = [str(folder / a[1:]) if a.startswith("@") else a for a in argv]
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(args)
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1 and all(len(line) <= 200 for line in lines), argv
     return code, out.getvalue()
 
 
@@ -217,6 +222,11 @@ def _vector(monomial):
 @example(case=(["fiber", "--zeta", "@doc", "--l", "2"],
                {"sector": "twisted", "r": 2, "numeric": True,
                 "zeta": [[1e308, 1e308], [1, 0]]}))
+@example(case=(["type", "--lambda", "@doc"],
+               {"sector": "untwisted", "rank": 1,
+                "entries": [[["1" * 5000, "0"]]]}))
+@example(case=(["dump", "--kind", "zeta", "--input", "@doc"],
+               {"sector": "untwisted", "r": 0, "zeta": [list(range(3000))]}))
 def test_cli_exits_0_to_3_and_dump_is_idempotent(case, folder):
     argv, doc = case
     code, out = _run(argv, folder, doc)

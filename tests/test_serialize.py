@@ -186,6 +186,12 @@ def test_cmn_json():
 _REFERENCE_FACTOR = re.compile(r"x\[([0-9]+),([0-9]+)(/2)?\](?:\^([0-9]+))?")
 
 
+def _shown(value):
+    """How an error message quotes input: at most 40 characters of its repr."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def reference_parse_monomial(text, sector):
     text = text.strip()
     if text == "1":
@@ -194,16 +200,16 @@ def reference_parse_monomial(text, sector):
     for piece in text.split("*"):
         m = _REFERENCE_FACTOR.fullmatch(piece.strip())
         if not m:
-            raise SchemaError(f"bad monomial factor {piece!r}")
+            raise SchemaError(f"bad monomial factor {_shown(piece)}")
         try:
             i = int(m[1])
             d2 = int(m[2]) if m[3] else 2 * int(m[2])
             e = int(m[4] or 1)
         except ValueError as exc:
-            raise SchemaError(f"over-long number in {piece[:24]!r}...") from exc
+            raise SchemaError(f"over-long number in {_shown(piece)}") from exc
         _check_positive(d2, sector)
         if e < 1:
-            raise SchemaError(f"bad exponent in {piece!r}")
+            raise SchemaError(f"bad exponent in {_shown(piece)}")
         factors[i, d2] = factors.get((i, d2), 0) + e
     return tuple((i, d2, e) for (i, d2), e in sorted(factors.items()))
 

@@ -6,7 +6,10 @@ Every exported name must resolve, and the library reads no environment
 variable: every option is an argument or a documented constant.  Mode
 errors are raised in one module, ``fock``, whose checks every caller uses,
 and the weighted derivation has its one home there too.
-The docstring examples of every module run and pass.
+The docstring examples of every module run and pass.  Private code (a
+module-level function or class whose name, or whose module's name, starts
+with ``_``, and which the package does not export) has a caller in the
+package.
 """
 
 import ast
@@ -100,3 +103,41 @@ def test_docstring_examples_pass():
         assert result.failed == 0, module.__name__
         attempted += result.attempted
     assert attempted >= 1
+
+
+def _references(node, skip=None):
+    """Names that node loads or reads as attributes, outside the subtree
+    ``skip``; an import alias counts for the name it imports."""
+    names, aliases = set(), {}
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if item is skip:
+            continue
+        if isinstance(item, ast.Name):
+            names.add(item.id)
+        elif isinstance(item, ast.Attribute):
+            names.add(item.attr)
+        elif isinstance(item, ast.ImportFrom):
+            aliases.update((a.asname, a.name) for a in item.names if a.asname)
+        stack.extend(ast.iter_child_nodes(item))
+    return names | {name for asname, name in aliases.items() if asname in names}
+
+
+def test_private_code_has_a_caller():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.rglob("*.py"))}
+    uncalled = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if name in heisenfock.__all__ or not (
+                    name.startswith("_") or module.startswith("_")):
+                continue
+            if not any(name in _references(other, skip=node)
+                       for other in trees.values()):
+                uncalled.append(f"{module}.{name}")
+    assert uncalled == []

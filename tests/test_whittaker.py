@@ -9,7 +9,9 @@ from heisenfock import (FockVector, IsotropicTopError, LambdaSequence,
                         whittaker_type_of)
 from heisenfock.errors import PreconditionError, SchemaError
 from heisenfock.sampling import random_lambda, random_nonzero_scalar
-from heisenfock.whittaker import numeric_type_residual, type_eigenvalues
+from heisenfock.whittaker import (_EXACT, _NUMERIC, TOLERANCE,
+                                  _complement_basis, numeric_type_residual,
+                                  type_eigenvalues)
 
 from conftest import lam_of, sc
 
@@ -229,6 +231,53 @@ class TestFiberSolver:
         wt = WhittakerType(Sector.UNTWISTED, 1, (1e30 + 0j, 3 + 0j), exact=False)
         with pytest.raises(NumericFailure, match="exceeds tolerance 1.000e-10"):
             solve_fiber(wt, 2)
+
+
+class TestPivotFallback:
+    """Tops whose isotropic intermediates starve Gram-Schmidt, so the
+    complement basis falls back to e_s - (T_s / T_j*) e_j*."""
+
+    @pytest.mark.parametrize("top", [(1, 1, 1j), (1, 1, 1, 1j)])
+    @pytest.mark.parametrize("sector", [Sector.UNTWISTED, Sector.TWISTED])
+    def test_extract_inverts_solve(self, rng, sector, top):
+        rank = len(top)
+        top = tuple(sc(int(c.real), int(c.imag)) for c in map(complex, top))
+        lower = [[random_nonzero_scalar(rng) for _ in range(rank)]
+                 for _ in range(2 - sector.parity)]
+        lam = lam_of(sector, rank, *lower, top)
+        basis, pivot = _complement_basis(top, _EXACT)
+        assert pivot == 0 and len(basis) == rank - 1
+        assert _complement_basis(tuple(map(complex, top)), _NUMERIC)[1] == 0
+
+        got_top, params = extract_fiber_data(lam)
+        assert got_top == top and len(params) == len(lower)
+        # each parameter row spans its entry's residual in the pivot basis,
+        # built here from its formula
+        pivot_basis = [[sc(1) if c == s else -top[s] / top[0] if c == 0
+                        else sc(0) for c in range(rank)]
+                       for s in range(1, rank)]
+        tt = bilinear(top, top)
+        for v, row in zip(reversed(lower), params):
+            coef = bilinear(v, top) / tt
+            resid = [a - coef * b for a, b in zip(v, top)]
+            spanned = [sum((c * w[k] for c, w in zip(row, pivot_basis)), sc(0))
+                       for k in range(rank)]
+            assert spanned == resid
+
+        wt = whittaker_type_of(lam)
+        point = solve_fiber(wt, rank, free_params=params, exact=True,
+                            top_vector=top)
+        assert point.to_lambda() == lam
+
+        numeric = WhittakerType(sector, wt.r, tuple(map(complex, wt.zeta)),
+                                exact=False)
+        point = solve_fiber(numeric, rank, top_vector=list(map(complex, top)),
+                            free_params=[list(map(complex, row))
+                                         for row in params])
+        assert point.residual <= TOLERANCE
+        for got, want in zip(point.lambda_entries, lam.entries):
+            assert all(abs(g - complex(w)) <= TOLERANCE
+                       for g, w in zip(got, want))
 
 
 class TestFiberDimension:
