@@ -31,7 +31,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
-from .errors import BosonIndexError, ModeRangeError, SectorMismatchError
+from .errors import (BosonIndexError, ModeRangeError, SectorMismatchError,
+                     _quoted)
 from .scalars import ONE, Scalar, _reduced, as_scalar
 
 # A monomial maps each variable to its exponent, stored as a sorted tuple of
@@ -68,15 +69,20 @@ def _doubled_value(mode: ModeLike) -> int:
 def _check_parity(d2: int, sector: Sector) -> int:
     """The doubled mode d2, refused unless it has the sector's parity."""
     if d2 % 2 != sector.parity:
-        raise ModeRangeError(f"mode {Fraction(d2, 2)} not {sector.value}")
+        raise ModeRangeError(f"mode {_mode_quoted(d2)} not {sector.value}")
     return d2
 
 
 def _check_positive(d2: int, sector: Sector) -> int:
     """The doubled mode d2, refused unless it is a positive mode of sector."""
     if _check_parity(d2, sector) <= 0:
-        raise ModeRangeError(f"mode must be positive, got {mode_text(d2)}")
+        raise ModeRangeError(f"mode must be positive, got {_mode_quoted(d2)}")
     return d2
+
+
+def _mode_quoted(d2: int) -> str:
+    """``mode_text(d2)`` for an error message, its digits cut by ``_quoted``."""
+    return _quoted(d2 // 2) if d2 % 2 == 0 else _quoted(d2) + "/2"
 
 
 def doubled_mode(mode: ModeLike, sector: Sector) -> int:
@@ -153,7 +159,11 @@ class FockVector:
         self._check_compatible(other)
         acc = dict(self.terms)
         for mono, c in other.terms.items():
-            _accumulate(acc, mono, -c)
+            prev = acc.get(mono)
+            if prev is None:
+                acc[mono] = -c
+            else:
+                _accumulate_raw(acc, mono, prev, -c.a, -c.b, c.d)
         return FockVector(self.rank, self.sector, acc)
 
     def __neg__(self) -> "FockVector":
@@ -165,8 +175,16 @@ class FockVector:
             self._check_compatible(other)
             acc: Dict[Monomial, Scalar] = {}
             for m1, c1 in self.terms.items():
+                a1, b1, d1 = c1.a, c1.b, c1.d
                 for m2, c2 in other.terms.items():
-                    _accumulate(acc, _merge_monomials(m1, m2), c1 * c2)
+                    mono = _merge_monomials(m1, m2)
+                    a2, b2 = c2.a, c2.b
+                    a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * c2.d
+                    prev = acc.get(mono)
+                    if prev is None:
+                        acc[mono] = _reduced(a, b, d)
+                    else:
+                        _accumulate_raw(acc, mono, prev, a, b, d)
             return FockVector(self.rank, self.sector, acc)
         return self.scaled(other)
 
@@ -288,6 +306,8 @@ def _check_boson(i: int, rank: int):
 
 
 def _accumulate(acc: Dict[Monomial, Scalar], mono: Monomial, c: Scalar):
+    """Add the Scalar c into the slot mono of acc: a fresh slot stores c as
+    is, a taken one is summed with one reduction and emptied at zero."""
     prev = acc.get(mono)
     if prev is None:
         if c:
@@ -296,6 +316,25 @@ def _accumulate(acc: Dict[Monomial, Scalar], mono: Monomial, c: Scalar):
     s = prev + c
     if s:
         acc[mono] = s
+    else:
+        del acc[mono]
+
+
+def _accumulate_raw(acc: Dict[Monomial, Scalar], mono: Monomial, prev: Scalar,
+                    a: int, b: int, d: int):
+    """Add the raw Gaussian rational (a + b*i)/d, d > 0 and not reduced, to
+    prev, the Scalar in the slot mono of acc: one reduction of the sum, and
+    the slot emptied at zero.  A fresh slot takes ``_reduced(a, b, d)``."""
+    pd = prev.d
+    if pd == d:
+        a += prev.a
+        b += prev.b
+    else:
+        a = a * pd + prev.a * d
+        b = b * pd + prev.b * d
+        d *= pd
+    if a or b:
+        acc[mono] = _reduced(a, b, d)
     else:
         del acc[mono]
 
@@ -356,7 +395,12 @@ def _add_weighted_partial2(acc: Dict[Monomial, Scalar], i: int, d2: int,
     None stands for a ``scale`` of 1 and a ``shift`` of 0, and a factor
     equal to 1 is not multiplied in.  A d2 of 0 leaves the shift alone (no
     variable has mode 0).  A term with x[i,n]^e is scaled by n * e, the
-    integer d2 * e over 2, in the same reduction as ``scale``.
+    integer d2 * e over 2, together with ``scale``.
+
+    Each write costs one reduction: a product is formed as a raw Gaussian
+    integer over its denominator and summed into its slot before the one
+    ``_reduced``; a unit shift stores the term's own Scalar, with none when
+    the slot is fresh.
     """
     if scale is not None and scale == ONE:
         scale = None
@@ -365,8 +409,17 @@ def _add_weighted_partial2(acc: Dict[Monomial, Scalar], i: int, d2: int,
     unit = shift is not None and shift == ONE
     for mono, c in terms.items():
         if shift is not None:
-            _accumulate(acc, _merge_monomials(mono, creators) if creators
-                        else mono, c if unit else c * shift)
+            out = _merge_monomials(mono, creators) if creators else mono
+            if unit:
+                _accumulate(acc, out, c)
+            else:
+                a, b, sa, sb = c.a, c.b, shift.a, shift.b
+                a, b, d = a * sa - b * sb, a * sb + b * sa, c.d * shift.d
+                prev = acc.get(out)
+                if prev is None:
+                    acc[out] = _reduced(a, b, d)
+                else:
+                    _accumulate_raw(acc, out, prev, a, b, d)
         if not d2:
             continue
         for pos, (bi, bd2, e) in enumerate(mono):
@@ -379,11 +432,14 @@ def _add_weighted_partial2(acc: Dict[Monomial, Scalar], i: int, d2: int,
                     reduced = _merge_monomials(reduced, creators)
                 m = d2 * e
                 if scale is None:
-                    _accumulate(acc, reduced, _reduced(c.a * m, c.b * m, 2 * c.d))
+                    a, b, d = c.a * m, c.b * m, 2 * c.d
                 else:
                     a, b, sa, sb = c.a, c.b, scale.a, scale.b
-                    _accumulate(acc, reduced,
-                                _reduced((a * sa - b * sb) * m,
-                                         (a * sb + b * sa) * m,
-                                         2 * c.d * scale.d))
+                    a, b, d = ((a * sa - b * sb) * m, (a * sb + b * sa) * m,
+                               2 * c.d * scale.d)
+                prev = acc.get(reduced)
+                if prev is None:
+                    acc[reduced] = _reduced(a, b, d)
+                else:
+                    _accumulate_raw(acc, reduced, prev, a, b, d)
                 break

@@ -25,7 +25,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 from ._record import Record, _set
 from .errors import (BosonIndexError, HighestWeightError, SchemaError,
                      SectorMismatchError)
-from .fock import (FockVector, ModeLike, Monomial, Sector, _accumulate,
+from .fock import (FockVector, ModeLike, Monomial, Sector,
                    _add_weighted_partial2, _check_boson, _check_parity,
                    _check_positive, doubled_mode)
 from .scalars import ZERO, Scalar, as_scalar
@@ -225,9 +225,7 @@ def _compose_quadratic(lam: LambdaSequence, q: QuadraticElement,
     if not q.shift:
         return composed
     acc = dict(composed.terms)
-    minus_shift = -q.shift
-    for mono, c in f.terms.items():
-        _accumulate(acc, mono, c * minus_shift)
+    _add_weighted_partial2(acc, 0, 0, f.terms, -q.shift)
     return FockVector(f.rank, f.sector, acc)
 
 

@@ -4,11 +4,14 @@
 Gaussian rational stored as one Gaussian integer over one positive
 denominator, ``(a + b*i) / d`` with ``d > 0`` and ``gcd(a, b, d) = 1``.
 That form is unique, so equality is a compare of three ints, and all
-arithmetic is plain integer arithmetic with one ``gcd`` per result; the
-parts ``re`` and ``im`` are read back as ``fractions.Fraction``.  All
-arithmetic is exact and equality carries no tolerance.  The canonical text
-form is ``a+bi`` with each rational printed as ``p/q`` (``1/2-3/4i``, ``2``,
-``-i``); every JSON payload uses it, and one pattern reads it back.
+arithmetic is plain integer arithmetic with at most one ``gcd`` per result
+(``_reduced``; negation needs none); the parts ``re`` and ``im`` are read
+back as ``fractions.Fraction``.  The Fock kernel keeps to one ``gcd`` when
+it adds a product into a slot: it forms the product as a raw triple and
+reduces only the sum.  All arithmetic is exact and equality carries no
+tolerance.  The canonical text form is ``a+bi`` with each rational printed
+as ``p/q`` (``1/2-3/4i``, ``2``, ``-i``); every JSON payload uses it, and one
+pattern reads it back.
 """
 
 from __future__ import annotations
@@ -112,7 +115,10 @@ class Scalar:
         return o / self
 
     def __neg__(self) -> "Scalar":
-        return _reduced(-self.a, -self.b, self.d)
+        # negating a reduced triple leaves it reduced
+        s = _new(Scalar)
+        s.a, s.b, s.d = -self.a, -self.b, self.d
+        return s
 
     def scale(self, q: RationalLike) -> "Scalar":
         """Fast multiply by a real rational (hot path of the derivations)."""

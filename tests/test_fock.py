@@ -1,4 +1,6 @@
 from fractions import Fraction
+from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,11 +8,15 @@ from hypothesis import given, strategies as st
 from heisenfock import (BosonIndexError, FockVector, ModeRangeError,
                         Scalar, Sector, SectorMismatchError, monomial_text,
                         weighted_partial)
-from heisenfock.fock import (NEG_INFINITY, _check_positive, doubled_mode,
-                             monomial_key)
-from heisenfock.sampling import random_fock
+from heisenfock import fock, scalars
+from heisenfock.fock import (NEG_INFINITY, _add_weighted_partial2,
+                             _check_positive, doubled_mode, monomial_key)
+from heisenfock.heisenberg import (QuadraticElement, _compose_quadratic,
+                                   act_mode2)
+from heisenfock.sampling import random_fock, random_lambda
+from heisenfock.scalars import ONE, ZERO
 
-from conftest import one, sc, x
+from conftest import lam_of, one, sc, x
 
 
 def monomial_degree2(mono):
@@ -233,3 +239,213 @@ def test_degree_is_the_largest_monomial_degree(rng, sector):
         f = random_fock(rng, 3, sector, max_degree=8, nonzero=False)
         want = max((monomial_degree2(m) for m in f.terms), default=NEG_INFINITY)
         assert f.degree2 == want
+
+
+# -- one reduction per coefficient write ----------------------------------------
+#
+# The kernel and the ring operations form each product as a raw Gaussian
+# integer and reduce it once, summed into its slot.  The references below
+# take the older route, kept here to check the fused one: every product a
+# reduced Scalar, then added to the slot through Scalar arithmetic.
+
+def ref_monomial(*monos):
+    """The product of monomials; a negative exponent divides a factor out."""
+    exps = {}
+    for mono in monos:
+        for i, d2, e in mono:
+            exps[i, d2] = exps.get((i, d2), 0) + e
+    return tuple((i, d2, e) for (i, d2), e in sorted(exps.items()) if e)
+
+
+def ref_add(acc, mono, c):
+    s = acc.get(mono, ZERO) + c
+    if s:
+        acc[mono] = s
+    else:
+        acc.pop(mono, None)
+
+
+def ref_kernel(acc, i, d2, terms, shift=None, scale=None, creators=()):
+    """scale * (n * d/dx[i,n] + shift) f, times creators, added into acc."""
+    for mono, c in terms.items():
+        if shift is not None:
+            v = c * shift
+            ref_add(acc, ref_monomial(mono, creators),
+                    v if scale is None else v * scale)
+        for bi, bd2, e in mono:
+            if d2 and (bi, bd2) == (i, d2):
+                v = c * Fraction(d2 * e, 2)
+                ref_add(acc, ref_monomial(mono, creators, ((i, d2, -1),)),
+                        v if scale is None else v * scale)
+
+
+def ref_ring(f, g, op):
+    """f + g, f - g or f * g by Scalar arithmetic on term dicts."""
+    acc = dict(f.terms)
+    if op == "*":
+        acc = {}
+        for m1, c1 in f.terms.items():
+            for m2, c2 in g.terms.items():
+                ref_add(acc, ref_monomial(m1, m2), c1 * c2)
+        return acc
+    for mono, c in g.terms.items():
+        ref_add(acc, mono, c if op == "+" else c * -1)
+    return acc
+
+
+def ref_compose(lam, q, f):
+    """h_i(m) h_j(n) f - shift * f by the reference kernel."""
+    inner = {}
+    ref_kernel(inner, q.j, q.n2, f.terms, lam.pair2(q.n2, q.j) or None)
+    acc = {}
+    ref_kernel(acc, q.i, q.m2, inner, lam.pair2(q.m2, q.i) or None)
+    for mono, c in f.terms.items():
+        ref_add(acc, mono, c * q.shift * -1)
+    return acc
+
+
+def assert_canonical(terms):
+    """Every stored value a reduced, nonzero Scalar."""
+    for c in terms.values():
+        assert type(c) is Scalar and c.d > 0 and (c.a or c.b), c
+        assert gcd(c.a, c.b, c.d) == 1, (c.a, c.b, c.d)
+
+
+FACTORS = ("none", "one", "real", "gaussian")
+
+
+def factor(kind, rng):
+    """A shift or scale: None, 1, a real or a Gaussian rational."""
+    if kind == "none":
+        return None
+    if kind == "one":
+        return ONE
+    re = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12))
+    im = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+    return Scalar(re, im if kind == "gaussian" else 0)
+
+
+def dense(rng, sector, forms=3):
+    """A product of linear forms in a few variables: many terms, and
+    coefficients that share slots when a derivation or product moves them."""
+    p = sector.parity
+    f = FockVector.constant(1, 2, sector)
+    for _ in range(forms):
+        form = FockVector.constant(factor("gaussian", rng), 2, sector)
+        for i, d2 in ((1, 2 - p), (2, 2 - p), (1, 4 - p)):
+            form = form + FockVector(2, sector, {((i, d2, 1),): factor(
+                rng.choice(["real", "gaussian"]), rng)})
+        f = f * form
+    return f
+
+
+@pytest.mark.parametrize("sector", list(Sector))
+def test_kernel_writes_reduced_values_equal_to_the_reference(rng, sector):
+    touched = {"collide": 0, "cancel": 0, "fresh": 0}
+    for _ in range(4):
+        f = dense(rng, sector)
+        i, d2 = rng.choice([(1, 2 - sector.parity), (2, 2 - sector.parity),
+                            (1, 4 - sector.parity), (0, 0)])
+        for shift_kind in FACTORS:
+            for scale_kind in FACTORS:
+                for creators in ((), ((2, 6 - sector.parity, 1),)):
+                    shift, scale = factor(shift_kind, rng), factor(scale_kind, rng)
+                    written = {}
+                    ref_kernel(written, i, d2, f.terms, shift, scale, creators)
+                    # some slots taken before the call, some with the
+                    # negative of what it writes, and one it never writes
+                    before = {((1, 10 + sector.parity, 1),): sc(7, 2)}
+                    for mono, c in written.items():
+                        pick = rng.randrange(3)
+                        if pick == 0:
+                            before[mono] = c * -1
+                        elif pick == 1:
+                            before[mono] = factor("gaussian", rng)
+                        touched[("cancel", "collide", "fresh")[pick]] += 1
+                    got, want = dict(before), dict(before)
+                    _add_weighted_partial2(got, i, d2, f.terms, shift, scale,
+                                           creators)
+                    ref_kernel(want, i, d2, f.terms, shift, scale, creators)
+                    assert got == want, (i, d2, shift, scale, creators)
+                    assert_canonical(got)
+    assert min(touched.values()) > 0, touched
+
+
+@pytest.mark.parametrize("sector", list(Sector))
+def test_ring_operations_write_reduced_values_equal_to_the_reference(rng, sector):
+    for _ in range(6):
+        f, g = dense(rng, sector, 2), dense(rng, sector, 2)
+        half = dict(list(f.terms.items())[::2])
+        # a second operand that cancels half of f's slots, or holds them
+        plus = FockVector(2, sector, {**g.terms,
+                                      **{m: c * -1 for m, c in half.items()}})
+        minus = FockVector(2, sector, {**g.terms, **half})
+        for left, op, right in ((f, "+", plus), (f, "-", minus), (f, "*", g),
+                                (f + g, "*", f - g), (f, "-", f)):
+            out = {"+": left + right, "-": left - right,
+                   "*": left * right}[op]
+            assert out.terms == ref_ring(left, right, op), op
+            assert_canonical(out.terms)
+        assert len((f + plus).terms) < len(f.terms) + len(plus.terms)
+        assert len(((f + g) * (f - g)).terms) < len(
+            (f + g).terms) * len((f - g).terms)
+
+
+@pytest.mark.parametrize("sector", list(Sector))
+def test_composition_writes_reduced_values_equal_to_the_reference(rng, sector):
+    for _ in range(5):
+        lam = random_lambda(rng, 2, sector)
+        f = dense(rng, sector)
+        modes = list(lam.positive_support2()) + [2 - sector.parity]
+        for kind in FACTORS:
+            shift = factor(kind, rng) or ZERO
+            q = QuadraticElement(rng.randint(1, 2), rng.randint(1, 2),
+                                 rng.choice(modes), rng.choice(modes), sector,
+                                 shift)
+            out = _compose_quadratic(lam, q, f)
+            assert out.terms == ref_compose(lam, q, f), q
+            assert_canonical(out.terms)
+
+
+def _writes(coeff, i, d2, terms):
+    """Coefficient writes of one kernel call: a shift write per term when
+    coeff is nonzero, and a derivative write per term holding x[i,d2/2]."""
+    derived = sum(1 for mono in terms if any((bi, bd2) == (i, d2)
+                                             for bi, bd2, _ in mono))
+    return (len(terms) if coeff else 0) + derived
+
+
+def _count_reductions(monkeypatch):
+    calls = []
+    reduced = scalars._reduced
+
+    def counted(a, b, d):
+        calls.append(1)
+        return reduced(a, b, d)
+
+    # the kernel calls it under the name it imported; Scalar methods under
+    # their own module's
+    monkeypatch.setattr(scalars, "_reduced", counted)
+    monkeypatch.setattr(fock, "_reduced", counted)
+    return calls
+
+
+def test_each_coefficient_write_costs_one_reduction(monkeypatch):
+    sector = Sector.UNTWISTED
+    f = dense(Random(17), sector, 4)
+    lam = lam_of(sector, 2, (sc(0), sc(0)), (sc(2, 1), sc(Fraction(1, 3), 3)))
+    q = QuadraticElement(1, 2, 2, 2, sector, sc(Fraction(5, 2), -2))
+    inner = act_mode2(lam, q.j, q.n2, f)
+    act_writes = _writes(lam.pair2(2, 1), 1, 2, f.terms)
+    compose_writes = (_writes(lam.pair2(2, 2), 2, 2, f.terms)
+                      + _writes(lam.pair2(2, 1), 1, 2, inner.terms)
+                      + len(f.terms))
+    calls = _count_reductions(monkeypatch)
+    acted = act_mode2(lam, 1, 2, f)
+    assert len(calls) <= act_writes
+    # writes meet in shared slots, where a second reduction would show
+    assert len(acted.terms) < act_writes
+    del calls[:]
+    composed = _compose_quadratic(lam, q, f)
+    assert len(calls) <= compose_writes
+    assert len(composed.terms) < compose_writes

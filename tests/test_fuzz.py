@@ -24,8 +24,10 @@ vector or sphere point whose self-pairing overflows, and an exact type
 too large for numeric mode; numeric types whose doubled top eigenvalue
 overflows, which once ended in a NaN residual (exit 3); and finite numeric
 types whose fiber residual overflows to inf or NaN (once exit 3, now the
-precondition exit 2); and a 5,000-digit rational in lambda data and a
-3,000-entry list as a zeta entry, whose schema errors once quoted them whole.
+precondition exit 2); a 5,000-digit rational in lambda data and a
+3,000-entry list as a zeta entry, whose schema errors once quoted them whole;
+and 4,000-digit modes of the wrong parity in either sector, whose mode
+errors once did so too.
 
 A second fuzz mutates the document's bytes instead: text that is not
 UTF-8, or nesting deeper than the JSON decoder recurses, must end in the
@@ -191,9 +193,15 @@ def _run(argv, folder, doc):
     return code, out.getvalue()
 
 
-def _vector(monomial):
-    return {"sector": "untwisted", "rank": 1,
+def _vector(monomial, sector="untwisted"):
+    return {"sector": sector, "rank": 1,
             "terms": [{"monomial": monomial, "coeff": "1"}]}
+
+
+# 4,000-digit modes of the other sector's parity, whose mode errors once
+# quoted them whole
+WRONG_PARITY = [_vector("x[1," + "2" * 4000 + "]", "twisted"),
+                _vector("x[1," + "3" * 4000 + "/2]")]
 
 
 @settings(max_examples=250, derandomize=True, deadline=None, database=None,
@@ -204,6 +212,10 @@ def _vector(monomial):
                _vector("x[1,1]^" + LONG)))
 @example(case=(["dump", "--kind", "vector", "--input", "@doc"],
                _vector("x[" + LONG + ",1]")))
+@example(case=(["dump", "--kind", "vector", "--input", "@doc"],
+               WRONG_PARITY[0]))
+@example(case=(["dump", "--kind", "vector", "--input", "@doc"],
+               WRONG_PARITY[1]))
 @example(case=(["fiber", "--zeta", "@zeta", "--l", "2", "--top", "@doc"],
                [[[1.0, 0.0], 1e308]]))
 @example(case=(["fiber", "--zeta", "@zeta", "--l", "2", "--sphere", "@doc"],
@@ -233,6 +245,12 @@ def test_cli_exits_0_to_3_and_dump_is_idempotent(case, folder):
     assert code in (0, 1, 2, 3), (argv, doc)
     if argv[0] == "dump" and code == 0:
         assert _run(argv, folder, json.loads(out)) == (0, out)
+
+
+@pytest.mark.parametrize("doc", WRONG_PARITY, ids=["twisted", "untwisted"])
+def test_long_mode_of_the_wrong_parity_exits_2(doc, folder):
+    assert _run(["dump", "--kind", "vector", "--input", "@doc"],
+                folder, doc) == (2, "")
 
 
 NOT_UTF8 = [b"\xff", b"\xfe\x00", b"\xc3(", b"\xed\xa0\x80", b"\x80"]
