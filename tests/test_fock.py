@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from heisenfock import (BosonIndexError, FockVector, ModeRangeError,
                         Scalar, Sector, SectorMismatchError, monomial_text,
                         weighted_partial)
-from heisenfock import fock, scalars
+from heisenfock import fock, heisenberg, scalars, vertex
 from heisenfock.fock import (NEG_INFINITY, _add_weighted_partial2,
                              _check_positive, doubled_mode, monomial_key)
 from heisenfock.heisenberg import (QuadraticElement, _compose_quadratic,
@@ -405,6 +405,39 @@ def test_composition_writes_reduced_values_equal_to_the_reference(rng, sector):
             out = _compose_quadratic(lam, q, f)
             assert out.terms == ref_compose(lam, q, f), q
             assert_canonical(out.terms)
+
+
+def test_no_caller_passes_the_kernel_a_zero_factor(rng, monkeypatch):
+    """The kernel stores a fresh slot's product unchecked, so a zero shift
+    or scale would store zero coefficients: every caller passes None."""
+    kernel = fock._add_weighted_partial2
+    factors = []
+
+    def checked(acc, i, d2, terms, shift=None, scale=None, creators=()):
+        factors.extend(v for v in (shift, scale) if v is not None)
+        kernel(acc, i, d2, terms, shift, scale, creators)
+
+    for module in (fock, heisenberg, vertex):
+        monkeypatch.setattr(module, "_add_weighted_partial2", checked)
+    for sector in Sector:
+        p = sector.parity
+        for _ in range(8):
+            # some of lambda's entries are zero, and modes run past its support
+            lam = random_lambda(rng, 2, sector)
+            f = random_fock(rng, 2, sector, max_degree=4)
+            for d2 in range(2 - p, 10, 2):
+                out = act_mode2(lam, rng.randint(1, 2), d2, f)
+                assert_canonical(out.terms)
+                q = QuadraticElement(rng.randint(1, 2), rng.randint(1, 2),
+                                     d2, rng.randrange(2 - p, 10, 2), sector,
+                                     rng.choice([ZERO, factor("real", rng)]))
+                assert_canonical(_compose_quadratic(lam, q, f).terms)
+            for n in range(-1, 3):
+                out = (vertex.virasoro_mode if sector is Sector.UNTWISTED
+                       else vertex.twisted_virasoro_mode)(n, f, lam)
+                assert_canonical(out.terms)
+    assert len(factors) > 100
+    assert all(factors), [v for v in factors if not v]
 
 
 def _writes(coeff, i, d2, terms):
