@@ -13,11 +13,22 @@ minus the recorded shift, so the two routes check each other.
 
 Choice rule per step: m is the smallest mode of any variable occurring in a,
 i0 the smallest boson index carrying that mode, n the smallest positive mode
-with a nonzero lambda entry; the case split on (n vs m) follows the size
-comparison, with the diagonal case splitting on whether (lambda_m, h_i0)
-vanishes.  If an inhomogeneous cancellation ever kills the result (possible
-in principle for mixed-degree inputs), the next admissible (i0, n) pair is
-tried and the retry count is recorded in the step.
+with a nonzero lambda entry; j0 is i0 in case 3a and otherwise the first
+boson index (other than i0 in case 3b) with c_n = (lambda_n, h_j0) nonzero,
+which exists because lambda_n is nonzero and, in case 3b, vanishes at i0.
+With c_m = (lambda_m, h_i0) and d_im = m d/dx[i0,m], the element acts as
+c_m d_jn + c_n d_im + d_im d_jn, and d_im a is nonzero because x[i0,m]
+occurs in a:
+
+    case 1  (n > m):          lambda_m = 0, so b = (c_n + d_jn) d_im a
+    case 2  (n < m):          no variable of a has mode n, so b = c_n d_im a
+    case 3a (n = m, c_m != 0): b = (2 c_m + d_im) d_im a
+    case 3b (n = m, c_m = 0):  b = (c_n + d_jm) d_im a
+
+A nonzero scalar plus a nilpotent operator is invertible, so b is nonzero,
+and every term is a derivation, so b has lower degree than a: one element
+per step always reduces.  The step's ``retries`` field is kept for the
+certificate schema and is always 0 when written.
 """
 
 from __future__ import annotations
@@ -26,10 +37,11 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from ._record import Record, _set
-from .errors import PreconditionError, ReductionError, SchemaError
+from .errors import (HighestWeightError, PreconditionError, ReductionError,
+                     SchemaError)
 from .fock import FockVector
 from .heisenberg import (LambdaSequence, QuadraticElement, _compose_quadratic,
-                         quadratic_act, require_positive_support)
+                         quadratic_act)
 from .scalars import Scalar
 
 CASE_HIGH = "1"     # n > m
@@ -61,17 +73,15 @@ class ReductionCertificate(Record):
         _set(self, "terminal", terminal)
 
 
-def _mode_candidates(a: FockVector) -> Tuple[int, List[int]]:
-    """Smallest doubled mode present and the boson indices carrying it, in
-    one scan of the monomials."""
-    m2, indices = 0, set()
+def _mode_candidates(a: FockVector) -> Tuple[int, int]:
+    """Smallest doubled mode present and the smallest boson index carrying
+    it, in one scan of the monomials."""
+    m2 = i0 = 0
     for mono in a.terms:
         for i, d2, _ in mono:
-            if d2 < m2 or not m2:
-                m2, indices = d2, {i}
-            elif d2 == m2:
-                indices.add(i)
-    return m2, sorted(indices)
+            if d2 < m2 or not m2 or (d2 == m2 and i < i0):
+                m2, i0 = d2, i
+    return m2, i0
 
 
 def _case_and_element(lam: LambdaSequence, i0: int, m2: int,
@@ -89,34 +99,35 @@ def _case_and_element(lam: LambdaSequence, i0: int, m2: int,
 
 
 def _index_pairing_nonzero(lam: LambdaSequence, n2: int, skip: int = 0) -> int:
-    for j in range(1, lam.rank + 1):
-        if j != skip and lam.pair2(n2, j):
-            return j
-    raise ReductionError(f"no usable boson index at mode {Fraction(n2, 2)}")
+    """The first boson index but ``skip`` pairing nonzero with lambda_n."""
+    return next(j for j in range(1, lam.rank + 1)
+                if j != skip and lam.pair2(n2, j))
 
 
 def reduce_step(lam: LambdaSequence,
                 a: FockVector) -> Tuple[ReductionStep, FockVector]:
-    """One degree-lowering quadratic application; returns (step, result)."""
+    """Apply the one element the choice rule picks; returns (step, result).
+
+    By the module docstring's four cases the result is nonzero and of lower
+    degree; ``ReductionError`` means the rule or the arithmetic is broken."""
     lam._check_vector(a)
     if not a:
         raise PreconditionError("cannot reduce the zero vector")
     deg_before = a.degree
     if deg_before <= 0:
         raise PreconditionError("constant input needs no reduction")
-    require_positive_support(lam)
-    m2, index_candidates = _mode_candidates(a)
-    retries = 0
-    for i0 in index_candidates:
-        for n2 in lam.positive_support2():
-            case, q = _case_and_element(lam, i0, m2, n2)
-            b = quadratic_act(lam, q, a)
-            deg_after = b.degree
-            if b and deg_after < deg_before:
-                return (ReductionStep(q, case, deg_before, deg_after, retries), b)
-            retries += 1
-    raise ReductionError(
-        "every admissible quadratic element annihilated the vector")
+    n2 = next(lam.positive_support2(), None)
+    if n2 is None:
+        raise HighestWeightError(
+            "all positive-index lambda entries vanish (highest-weight data)")
+    m2, i0 = _mode_candidates(a)
+    case, q = _case_and_element(lam, i0, m2, n2)
+    b = quadratic_act(lam, q, a)
+    deg_after = b.degree
+    if not b or deg_after >= deg_before:
+        raise ReductionError(
+            f"case {case} element did not lower the degree {deg_before}")
+    return ReductionStep(q, case, deg_before, deg_after), b
 
 
 def certify_cyclic(lam: LambdaSequence, a: FockVector) -> ReductionCertificate:

@@ -180,11 +180,9 @@ def cmd_dump(args) -> int:
         _emit(fock_to_json(fock_from_json(doc)))
     elif args.kind == "zeta":
         _emit(whittaker_type_to_json(whittaker_type_from_json(doc)))
-    elif args.kind == "certificate":
+    else:  # "certificate": argparse allows no other kind
         lam, cert = certificate_from_json(doc)
         _emit(certificate_to_json(lam, cert))
-    else:  # pragma: no cover - argparse restricts choices
-        raise SchemaError(f"unknown kind {args.kind}")
     return EXIT_OK
 
 

@@ -2,10 +2,10 @@
 
 ``SchemaError`` marks malformed input data; ``PreconditionError`` and its
 subclasses mark mathematically invalid requests (the operation is fine, the
-arguments are not).  ``ReductionError`` signals that the certificate search
-exhausted every admissible choice, which indicates a bug or a genuinely
-pathological input rather than bad arguments.  An error message that
-quotes input quotes at most its first ``_QUOTED_MAX`` characters.
+arguments are not).  ``ReductionError`` signals that a certificate step
+failed to lower the degree, which no input can cause: it indicates a bug,
+not bad arguments.  An error message that quotes input quotes at most its
+first ``_QUOTED_MAX`` characters.
 """
 
 _QUOTED_MAX = 40
@@ -59,7 +59,7 @@ class NonSquareError(PreconditionError):
 
 
 class ReductionError(RuntimeError):
-    """All admissible reduction choices produced zero; should not happen."""
+    """A reduction step's element did not lower the degree; should not happen."""
 
 
 class NumericFailure(RuntimeError):

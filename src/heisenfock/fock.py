@@ -170,17 +170,10 @@ class FockVector:
         if isinstance(other, FockVector):
             self._check_compatible(other)
             acc: Dict[Monomial, Scalar] = {}
+            # c1 * m1 * other is the kernel's shift term c1 with creators m1
+            # and no derivative (d2 = 0)
             for m1, c1 in self.terms.items():
-                a1, b1, d1 = c1.a, c1.b, c1.d
-                for m2, c2 in other.terms.items():
-                    mono = _merge_monomials(m1, m2)
-                    a2, b2 = c2.a, c2.b
-                    a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * c2.d
-                    prev = acc.get(mono)
-                    if prev is None:
-                        acc[mono] = _reduced(a, b, d)
-                    else:
-                        _accumulate_raw(acc, mono, prev, a, b, d)
+                _add_weighted_partial2(acc, 0, 0, other.terms, c1, None, m1)
             return FockVector(self.rank, self.sector, acc)
         return self.scaled(other)
 

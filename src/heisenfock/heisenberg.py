@@ -23,8 +23,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from ._record import Record, _set
-from .errors import (BosonIndexError, HighestWeightError, SchemaError,
-                     SectorMismatchError)
+from .errors import BosonIndexError, SchemaError, SectorMismatchError
 from .fock import (FockVector, ModeLike, Monomial, Sector,
                    _add_weighted_partial2, _check_boson, _check_parity,
                    _check_positive, doubled_mode)
@@ -257,10 +256,3 @@ def j_generator(a: int, rank: int) -> FockVector:
     x2 = FockVector.variable(a, 2, rank)
     x3 = FockVector.variable(a, 3, rank)
     return x1 * x1 * x1 * x1 - 2 * (x3 * x1) + Fraction(3, 2) * (x2 * x2)
-
-
-def require_positive_support(lam: LambdaSequence) -> None:
-    """Raise unless some positive-index entry is nonzero."""
-    if next(lam.positive_support2(), None) is None:
-        raise HighestWeightError(
-            "all positive-index lambda entries vanish (highest-weight data)")

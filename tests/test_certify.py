@@ -8,7 +8,7 @@ from heisenfock import (FockVector, HighestWeightError, LambdaSequence,
                         weighted_partial)
 from heisenfock import certify
 from heisenfock.certify import ReductionCertificate, ReductionStep
-from heisenfock.errors import PreconditionError
+from heisenfock.errors import PreconditionError, ReductionError
 from heisenfock.sampling import random_fock, random_lambda
 
 from conftest import lam_of, one, sc, x
@@ -67,6 +67,37 @@ class TestReduceStep:
         lam = lam_of(Sector.UNTWISTED, 1, [0], [1])
         with pytest.raises(PreconditionError):
             reduce_step(lam, one(1))
+
+    def test_element_that_does_not_reduce_is_refused(self, monkeypatch):
+        # the post-condition guard: no rule change may record a step to zero
+        monkeypatch.setattr(certify, "quadratic_act",
+                            lambda lam, q, f: FockVector.zero(f.rank, f.sector))
+        lam = lam_of(Sector.UNTWISTED, 1, [0], [1])
+        with pytest.raises(ReductionError):
+            reduce_step(lam, x(1, 1, 1))
+
+    def test_one_element_per_step(self, rng, monkeypatch):
+        # the choice rule needs no second try: one closed-form application
+        # per recorded step, in both sectors
+        calls = []
+        act = certify.quadratic_act
+
+        def counted(lam, q, f):
+            calls.append(q)
+            return act(lam, q, f)
+
+        monkeypatch.setattr(certify, "quadratic_act", counted)
+        for sector in (Sector.UNTWISTED, Sector.TWISTED):
+            steps = 0
+            for _ in range(40):
+                lam = random_lambda(rng, 3, sector)
+                a = random_fock(rng, 3, sector, max_degree=8, max_terms=5)
+                calls.clear()
+                cert = certify_cyclic(lam, a)
+                assert [s.element for s in cert.steps] == calls
+                assert not any(s.retries for s in cert.steps)
+                steps += len(cert.steps)
+            assert steps > 40
 
 
 class TestCertify:
@@ -178,7 +209,8 @@ class TestVerification:
         assert len(scans) <= 1 + s
 
     def test_each_step_scans_its_vector_once_for_modes(self, monkeypatch):
-        # the smallest mode and the indices carrying it come from one scan
+        # the smallest mode and the smallest index carrying it come from one
+        # scan
         lam = lam_of(Sector.UNTWISTED, 2, [0, 0], [1, 0], [0, 1])
         a = (x(1, 2, 2) * x(2, 1, 2) * x(1, 1, 2) + 3 * x(2, 1, 2) * x(2, 3, 2)
              + x(1, 2, 2))
@@ -202,8 +234,8 @@ class TestVerification:
             finally:
                 f.terms = terms
             m2 = min(d2 for mono in f.terms for _, d2, _ in mono)
-            assert got == (m2, sorted({i for mono in f.terms
-                                       for i, d2, _ in mono if d2 == m2}))
+            assert got == (m2, min(i for mono in f.terms
+                                   for i, d2, _ in mono if d2 == m2))
             return got
 
         monkeypatch.setattr(certify, "_mode_candidates", counted)

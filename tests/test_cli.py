@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from heisenfock import cli, sampling
+from heisenfock import FockVector, certify, cli, sampling
 from heisenfock.cli import main
 
 
@@ -18,6 +18,13 @@ def run_cli(*argv):
     with redirect_stdout(buf):
         code = main(list(argv))
     return code, buf.getvalue()
+
+
+def run_cli_stderr(*argv):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(*argv)
+    return code, out, err.getvalue()
 
 
 def write(path, doc):
@@ -489,6 +496,77 @@ def test_certify_highest_weight_exit_2(tmp_path):
         "terms": [{"monomial": "x[1,1]", "coeff": "1"}]})
     code, _ = run_cli("certify", "--lambda", lam, "--vector", vec)
     assert code == 2
+
+
+def test_certify_element_that_does_not_reduce_exit_3(monkeypatch, tmp_path,
+                                                     lambda_file):
+    # a broken choice rule is a failed check, not a traceback
+    monkeypatch.setattr(certify, "quadratic_act",
+                        lambda lam, q, f: FockVector.zero(f.rank, f.sector))
+    vec = write(tmp_path / "vec.json", {
+        "sector": "untwisted", "rank": 1,
+        "terms": [{"monomial": "x[1,1]", "coeff": "1"}]})
+    code, out, err = run_cli_stderr("certify", "--lambda", lambda_file,
+                                    "--vector", vec)
+    assert (code, out) == (3, "")
+    assert err.startswith("check failed: ") and err.count("\n") == 1
+
+
+def test_missing_input_file_exit_1(tmp_path):
+    code, out, err = run_cli_stderr("type", "--lambda",
+                                    str(tmp_path / "missing.json"))
+    assert (code, out) == (1, "")
+    assert err.startswith("schema error: cannot read ") and err.count("\n") == 1
+
+
+def test_bare_certify_exit_1():
+    assert run_cli_stderr("certify") == (
+        1, "", "schema error: certify needs --lambda and --vector "
+               "(or --check)\n")
+
+
+@pytest.mark.parametrize("flag,doc,message", [
+    ("--sphere", [["1", "1"]],
+     "sphere_point is not on the unit sphere"),
+    ("--top", [["2", "0"]],
+     "top_vector does not satisfy (T, T) = 2 * zeta_top")])
+def test_fiber_exact_point_off_its_quadric_exit_2(tmp_path, flag, doc, message):
+    zeta = write(tmp_path / "z.json", {
+        "sector": "untwisted", "r": 0, "zeta": ["1/2"]})
+    path = write(tmp_path / "p.json", doc)
+    assert run_cli_stderr("fiber", "--zeta", zeta, "--l", "2", "--exact",
+                          flag, path) == (
+        2, "", f"precondition violated: {message}\n")
+
+
+def test_fiber_exact_number_coordinate_exit_1(tmp_path):
+    zeta = write(tmp_path / "z.json", {
+        "sector": "untwisted", "r": 0, "zeta": ["1/2"]})
+    sphere = write(tmp_path / "s.json", [[1, "0"]])
+    assert run_cli_stderr("fiber", "--zeta", zeta, "--l", "2", "--exact",
+                          "--sphere", sphere) == (
+        1, "", "schema error: sphere: exact coordinates must be scalar "
+               "strings, got 1\n")
+
+
+def test_certify_check_unknown_case_exit_1(tmp_path):
+    doc = _twisted_certificate(tmp_path)
+    doc["steps"][0]["case"] = "4"
+    bad = write(tmp_path / "bad.json", doc)
+    assert run_cli_stderr("certify", "--check", bad) == (
+        1, "", "schema error: certificate step 0: unknown case tag '4'\n")
+
+
+def test_certify_check_zero_terminal_exit_3(tmp_path):
+    # a certificate must end on a nonzero constant; the verdict goes to
+    # stdout like every other replay result
+    doc = _twisted_certificate(tmp_path)
+    doc["terminal"] = "0"
+    code, out, err = run_cli_stderr("certify", "--check",
+                                    write(tmp_path / "bad.json", doc))
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {"schema": "certify-check/1", "valid": False,
+                               "steps": 2}
 
 
 def test_cmn_command():

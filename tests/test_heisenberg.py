@@ -6,8 +6,8 @@ from heisenfock import (BosonIndexError, FockVector, HighestWeightError,
                         LambdaSequence, ModeRangeError, QuadraticElement, Scalar, Sector,
                         SectorMismatchError, act_mode, commutator_check,
                         j_generator, quadratic_act, quadratic_check,
-                        theta_involution)
-from heisenfock.heisenberg import act_mode2, require_positive_support
+                        reduce_step, theta_involution)
+from heisenfock.heisenberg import act_mode2
 from heisenfock.sampling import commutator_trial, random_fock, random_lambda
 
 from conftest import lam_of, one, sc, x
@@ -59,9 +59,11 @@ class TestLambdaSequence:
                 LambdaSequence.zero(rank, sector)
 
     def test_highest_weight_guard(self):
+        # only lambda_0 nonzero: no positive support for the reduction
         with pytest.raises(HighestWeightError):
-            require_positive_support(lam_of(Sector.UNTWISTED, 1, [1]))
-        require_positive_support(lam_of(Sector.UNTWISTED, 1, [0], [1]))
+            reduce_step(lam_of(Sector.UNTWISTED, 1, [1]), x(1, 1, 1))
+        step, _ = reduce_step(lam_of(Sector.UNTWISTED, 1, [0], [1]), x(1, 1, 1))
+        assert step.element.n2 == 2
 
 
 class TestModeActions:

@@ -5,7 +5,8 @@ from ``heisenfock.__all__`` must change the pinned list below on purpose.
 Every exported name must resolve, and the library reads no environment
 variable: every option is an argument or a documented constant.  Mode
 errors are raised in one module, ``fock``, whose checks every caller uses,
-and the weighted derivation has its one home there too.
+and the weighted derivation and the fused coefficient write have their one
+home there too.
 The docstring examples of every module run and pass.  Private code (a
 module-level function or class whose name, or whose module's name, starts
 with ``_``, and which the package does not export) has a caller in the
@@ -94,6 +95,20 @@ def test_derivation_has_one_home():
     assert defining == [("fock.py", "weighted_partial"),
                         ("fock.py", "_add_weighted_partial2")]
     assert set(calling) <= {"fock.py"}
+
+
+def test_fused_write_has_one_home():
+    # a product summed into a taken slot is written by the kernel alone:
+    # the ring operations reach it through _add_weighted_partial2
+    callers = set()
+    for path in sorted(SOURCE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == "_accumulate_raw"
+                    for call in ast.walk(node)):
+                callers.add((path.name, node.name))
+    assert callers == {("fock.py", "_add_weighted_partial2")}
 
 
 def test_docstring_examples_pass():
