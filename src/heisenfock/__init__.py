@@ -8,7 +8,6 @@ certificate engine that reduces any nonzero vector to a nonzero constant
 through quadratic elements.
 """
 
-from ._linalg import determinant
 from .certify import (ReductionCertificate, ReductionStep, certify_cyclic,
                       reduce_step, verify_certificate)
 from .errors import (BosonIndexError, HighestWeightError, IsotropicTopError,
@@ -40,12 +39,12 @@ __all__ = [
     "ReductionStep", "Scalar", "SchemaError", "Sector", "SectorMismatchError",
     "WhittakerReport", "WhittakerType", "act_mode", "as_scalar", "bilinear",
     "binom_mode_identity_check", "binom_transfer_matrix", "certify_cyclic",
-    "cmn_table", "commutator_check", "delta_z_apply", "determinant",
-    "extract_fiber_data", "fiber_dimension", "format_scalar", "j_generator",
-    "mode_apply", "mode_text", "monomial_text", "omega", "parse_scalar",
-    "quadratic_act", "quadratic_check", "reduce_step", "scalar_sqrt",
-    "solve_fiber", "theta_involution", "twisted_mode_apply",
-    "twisted_virasoro_mode", "type_eigenvalues", "verify_certificate",
-    "verify_whittaker_vector", "virasoro_bracket_check", "virasoro_mode",
-    "weighted_partial", "whittaker_type_of",
+    "cmn_table", "commutator_check", "delta_z_apply", "extract_fiber_data",
+    "fiber_dimension", "format_scalar", "j_generator", "mode_apply",
+    "mode_text", "monomial_text", "omega", "parse_scalar", "quadratic_act",
+    "quadratic_check", "reduce_step", "scalar_sqrt", "solve_fiber",
+    "theta_involution", "twisted_mode_apply", "twisted_virasoro_mode",
+    "type_eigenvalues", "verify_certificate", "verify_whittaker_vector",
+    "virasoro_bracket_check", "virasoro_mode", "weighted_partial",
+    "whittaker_type_of",
 ]

@@ -6,7 +6,7 @@ Subcommands::
     fiber      --zeta FILE --l N [--exact]   one fiber point (both points at rank 1)
                                              (N <= 64)
     verify     --lambda FILE --bound B       Virasoro spectrum report on the cyclic vector
-                                             (B <= 1024)
+                                             (B <= 1024, rank <= 64)
     certify    --lambda FILE --vector FILE   build a reduction certificate
     certify    --check CERT [--vector FILE]  replay/verify a certificate
     relations  [--l N --bound B --seed S --trials T]   randomized identity suites
@@ -50,9 +50,10 @@ EXIT_INTERNAL = 4
 # above these, the output grows past a few MB for no new information
 MAX_VERIFY_BOUND = 1024
 MAX_CMN_ORDER = 128
-# an exact fiber at this rank takes under a second; its cost grows about as
-# the cube of the rank
-MAX_FIBER_RANK = 64
+# the rank of a fiber or of verify's lambda data: an exact fiber at this rank
+# takes under a second, its cost growing about as the cube of the rank, and
+# verify at this rank and its largest bound takes a fraction of a second
+MAX_RANK = 64
 # the support bound r of a type or of lambda data: the solves and eigenvalue
 # sums grow about as its cube, and at this bound the slowest fiber (--l 64
 # --exact) takes under two seconds
@@ -104,7 +105,9 @@ def _one_vector(path, rank: int, where: str, exact: bool):
 
 
 def cmd_fiber(args) -> int:
-    _at_most("--l", args.l, MAX_FIBER_RANK)
+    if args.l < 1:  # before the files, whose rows are read at this rank
+        raise PreconditionError("fiber needs --l >= 1")
+    _at_most("--l", args.l, MAX_RANK)
     zeta = whittaker_type_from_json(_load_json(args.zeta))
     _at_most("r", zeta.r, MAX_SUPPORT_BOUND)
     rank = args.l
@@ -137,6 +140,7 @@ def cmd_verify(args) -> int:
     _at_most("--bound", args.bound, MAX_VERIFY_BOUND)
     lam = lambda_from_json(_load_json(args.lambda_file))
     _at_most("r", lam.support_bound, MAX_SUPPORT_BOUND)
+    _at_most("rank", lam.rank, MAX_RANK)
     report = verify_whittaker_vector(lam, args.bound)
     _emit(report_to_json(report))
     return EXIT_OK if report.all_ok else EXIT_CHECK_FAILED

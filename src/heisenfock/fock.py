@@ -33,7 +33,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from .errors import (BosonIndexError, ModeRangeError, SectorMismatchError,
                      _quoted)
-from .scalars import ONE, Scalar, _reduced, as_scalar
+from .scalars import ONE, Scalar, _ratio_text, _reduced, as_scalar
 
 # A monomial maps each variable to its exponent, stored as a sorted tuple of
 # (boson index, doubled mode, exponent) triples.  The empty tuple is the
@@ -92,7 +92,7 @@ def doubled_mode(mode: ModeLike, sector: Sector) -> int:
 
 def mode_text(d2: int) -> str:
     """Mode as an integer or ``k/2`` string."""
-    return str(d2 // 2) if d2 % 2 == 0 else f"{d2}/2"
+    return _ratio_text(d2, 2)
 
 
 def monomial_key(mono: Monomial):
@@ -286,7 +286,7 @@ def monomial_text(mono: Monomial) -> str:
 def _factor_text(i: int, d2: int, e: int) -> str:
     """One factor of a monomial's text: ``x[i,n]``, or ``x[i,n]^e`` for e > 1."""
     base = f"x[{i},{mode_text(d2)}]"
-    return base if e == 1 else f"{base}^{e}"
+    return base if e == 1 else f"{base}^{_ratio_text(e, 1)}"
 
 
 def _check_boson(i: int, rank: int):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Union
 
-from .errors import SchemaError, _quoted
+from .errors import PreconditionError, SchemaError, _quoted
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["Scalar", int, Fraction]
@@ -203,9 +203,14 @@ def format_scalar(x: Scalar) -> str:
 
 
 def _ratio_text(n: int, d: int) -> str:
-    """``str(Fraction(n, d))`` for d > 0, without building the Fraction."""
+    """``str(Fraction(n, d))`` for d > 0, without building the Fraction: the
+    one writer of numbers, which refuses one too long to convert to text."""
     g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    try:
+        return str(n // g) if g == d else f"{n // g}/{d // g}"
+    except ValueError as exc:  # past the int-to-text digit limit
+        raise PreconditionError("a number in the result is too long to "
+                                "write") from exc
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import re as _re
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .certify import ReductionCertificate, ReductionStep
@@ -24,7 +25,8 @@ from .errors import SchemaError, _quoted
 from .fock import (FockVector, Monomial, Sector, _accumulate, _check_positive,
                    _factor_text, _sorted_monomial, mode_text)
 from .heisenberg import LambdaSequence, QuadraticElement
-from .scalars import Scalar, format_scalar, parse_rational, parse_scalar
+from .scalars import (Scalar, _ratio_text, format_scalar, parse_rational,
+                      parse_scalar)
 from .vertex import CmnTable
 from .whittaker import FiberPoint, WhittakerReport, WhittakerType
 
@@ -77,7 +79,11 @@ def fraction_pair(value, where: str) -> Scalar:
 
 
 def scalar_pair(x: Scalar) -> List[str]:
-    return [str(x.re), str(x.im)]
+    return [_ratio_text(x.a, x.d), _ratio_text(x.b, x.d)]
+
+
+def _rational_text(q: Fraction) -> str:
+    return _ratio_text(q.numerator, q.denominator)
 
 
 def complex_pair(z: complex) -> List[float]:
@@ -275,8 +281,8 @@ def certificate_to_json(lam: LambdaSequence,
             "n": mode_text(s.element.n2),
             "shift": format_scalar(s.element.shift),
             "case": s.case,
-            "deg_before": str(s.degree_before),
-            "deg_after": str(s.degree_after),
+            "deg_before": _rational_text(s.degree_before),
+            "deg_after": _rational_text(s.degree_after),
             "retries": s.retries,
         } for s in cert.steps],
         "terminal": format_scalar(cert.terminal),
@@ -368,7 +374,7 @@ def fiber_to_json(point: FiberPoint) -> dict:
             "entries": [_coordinates(row, False)
                         for row in point.lambda_entries],
         },
-        "residual": str(point.residual) if exact else point.residual,
+        "residual": _rational_text(point.residual) if exact else point.residual,
     }
 
 
@@ -383,7 +389,7 @@ def cmn_to_json(table: CmnTable) -> dict:
     return {
         "schema": _schema("cmn-table"),
         "order": table.order,
-        "values": [[str(v) for v in row] for row in table.values],
+        "values": [[_rational_text(v) for v in row] for row in table.values],
     }
 
 

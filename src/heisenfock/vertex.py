@@ -75,12 +75,6 @@ from .fock import (FockVector, ModeLike, Monomial, Sector,
 from .heisenberg import LambdaSequence, act_mode2
 from .scalars import ONE, Scalar
 
-__all__ = [
-    "CmnTable", "omega", "mode_apply", "twisted_mode_apply", "virasoro_mode",
-    "twisted_virasoro_mode", "virasoro_bracket_check", "cmn_table",
-    "delta_z_apply", "binom_mode_identity_check", "binom_transfer_matrix",
-]
-
 
 def _gbinom(top: Union[int, Fraction], k: int) -> Fraction:
     """Generalized binomial coefficient (top choose k) for k >= 0."""
@@ -113,11 +107,9 @@ def _as_state(u: FockVector, rank: int) -> FockVector:
 @lru_cache(maxsize=None)
 def omega(rank: int) -> FockVector:
     """The conformal state (1/2) sum_i x[i,1]^2."""
-    acc = FockVector.zero(rank)
-    for i in range(1, rank + 1):
-        xi = FockVector.variable(i, 1, rank)
-        acc = acc + (xi * xi).scaled_fraction(Fraction(1, 2))
-    return acc
+    half = Scalar(Fraction(1, 2))
+    return FockVector(rank, Sector.UNTWISTED,
+                      {((i, 2, 2),): half for i in range(1, rank + 1)})
 
 
 # -- the normal-ordered derivative-field engine --------------------------------

@@ -161,8 +161,9 @@ def verify_whittaker_vector(lam: LambdaSequence, bound: int) -> WhittakerReport:
 
     For i = r+1 .. bound the i-th omega mode of 1 is computed through the
     vertex engine and compared against the closed-form eigenvalue (zero
-    beyond 2r+eps).  Exact equality per row; a bound <= r, which leaves no
-    row, is refused.
+    beyond 2r+eps).  Only the zero sequence reaches row 1, where the twisted
+    sector adds the vacuum energy rank/16 of L_0.  Exact equality per row;
+    a bound <= r, which leaves no row, is refused.
     """
     r = lam.support_bound
     if bound <= r:
@@ -176,6 +177,8 @@ def verify_whittaker_vector(lam: LambdaSequence, bound: int) -> WhittakerReport:
     for i in range(r + 1, bound + 1):
         got = ell(i - 1, one, lam)  # omega_i = L_(i-1)
         expected = eig.get(i, ZERO)
+        if i == 1 and lam.sector is Sector.TWISTED:  # vacuum energy of L_0
+            expected = expected + Fraction(lam.rank, 16)
         ok = got == one.scaled(expected)
         rows.append(ReportRow(i, expected, str(got), ok))
     top = eig.get(2 * r + eps, ZERO)

@@ -16,9 +16,9 @@ from random import Random
 from heisenfock import (FockVector, LambdaSequence, QuadraticElement, Sector,
                         WhittakerType, bilinear, binom_mode_identity_check,
                         binom_transfer_matrix, certify_cyclic, cmn_table,
-                        commutator_check, delta_z_apply, determinant,
-                        mode_apply, omega, quadratic_act, quadratic_check,
-                        solve_fiber, twisted_mode_apply,
+                        commutator_check, delta_z_apply, mode_apply, omega,
+                        quadratic_act, quadratic_check, solve_fiber,
+                        twisted_mode_apply,
                         verify_certificate, verify_whittaker_vector,
                         virasoro_bracket_check, virasoro_mode,
                         twisted_virasoro_mode, weighted_partial,
@@ -28,6 +28,7 @@ from heisenfock.sampling import (random_fock, random_lambda,
                                  random_nonzero_scalar)
 from heisenfock.whittaker import numeric_type_residual
 
+from test_binom import exact_determinant
 from test_cmn import sympy_cmn_oracle
 
 NUMERIC_TOLERANCE = 1e-10
@@ -184,7 +185,7 @@ def test_criterion_6_binomial_mode_identity():
                     checked += 1
     for bound in range(3):
         for size in range(1, 7):
-            assert determinant(binom_transfer_matrix(bound, size)) != 0
+            assert exact_determinant(binom_transfer_matrix(bound, size)) != 0
     announce(6, f"transfer identity exact on {checked} configurations; "
                 "coefficient-matrix determinants nonzero up to size 6")
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,19 @@ def test_fiber_sphere_with_top_exit_2(tmp_path):
     assert (code, out) == (2, "")
 
 
+@pytest.mark.parametrize("rank", ["0", "-1"])
+@pytest.mark.parametrize("flag,doc", [
+    (None, None), ("--params", [[0.5]]), ("--sphere", [["1"]]),
+    ("--top", [["1"]])])
+def test_fiber_rank_below_one_exit_2(tmp_path, zeta_file, rank, flag, doc):
+    # the rank is checked before any file is read at that rank
+    argv = ["fiber", "--zeta", zeta_file, "--l", rank]
+    if flag:
+        argv += [flag, write(tmp_path / "rows.json", doc)]
+    assert run_cli_stderr(*argv) == (
+        2, "", "precondition violated: fiber needs --l >= 1\n")
+
+
 def test_verify_command(lambda_file):
     code, out = run_cli("verify", "--lambda", lambda_file, "--bound", "7")
     assert code == 0
@@ -205,6 +219,34 @@ def test_verify_bound_must_exceed_r(lambda_file, bound, code, rows):
         assert out == ""
     else:
         assert [row["index"] for row in json.loads(out)["rows"]] == rows
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_verify_twisted_zero_sequence_row_one(tmp_path, rank):
+    # only the zero sequence reaches row 1, where twisted L_0 has the vacuum
+    # energy rank/16
+    path = write(tmp_path / "lam.json",
+                 {"sector": "twisted", "rank": rank, "entries": []})
+    code, out = run_cli("verify", "--lambda", path, "--bound", "2")
+    assert code == 0
+    rows = [(row["index"], row["expected"], row["actual"])
+            for row in json.loads(out)["rows"]]
+    energy = str(Fraction(rank, 16))
+    assert rows == [(1, energy, energy), (2, "0", "0")]
+
+
+@pytest.mark.parametrize("sector", ["untwisted", "twisted"])
+def test_verify_rank_cap_edge(tmp_path, sector):
+    cap = cli.MAX_RANK
+    for rank, code in ((cap, 0), (cap + 1, 2)):
+        path = write(tmp_path / "lam.json",
+                     {"sector": sector, "rank": rank, "entries": []})
+        got, out, err = run_cli_stderr("verify", "--lambda", path,
+                                       "--bound", "1")
+        assert got == code, err
+        if code:
+            assert (out, err) == ("", f"precondition violated: rank "
+                                      f"{cap + 1} exceeds the maximum {cap}\n")
 
 
 def test_certify_and_check(tmp_path, lambda_file):
@@ -587,7 +629,7 @@ def test_cmn_command():
      cli.MAX_RELATIONS_BOUND),
     (["relations", "--l", "1", "--bound", "1", "--trials"],
      cli.MAX_RELATIONS_TRIALS),
-    (["fiber", "--zeta", "@zeta", "--exact", "--l"], cli.MAX_FIBER_RANK),
+    (["fiber", "--zeta", "@zeta", "--exact", "--l"], cli.MAX_RANK),
 ])
 def test_integer_flag_cap_edge(argv, cap, lambda_file, zeta_file):
     files = {"@lambda": lambda_file, "@zeta": zeta_file}
@@ -674,6 +716,48 @@ def test_large_support_bound_refused_quickly(tmp_path):
         code, out = run_cli("fiber", "--zeta", path, "--l", "2", "--exact")
     assert (code, out) == (2, "")
     assert time.perf_counter() - start < 5
+
+
+def _lambda_doc(top):
+    return {"sector": "untwisted", "rank": 1,
+            "entries": [[["0", "0"]], [[top, "0"]]]}
+
+
+def _vector_doc(*terms):
+    return {"sector": "untwisted", "rank": 1,
+            "terms": [{"monomial": m, "coeff": c} for m, c in terms]}
+
+
+# valid input whose result holds a number past Python's int-to-text limit
+# of 4,300 digits; each one once ended in exit 4
+NINES = "9" * 4300
+TOO_LONG_RESULTS = {
+    "type zeta": (["type", "--lambda", "@lambda"],
+                  _lambda_doc("1" + "0" * 2200), None),
+    "verify row": (["verify", "--lambda", "@lambda", "--bound", "3"],
+                   _lambda_doc("1" + "0" * 2200), None),
+    "certify shift": (["certify", "--lambda", "@lambda", "--vector", "@vector"],
+                      _lambda_doc("1" + "0" * 90),
+                      _vector_doc(("x[1,1]^50", "1"))),
+    "certify degree": (["certify", "--lambda", "@lambda", "--vector",
+                        "@vector"], _lambda_doc("1"),
+                       _vector_doc((f"x[1,{NINES}]^2", "1"))),
+    "dump exponent": (["dump", "--kind", "vector", "--input", "@vector"], None,
+                      _vector_doc((f"x[1,1]^{NINES}*x[1,1]^{NINES}", "1"))),
+    "dump coefficient": (["dump", "--kind", "vector", "--input", "@vector"],
+                         None, _vector_doc(("x[1,1]", "1/1" + "0" * 4299),
+                                           ("x[1,1]", "1/" + NINES))),
+}
+
+
+@pytest.mark.parametrize("argv,lam,vector", TOO_LONG_RESULTS.values(),
+                         ids=TOO_LONG_RESULTS.keys())
+def test_too_long_result_number_exit_2(tmp_path, argv, lam, vector):
+    files = {"@lambda": write(tmp_path / "lam.json", lam),
+             "@vector": write(tmp_path / "vec.json", vector)}
+    assert run_cli_stderr(*[files.get(a, a) for a in argv]) == (
+        2, "", "precondition violated: a number in the result is too long "
+               "to write\n")
 
 
 LONG_INPUT = "1" * 5000

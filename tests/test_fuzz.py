@@ -27,7 +27,10 @@ types whose fiber residual overflows to inf or NaN (once exit 3, now the
 precondition exit 2); a 5,000-digit rational in lambda data and a
 3,000-entry list as a zeta entry, whose schema errors once quoted them whole;
 and 4,000-digit modes of the wrong parity in either sector, whose mode
-errors once did so too.
+errors once did so too; and valid input whose result holds a number past
+Python's 4,300-digit int-to-text limit (a type, a spectrum row, a
+certificate shift and degree, a summed exponent and a summed coefficient),
+once exit 4, now the precondition exit 2.
 
 A second fuzz mutates the document's bytes instead: text that is not
 UTF-8, or nesting deeper than the JSON decoder recurses, must end in the
@@ -44,7 +47,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from heisenfock import certify_cyclic
-from heisenfock.cli import (MAX_CMN_ORDER, MAX_FIBER_RANK,
+from heisenfock.cli import (MAX_CMN_ORDER, MAX_RANK,
                             MAX_RELATIONS_BOUND, MAX_RELATIONS_RANK,
                             MAX_RELATIONS_TRIALS, MAX_VERIFY_BOUND, main)
 from heisenfock.serialize import (certificate_to_json, fock_from_json,
@@ -78,7 +81,9 @@ TWISTED_CERTIFICATE = _certificate(TWISTED_LAMBDA, TWISTED_VECTOR)
 
 # Fixed companion files; ``@doc`` in an argv is the mutated document.
 FILES = {"lambda": LAMBDA, "vector": VECTOR, "zeta": ZETA,
-         "tlambda": TWISTED_LAMBDA, "tvector": TWISTED_VECTOR}
+         "tlambda": TWISTED_LAMBDA, "tvector": TWISTED_VECTOR,
+         "power": {"sector": "untwisted", "rank": 1,
+                   "terms": [{"monomial": "x[1,1]^50", "coeff": "1"}]}}
 
 # (argv, the valid document it reads as @doc)
 TARGETS = [
@@ -204,6 +209,19 @@ WRONG_PARITY = [_vector("x[1," + "2" * 4000 + "]", "twisted"),
                 _vector("x[1," + "3" * 4000 + "/2]")]
 
 
+def _lambda(top):
+    return {"sector": "untwisted", "rank": 1,
+            "entries": [[["0", "0"]], [[top, "0"]]]}
+
+
+# valid input whose result holds a number of more than 4,300 digits
+NINES = "9" * 4300
+SUMMED_COEFFICIENTS = {
+    "sector": "untwisted", "rank": 1,
+    "terms": [{"monomial": "x[1,1]", "coeff": "1/1" + "0" * 4299},
+              {"monomial": "x[1,1]", "coeff": "1/" + NINES}]}
+
+
 @settings(max_examples=250, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.function_scoped_fixture])
@@ -239,6 +257,17 @@ WRONG_PARITY = [_vector("x[1," + "2" * 4000 + "]", "twisted"),
                 "entries": [[["1" * 5000, "0"]]]}))
 @example(case=(["dump", "--kind", "zeta", "--input", "@doc"],
                {"sector": "untwisted", "r": 0, "zeta": [list(range(3000))]}))
+@example(case=(["type", "--lambda", "@doc"], _lambda("1" + "0" * 2200)))
+@example(case=(["verify", "--lambda", "@doc", "--bound", "3"],
+               _lambda("1" + "0" * 2200)))
+@example(case=(["certify", "--lambda", "@doc", "--vector", "@power"],
+               _lambda("1" + "0" * 90)))
+@example(case=(["certify", "--lambda", "@lambda", "--vector", "@doc"],
+               dict(_vector(f"x[1,{NINES}]^2"), rank=2)))
+@example(case=(["dump", "--kind", "vector", "--input", "@doc"],
+               _vector(f"x[1,1]^{NINES}*x[1,1]^{NINES}")))
+@example(case=(["dump", "--kind", "vector", "--input", "@doc"],
+               SUMMED_COEFFICIENTS))
 def test_cli_exits_0_to_3_and_dump_is_idempotent(case, folder):
     argv, doc = case
     code, out = _run(argv, folder, doc)
@@ -315,7 +344,7 @@ flag_cases = st.one_of(
     st.tuples(st.just(["verify", "--lambda", "@lambda"]),
               _flag("--bound", -1, 8, MAX_VERIFY_BOUND)),
     st.tuples(st.just(["fiber", "--zeta", "@zeta"]),
-              _flag("--l", -1, 3, MAX_FIBER_RANK)),
+              _flag("--l", -1, 3, MAX_RANK)),
 ).map(lambda parts: sum(parts, []))
 
 

@@ -1,7 +1,10 @@
 """Guards on the public surface of the package.
 
-The package exports one spelling per concept; a name added to or dropped
-from ``heisenfock.__all__`` must change the pinned list below on purpose.
+The package exports one spelling per concept, through its one export list;
+a name added to or dropped from ``heisenfock.__all__`` must change the
+pinned list below on purpose.  Every exported name has a caller in the
+package apart from ``__init__``, or sits in a pinned list of the names that
+have none.
 Every exported name must resolve, and the library reads no environment
 variable: every option is an argument or a documented constant.  Mode
 errors are raised in one module, ``fock``, whose checks every caller uses,
@@ -29,15 +32,26 @@ PUBLIC = [
     "ReductionStep", "Scalar", "SchemaError", "Sector", "SectorMismatchError",
     "WhittakerReport", "WhittakerType", "act_mode", "as_scalar", "bilinear",
     "binom_mode_identity_check", "binom_transfer_matrix", "certify_cyclic",
-    "cmn_table", "commutator_check", "delta_z_apply", "determinant",
-    "extract_fiber_data", "fiber_dimension", "format_scalar", "j_generator",
-    "mode_apply", "mode_text", "monomial_text", "omega", "parse_scalar",
-    "quadratic_act", "quadratic_check", "reduce_step", "scalar_sqrt",
-    "solve_fiber", "theta_involution", "twisted_mode_apply",
-    "twisted_virasoro_mode", "type_eigenvalues", "verify_certificate",
-    "verify_whittaker_vector", "virasoro_bracket_check", "virasoro_mode",
-    "weighted_partial", "whittaker_type_of",
+    "cmn_table", "commutator_check", "delta_z_apply", "extract_fiber_data",
+    "fiber_dimension", "format_scalar", "j_generator", "mode_apply",
+    "mode_text", "monomial_text", "omega", "parse_scalar", "quadratic_act",
+    "quadratic_check", "reduce_step", "scalar_sqrt", "solve_fiber",
+    "theta_involution", "twisted_mode_apply", "twisted_virasoro_mode",
+    "type_eigenvalues", "verify_certificate", "verify_whittaker_vector",
+    "virasoro_bracket_check", "virasoro_mode", "weighted_partial",
+    "whittaker_type_of",
 ]
+
+# exported names that no module of the package calls: user-facing
+# operations, and names that open roadmap items would call
+UNCALLED_IN_SOURCE = {
+    # user-facing operations, which the benchmark also calls
+    "act_mode", "weighted_partial", "twisted_mode_apply",
+    # user-facing fiber operations
+    "extract_fiber_data", "fiber_dimension",
+    # claimed by the M(1)^+ replay, generator and Borcherds roadmap items
+    "binom_transfer_matrix", "j_generator", "theta_involution",
+}
 
 SOURCE = Path(heisenfock.__file__).parent
 
@@ -137,6 +151,23 @@ def _references(node, skip=None):
             aliases.update((a.asname, a.name) for a in item.names if a.asname)
         stack.extend(ast.iter_child_nodes(item))
     return names | {name for asname, name in aliases.items() if asname in names}
+
+
+def test_exported_names_have_a_src_caller():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.rglob("*.py"))
+             if path.name != "__init__.py"]
+    uncalled = set()
+    for name in heisenfock.__all__:
+        for tree in trees:
+            # a definition does not call itself
+            definition = next((node for node in tree.body
+                               if getattr(node, "name", None) == name), None)
+            if name in _references(tree, skip=definition):
+                break
+        else:
+            uncalled.add(name)
+    assert uncalled == UNCALLED_IN_SOURCE
 
 
 def test_private_code_has_a_caller():

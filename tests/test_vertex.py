@@ -327,6 +327,27 @@ class TestVirasoro:
         assert ranks == [2]
         assert vertex._twisted_omega_parts(2) == tuple(delta(omega(2)).items())
 
+    def test_omega_builds_one_vector(self, monkeypatch):
+        # one pass over the ranks: summing x[i,1]^2/2 vector by vector once
+        # copied every term per boson, quadratic in the rank
+        built = []
+        init = FockVector.__init__
+
+        def counted(self, rank, sector, terms):
+            built.append(rank)
+            init(self, rank, sector, terms)
+
+        monkeypatch.setattr(FockVector, "__init__", counted)
+        state = omega.__wrapped__(5)
+        monkeypatch.undo()
+        assert built == [5]
+        summed = FockVector.zero(5)
+        for i in range(1, 6):
+            summed = summed + (x(i, 1, 5) * x(i, 1, 5)).scaled_fraction(
+                Fraction(1, 2))
+        assert state == summed
+        assert list(state.terms) == list(summed.terms)
+
     def test_bracket_randomized(self, rng):
         # 200 random (f, m, n) samples split over both sectors
         for sector in (Sector.UNTWISTED, Sector.TWISTED):
