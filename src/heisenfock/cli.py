@@ -8,6 +8,7 @@ Subcommands::
     verify     --lambda FILE --bound B       Virasoro spectrum report on the cyclic vector
                                              (B <= 1024, rank <= 64)
     certify    --lambda FILE --vector FILE   build a reduction certificate
+                                             (factors per term <= 128)
     certify    --check CERT [--vector FILE]  replay/verify a certificate
     relations  [--l N --bound B --seed S --trials T]   randomized identity suites
                                              (N <= 8, B <= 32, T <= 500)
@@ -31,7 +32,7 @@ import sys
 
 from .certify import certify_cyclic, verify_certificate
 from .errors import (NumericFailure, PreconditionError, ReductionError,
-                     SchemaError)
+                     SchemaError, _quoted)
 from .sampling import run_suites
 from .serialize import (certificate_from_json, certificate_to_json,
                         cmn_to_json, fiber_to_json, fock_from_json,
@@ -63,6 +64,9 @@ MAX_SUPPORT_BOUND = 64
 MAX_RELATIONS_RANK = 8
 MAX_RELATIONS_BOUND = 32
 MAX_RELATIONS_TRIALS = 500
+# the factors in a term of a vector to certify, which bound its steps: at the
+# cap a certificate takes about a second, at twice the cap more than ten
+MAX_CERTIFY_FACTORS = 128
 
 
 def _load_json(path: str):
@@ -133,7 +137,7 @@ def cmd_fiber(args) -> int:
 
 def _at_most(flag: str, value: int, cap: int) -> None:
     if value > cap:
-        raise PreconditionError(f"{flag} {value} exceeds the maximum {cap}")
+        raise PreconditionError(f"{flag} {_quoted(value)} exceeds the maximum {cap}")
 
 
 def cmd_verify(args) -> int:
@@ -165,6 +169,8 @@ def cmd_certify(args) -> int:
     lam = lambda_from_json(_load_json(args.lambda_file))
     _at_most("r", lam.support_bound, MAX_SUPPORT_BOUND)
     vector = fock_from_json(_load_json(args.vector))
+    factors = max((sum(e for *_, e in mono) for mono in vector.terms), default=0)
+    _at_most("factors in a term", factors, MAX_CERTIFY_FACTORS)
     cert = certify_cyclic(lam, vector)
     _emit(certificate_to_json(lam, cert))
     return EXIT_OK

@@ -13,7 +13,10 @@ _QUOTED_MAX = 40
 
 def _quoted(value) -> str:
     """``repr(value)``, cut to ``_QUOTED_MAX`` characters and ``...``."""
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:  # an integer past the int-to-text digit limit
+        text = "<a number too long to write>"
     return text if len(text) <= _QUOTED_MAX else text[:_QUOTED_MAX] + "..."
 
 

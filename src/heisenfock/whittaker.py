@@ -31,7 +31,7 @@ from .errors import (IsotropicTopError, NonSquareError, NumericFailure,
 from .fock import FockVector, Sector
 from .heisenberg import LambdaSequence
 from .scalars import ONE, ZERO, Scalar, as_scalar, scalar_sqrt
-from .vertex import twisted_virasoro_mode, virasoro_mode
+from .vertex import virasoro_mode
 
 TOLERANCE = 1e-10  # the largest type residual a numeric fiber point may have
 
@@ -171,11 +171,9 @@ def verify_whittaker_vector(lam: LambdaSequence, bound: int) -> WhittakerReport:
     eps = 1 - lam.sector.parity
     eig = type_eigenvalues(lam)
     one = FockVector.constant(1, lam.rank, lam.sector)
-    ell = (virasoro_mode if lam.sector is Sector.UNTWISTED
-           else twisted_virasoro_mode)
     rows: List[ReportRow] = []
     for i in range(r + 1, bound + 1):
-        got = ell(i - 1, one, lam)  # omega_i = L_(i-1)
+        got = virasoro_mode(i - 1, one, lam)  # omega_i = L_(i-1)
         expected = eig.get(i, ZERO)
         if i == 1 and lam.sector is Sector.TWISTED:  # vacuum energy of L_0
             expected = expected + Fraction(lam.rank, 16)

@@ -644,6 +644,51 @@ def test_integer_flag_cap_edge(argv, cap, lambda_file, zeta_file):
                               f"exceeds the maximum {cap}\n")
 
 
+@pytest.mark.parametrize("sector, entries, low, high", [
+    ("untwisted", [[["0", "0"]], [["1", "0"]]], "x[1,1]", "x[1,2]"),
+    ("twisted", [[["1", "0"]]], "x[1,1/2]", "x[1,3/2]"),
+])
+def test_certify_factor_cap_edge(tmp_path, sector, entries, low, high):
+    # each step removes one factor from every term, so the factor count of
+    # a term, the sum of its exponents, bounds the steps
+    cap = cli.MAX_CERTIFY_FACTORS
+    lam = write(tmp_path / "lam.json",
+                {"sector": sector, "rank": 1, "entries": entries})
+    for monomial, code in ((f"{low}^{cap}", 0),
+                           (f"{low}^{cap - 1}*{high}^2", 2)):
+        vec = write(tmp_path / "vec.json", {
+            "sector": sector, "rank": 1,
+            "terms": [{"monomial": "1", "coeff": "1"},
+                      {"monomial": monomial, "coeff": "1"}]})
+        got, out, err = run_cli_stderr("certify", "--lambda", lam,
+                                       "--vector", vec)
+        assert got == code, err
+        if code:
+            assert (out, err) == ("", f"precondition violated: factors in a "
+                                      f"term {cap + 1} exceeds the maximum "
+                                      f"{cap}\n")
+        else:
+            assert len(json.loads(out)["steps"]) == cap
+
+
+@pytest.mark.parametrize("monomial", [
+    "x[1,1]^100000000000000000000",
+    "x[1,1]^" + "9" * 4300 + "*x[1,1]^" + "9" * 4300,
+], ids=["ten_to_the_twenty", "too_long_to_write"])
+def test_certify_huge_exponent_refused_quickly(tmp_path, lambda_file,
+                                               monomial):
+    # certifying x[1,1]^(10^20) once ran without bound; two 4,300-digit
+    # exponents merge into a count too long to write
+    vec = write(tmp_path / "vec.json", _vector_doc((monomial, "1")))
+    start = time.perf_counter()
+    code, out, err = run_cli_stderr("certify", "--lambda", lambda_file,
+                                    "--vector", vec)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("precondition violated: factors in a term ")
+    assert err.count("\n") == 1 and len(err) <= 200
+
+
 def _support_files(tmp_path, r):
     """Rank-1 untwisted lambda data and a type, each with support bound r."""
     return {

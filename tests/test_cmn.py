@@ -10,13 +10,12 @@ from fractions import Fraction
 from functools import lru_cache
 from random import Random
 
-import pytest
 import sympy
 
-from heisenfock import (FockVector, LambdaSequence, Sector,
-                        SectorMismatchError, bilinear, cmn_table,
-                        delta_z_apply, omega, twisted_mode_apply,
-                        twisted_virasoro_mode, weighted_partial)
+from heisenfock import (FockVector, LambdaSequence, Sector, bilinear,
+                        cmn_table, delta_z_apply, mode_apply, omega,
+                        twisted_mode_apply, twisted_virasoro_mode,
+                        weighted_partial)
 from heisenfock.sampling import (random_fock, random_lambda,
                                  random_nonzero_scalar, virasoro_trial)
 
@@ -250,10 +249,15 @@ class TestTwistedModes:
         for _ in range(40):
             assert virasoro_trial(rng, 2, Sector.TWISTED, 3)
 
-    def test_untwisted_vector_rejected(self):
+    def test_untwisted_vector_takes_untwisted_modes(self):
+        # the twisted name is the one operator, so untwisted data gets the
+        # untwisted modes: no exp(Delta_z) shift on L_0 of the vacuum
         lam = LambdaSequence.zero(1)
-        with pytest.raises(SectorMismatchError):
-            twisted_mode_apply(omega(1), 1, one(1), lam)
+        assert not twisted_mode_apply(omega(1), 1, one(1), lam)
+        f = FockVector.variable(1, 2, 1) * FockVector.variable(1, 1, 1)
+        for k in range(-2, 4):
+            assert twisted_mode_apply(omega(1), k, f, lam) == mode_apply(
+                omega(1), k, f, lam)
 
     def test_half_mode_of_single_field(self, rng):
         # a single twisted free field has plain oscillator modes

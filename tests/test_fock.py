@@ -433,8 +433,7 @@ def test_no_caller_passes_the_kernel_a_zero_factor(rng, monkeypatch):
                                      rng.choice([ZERO, factor("real", rng)]))
                 assert_canonical(_compose_quadratic(lam, q, f).terms)
             for n in range(-1, 3):
-                out = (vertex.virasoro_mode if sector is Sector.UNTWISTED
-                       else vertex.twisted_virasoro_mode)(n, f, lam)
+                out = vertex.virasoro_mode(n, f, lam)
                 assert_canonical(out.terms)
     assert len(factors) > 100
     assert all(factors), [v for v in factors if not v]

@@ -6,9 +6,9 @@ the input document ``name`` written to a temporary directory.  Every case
 must reproduce its recording exactly, numeric floats included, so a
 refactor that claims unchanged outputs is checked rather than assumed.
 
-``data/golden_modes.json`` holds seeded ``mode_apply`` /
-``twisted_mode_apply`` inputs (lambda data, vector and state as JSON
-documents, the mode as text) with the text form of each recorded output.
+``data/golden_modes.json`` holds seeded ``mode_apply`` inputs (lambda data,
+vector and state as JSON documents, the mode as text) with the text form of
+each recorded output.
 The states have one to five factors, derivative factors h(-n) with n >= 2
 and mixed factor counts; the ranks are 1-3 with nonzero lambda data; both
 sectors appear, always with a mode of the parity the state can reach.
@@ -50,9 +50,9 @@ from random import Random
 
 import pytest
 
-from heisenfock import (FockVector, LambdaSequence, Sector,
-                        delta_z_apply, format_scalar, mode_apply,
-                        monomial_text, parse_scalar, twisted_mode_apply)
+from heisenfock import (FockVector, LambdaSequence, Sector, delta_z_apply,
+                        format_scalar, mode_apply, monomial_text,
+                        parse_scalar)
 from heisenfock.cli import main
 from heisenfock.sampling import (random_fock, random_lambda,
                                  random_mode_pair, random_nonzero_scalar,
@@ -146,9 +146,8 @@ def draw_mode_cases(seed: int, count: int):
 
 def apply_mode_case(case) -> str:
     lam = lambda_from_json(case["lambda"])
-    apply = mode_apply if lam.sector is Sector.UNTWISTED else twisted_mode_apply
-    out = apply(fock_from_json(case["state"]), Fraction(case["k"]),
-                fock_from_json(case["vector"]), lam)
+    out = mode_apply(fock_from_json(case["state"]), Fraction(case["k"]),
+                     fock_from_json(case["vector"]), lam)
     return str(out)
 
 

@@ -148,10 +148,7 @@ class TestModeApply:
         modes = [Fraction(k, 2) for k in range(-8, 4)]
         if sector is Sector.UNTWISTED:
             modes = [k for k in modes if k.denominator == 1]
-            ell = mode_apply
-        else:
-            ell = twisted_mode_apply
-        expected = [ell(u, k, f, lam) for k in modes]
+        expected = [mode_apply(u, k, f, lam) for k in modes]
         assert sum(1 for out in expected if out.degree > f.degree) >= 3
         calls = []
         original = FockVector.times_variable
@@ -161,7 +158,7 @@ class TestModeApply:
             return original(self, i, d2)
 
         monkeypatch.setattr(FockVector, "times_variable", counted)
-        assert [ell(u, k, f, lam) for k in modes] == expected
+        assert [mode_apply(u, k, f, lam) for k in modes] == expected
         assert not calls
 
     def test_grading(self, rng):
@@ -174,11 +171,17 @@ class TestModeApply:
             if out:
                 assert out.degree == u.degree + f.degree - k - 1
 
-    def test_twisted_vector_rejected(self):
-        lam = LambdaSequence.zero(1, Sector.TWISTED)
-        f = one(1, Sector.TWISTED)
+    @pytest.mark.parametrize("sector", list(Sector))
+    def test_sector_mismatch_rejected(self, sector):
+        # the sector comes from the data: lambda data of one sector cannot
+        # act on a vector of the other, whichever of the two is twisted
+        other = Sector.TWISTED if sector is Sector.UNTWISTED else Sector.UNTWISTED
+        lam = LambdaSequence.zero(1, sector)
+        f = one(1, other)
         with pytest.raises(SectorMismatchError):
             mode_apply(omega(1), 1, f, lam)
+        with pytest.raises(SectorMismatchError):
+            virasoro_mode(0, f, lam)
 
 
 def sector_modes(vector):
@@ -236,7 +239,6 @@ class TestCommutatorFormula:
 
     @pytest.mark.parametrize("sector", [Sector.UNTWISTED, Sector.TWISTED])
     def test_states_of_three_to_five_factors(self, rng, sector):
-        apply = mode_apply if sector is Sector.UNTWISTED else twisted_mode_apply
         half = Fraction(1, 2) if sector is Sector.TWISTED else 0
         for count in (3, 4, 5, 3, 4, 5):
             rank = rng.randint(1, 2)
@@ -253,14 +255,14 @@ class TestCommutatorFormula:
             i = rng.randint(1, rank)
             m = rng.randint(-2, 2) + half
             k = rng.randint(-1, weight) + (half if count % 2 else 0)
-            lhs = (act_mode(lam, i, m, apply(u, k, f, lam))
-                   - apply(u, k, act_mode(lam, i, m, f), lam))
+            lhs = (act_mode(lam, i, m, mode_apply(u, k, f, lam))
+                   - mode_apply(u, k, act_mode(lam, i, m, f), lam))
             rhs = FockVector.zero(rank, sector)
             for j in range(1, weight + 1):
                 du = weighted_partial(i, j, u)
                 c = gbinom(m, j)
                 if du and c:
-                    rhs = rhs + apply(du, m + k - j, f, lam).scaled_fraction(c)
+                    rhs = rhs + mode_apply(du, m + k - j, f, lam).scaled_fraction(c)
             assert lhs == rhs
 
 
