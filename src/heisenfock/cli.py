@@ -22,6 +22,13 @@ bound r exceeds 64 (exit 2).
 All output is JSON on stdout.  Exit status: 0 success, 1 schema error,
 2 mathematical precondition violated, 3 identity/verification failure,
 4 internal error (an unexpected exception; one line on stderr).
+
+Each subcommand imports the modules it uses when it runs, and importing the
+package loads none of them, so a request loads only its own: ``cmn`` never
+loads ``certify``, ``whittaker`` or ``sampling``.  Where bytecode is not
+cached (``PYTHONDONTWRITEBYTECODE``, or a read-only install), every request
+compiles each module it loads from source, and that compile costs a small
+request more than its own work.
 """
 
 from __future__ import annotations
@@ -30,17 +37,8 @@ import argparse
 import json
 import sys
 
-from .certify import certify_cyclic, verify_certificate
 from .errors import (NumericFailure, PreconditionError, ReductionError,
                      SchemaError, _quoted)
-from .sampling import run_suites
-from .serialize import (certificate_from_json, certificate_to_json,
-                        cmn_to_json, fiber_to_json, fock_from_json,
-                        fock_to_json, lambda_from_json, lambda_to_json,
-                        report_to_json, vectors_from_json,
-                        whittaker_type_from_json, whittaker_type_to_json)
-from .vertex import cmn_table
-from .whittaker import solve_fiber, verify_whittaker_vector, whittaker_type_of
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
@@ -95,6 +93,8 @@ def _emit(doc) -> None:
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_type(args) -> int:
+    from .serialize import lambda_from_json, whittaker_type_to_json
+    from .whittaker import whittaker_type_of
     lam = lambda_from_json(_load_json(args.lambda_file))
     _at_most("r", lam.support_bound, MAX_SUPPORT_BOUND)
     _emit(whittaker_type_to_json(whittaker_type_of(lam)))
@@ -102,6 +102,7 @@ def cmd_type(args) -> int:
 
 
 def _one_vector(path, rank: int, where: str, exact: bool):
+    from .serialize import vectors_from_json
     rows = vectors_from_json(_load_json(path), rank, where, numeric=not exact)
     if len(rows) != 1:
         raise SchemaError(f"{where} file must hold exactly one vector")
@@ -109,6 +110,9 @@ def _one_vector(path, rank: int, where: str, exact: bool):
 
 
 def cmd_fiber(args) -> int:
+    from .serialize import (fiber_to_json, vectors_from_json,
+                            whittaker_type_from_json)
+    from .whittaker import solve_fiber
     if args.l < 1:  # before the files, whose rows are read at this rank
         raise PreconditionError("fiber needs --l >= 1")
     _at_most("--l", args.l, MAX_RANK)
@@ -141,6 +145,8 @@ def _at_most(flag: str, value: int, cap: int) -> None:
 
 
 def cmd_verify(args) -> int:
+    from .serialize import lambda_from_json, report_to_json
+    from .whittaker import verify_whittaker_vector
     _at_most("--bound", args.bound, MAX_VERIFY_BOUND)
     lam = lambda_from_json(_load_json(args.lambda_file))
     _at_most("r", lam.support_bound, MAX_SUPPORT_BOUND)
@@ -151,6 +157,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .certify import certify_cyclic, verify_certificate
+    from .serialize import (certificate_from_json, certificate_to_json,
+                            fock_from_json, lambda_from_json)
     if args.check:
         if args.lambda_file:
             raise SchemaError("certify --check takes its lambda from the "
@@ -177,12 +186,18 @@ def cmd_certify(args) -> int:
 
 
 def cmd_cmn(args) -> int:
+    from .serialize import cmn_to_json
+    from .vertex import cmn_table
     _at_most("--order", args.order, MAX_CMN_ORDER)
     _emit(cmn_to_json(cmn_table(args.order)))
     return EXIT_OK
 
 
 def cmd_dump(args) -> int:
+    from .serialize import (certificate_from_json, certificate_to_json,
+                            fock_from_json, fock_to_json, lambda_from_json,
+                            lambda_to_json, whittaker_type_from_json,
+                            whittaker_type_to_json)
     doc = _load_json(args.input)
     if args.kind == "lambda":
         _emit(lambda_to_json(lambda_from_json(doc)))
@@ -197,6 +212,7 @@ def cmd_dump(args) -> int:
 
 
 def cmd_relations(args) -> int:
+    from .sampling import run_suites
     if args.l < 1 or args.bound < 1 or args.trials < 1:
         raise PreconditionError(
             "relations needs --l >= 1, --bound >= 1 and --trials >= 1")

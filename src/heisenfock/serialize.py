@@ -20,15 +20,12 @@ import re as _re
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .certify import ReductionCertificate, ReductionStep
 from .errors import SchemaError, _quoted
 from .fock import (FockVector, Monomial, Sector, _accumulate, _check_positive,
                    _factor_text, _sorted_monomial, mode_text)
 from .heisenberg import LambdaSequence, QuadraticElement
 from .scalars import (Scalar, _ratio_text, format_scalar, parse_rational,
                       parse_scalar)
-from .vertex import CmnTable
-from .whittaker import FiberPoint, WhittakerReport, WhittakerType
 
 SCHEMA_VERSION = 1
 
@@ -245,6 +242,7 @@ def whittaker_type_to_json(wt: WhittakerType) -> dict:
 
 
 def whittaker_type_from_json(doc) -> WhittakerType:
+    from .whittaker import WhittakerType
     sector = parse_sector(_expect(doc, "sector", str, "type"))
     r = _expect(doc, "r", int, "type")
     zeta_raw = _expect(doc, "zeta", list, "type")
@@ -290,6 +288,7 @@ def certificate_to_json(lam: LambdaSequence,
 
 
 def certificate_from_json(doc):
+    from .certify import ReductionCertificate, ReductionStep
     lam = lambda_from_json(_expect(doc, "lambda", dict, "certificate"))
     initial = fock_from_json(_expect(doc, "initial", dict, "certificate"))
     steps = []

@@ -31,7 +31,6 @@ from .errors import (IsotropicTopError, NonSquareError, NumericFailure,
 from .fock import FockVector, Sector
 from .heisenberg import LambdaSequence
 from .scalars import ONE, ZERO, Scalar, as_scalar, scalar_sqrt
-from .vertex import virasoro_mode
 
 TOLERANCE = 1e-10  # the largest type residual a numeric fiber point may have
 
@@ -165,6 +164,7 @@ def verify_whittaker_vector(lam: LambdaSequence, bound: int) -> WhittakerReport:
     sector adds the vacuum energy rank/16 of L_0.  Exact equality per row;
     a bound <= r, which leaves no row, is refused.
     """
+    from .vertex import virasoro_mode
     r = lam.support_bound
     if bound <= r:
         raise PreconditionError(f"bound {bound} must exceed r = {r}")
@@ -357,7 +357,10 @@ def solve_fiber(zeta: WhittakerType, rank: int,
     owns an exactly scaled top vector may pass it as ``top_vector`` to avoid
     the square-root requirement; in numeric mode ``top_vector`` only fixes
     the direction of the top entry.  At most one of ``sphere_point`` and
-    ``top_vector`` may be given.
+    ``top_vector`` may be given.  When 2*zeta_top has no square root in
+    Q(i) and neither is given, an exact solve at rank >= 2 takes the top
+    ``((1+t)/2, i(1-t)/2, 0, ...)`` with ``t = 2*zeta_top``, and the
+    point's ``sphere_point`` is None; at rank 1 it raises NonSquareError.
     """
     if rank < 1:
         raise PreconditionError("rank must be >= 1")
@@ -394,10 +397,16 @@ def solve_fiber(zeta: WhittakerType, rank: int,
                 root = field.sqrt(norm2)
                 sp = tuple(c / root for c in sp)
         s = field.sqrt(two_top)
-        if s is None:
+        if s is not None:
+            top = tuple(s * c for c in sp)
+        elif sphere_point is None and rank >= 2:
+            # t = 2 * zeta_top has no root, but ((1+t)/2)^2 + (i(1-t)/2)^2 = t
+            half = Fraction(1, 2)
+            top = ((ONE + two_top).scale(half),
+                   (ONE - two_top) * Scalar(0, half)) + (ZERO,) * (rank - 2)
+        else:
             raise NonSquareError(
                 "2 * zeta_top has no square root in Q(i); supply top_vector")
-        top = tuple(s * c for c in sp)
     basis, _ = _complement_basis(top, field)
     params = [tuple(field.coerce(c) for c in row) for row in free_params]
     entries = [None] * steps + [top]

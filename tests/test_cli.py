@@ -7,11 +7,14 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
-from heisenfock import FockVector, certify, cli, sampling
+from heisenfock import (FockVector, Scalar, Sector, WhittakerType, certify,
+                        cli, sampling, scalar_sqrt, vertex)
 from heisenfock.cli import main
+from heisenfock.serialize import whittaker_type_to_json
 
 
 def run_cli(*argv):
@@ -114,6 +117,48 @@ def test_fiber_rank_one_two_points(tmp_path):
     doc = json.loads(out)
     values = [p["lambda"]["entries"][0][0][0] for p in doc["points"]]
     assert sorted(values) == ["-1", "1"]
+
+
+def _nonsquare_type(rng, sector, r):
+    # a random exact type whose 2 * zeta_top has no square root in Q(i)
+    def draw():
+        return Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                      Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+    zeta = [draw() for _ in range(r + 1 - sector.parity)]
+    while not zeta[-1] or scalar_sqrt(2 * zeta[-1]) is not None:
+        zeta[-1] = draw()
+    return whittaker_type_to_json(WhittakerType(sector, r, tuple(zeta)))
+
+
+@pytest.mark.parametrize("sector", list(Sector))
+def test_fiber_exact_without_root_gives_its_type_back(tmp_path, sector):
+    # at rank >= 2 an exact fiber needs no root of 2 * zeta_top: its top is
+    # ((1+t)/2, i(1-t)/2, 0, ...), and the point carries no sphere point
+    rng = Random(2106)
+    cases = 0
+    for rank in (2, 3, 4):
+        for r in range(sector.parity, 4):
+            doc = _nonsquare_type(rng, sector, r)
+            zeta = write(tmp_path / "z.json", doc)
+            code, out = run_cli("fiber", "--zeta", zeta, "--l", str(rank),
+                                "--exact")
+            assert code == 0, doc
+            point = json.loads(out)
+            assert point["sphere_point"] is None
+            lam = write(tmp_path / "lam.json", point["lambda"])
+            code, out = run_cli("type", "--lambda", lam)
+            assert (code, json.loads(out)) == (0, doc)
+            cases += 1
+    assert cases == 12 - 3 * sector.parity
+
+
+def test_fiber_exact_without_root_at_rank_one_exit_2(tmp_path):
+    zeta = write(tmp_path / "z.json", {
+        "sector": "untwisted", "r": 0, "zeta": ["1"]})
+    code, out, err = run_cli_stderr("fiber", "--zeta", zeta, "--l", "1",
+                                    "--exact")
+    assert (code, out) == (2, "")
+    assert "no square root" in err
 
 
 def test_fiber_numeric(tmp_path):
@@ -870,7 +915,8 @@ def test_unexpected_exception_exit_4(monkeypatch):
     def broken(order):
         raise KeyError(order)
 
-    monkeypatch.setattr(cli, "cmn_table", broken)
+    # cmd_cmn reads cmn_table from its home module when it runs
+    monkeypatch.setattr(vertex, "cmn_table", broken)
     err = io.StringIO()
     with redirect_stderr(err):
         code, out = run_cli("cmn", "--order", "3")
@@ -902,16 +948,55 @@ def test_determinism_byte_identical(tmp_path, lambda_file):
     assert len(runs) == 1
 
 
+SRC = Path(__file__).parents[1] / "src"
+
+
 def test_cli_imports_only_the_standard_library():
     # -S keeps site-packages hooks (such as a certifi .pth) out of the process.
     # Neither dataclasses nor inspect (which it pulls in, with ast and dis)
     # is loaded: they cost every command-line start more than the package's
-    # own work in most requests.
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    script = ("import json, sys, heisenfock.cli; "
+    # own work in most requests.  The subcommands load their modules as they
+    # run, so every module of the package is imported here.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    modules = sorted(f"heisenfock.{path.stem}"
+                     for path in (SRC / "heisenfock").glob("[!_]*.py"))
+    script = (f"import json, sys, {', '.join(modules)}; "
               "print(json.dumps(sorted({m.partition('.')[0] for m in sys.modules})))")
     out = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
     loaded = set(json.loads(out))
     assert loaded - set(sys.stdlib_module_names) <= {"__main__", "heisenfock"}
     assert not loaded & {"dataclasses", "inspect"}
+
+
+GOLDEN_INPUTS = json.loads(
+    (Path(__file__).parent / "data" / "golden_cli.json").read_text())["inputs"]
+
+
+@pytest.mark.parametrize("argv, present, absent", [
+    (["cmn", "--order", "8"], {"vertex"}, {"certify", "whittaker", "sampling"}),
+    (["certify", "--lambda", "@lam_u1.json", "--vector", "@vec_u1.json"],
+     {"certify"}, {"whittaker", "vertex", "sampling"}),
+    (["type", "--lambda", "@lam_u1.json"], {"whittaker"},
+     {"certify", "vertex", "sampling"}),
+], ids=["cmn", "certify", "type"])
+def test_subcommand_loads_only_its_modules(tmp_path, argv, present, absent):
+    # importing the package loads no module, and each subcommand imports
+    # its own as it runs: an eager import would compile the others on every
+    # request
+    args = [write(tmp_path / a[1:], GOLDEN_INPUTS[a[1:]]) if a.startswith("@")
+            else a for a in argv]
+    script = ("import io, json, sys\n"
+              "from contextlib import redirect_stdout\n"
+              "from heisenfock.cli import main\n"
+              "with redirect_stdout(io.StringIO()):\n"
+              "    code = main(sys.argv[1:])\n"
+              "print(json.dumps([code, sorted(m.partition('.')[2] for m in "
+              "sys.modules if m.startswith('heisenfock.'))]))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", script, *args], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    code, loaded = json.loads(out)
+    assert code == 0
+    assert present <= set(loaded)
+    assert not absent & set(loaded)

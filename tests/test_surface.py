@@ -10,10 +10,13 @@ variable: every option is an argument or a documented constant.  Mode
 errors are raised in one module, ``fock``, whose checks every caller uses,
 and the weighted derivation and the fused coefficient write have their one
 home there too.
+The package resolves each exported name on first access (PEP 562) to the
+object its home module defines, and ``dir`` and ``import *`` see every one.
 The docstring examples of every module run and pass.  Private code (a
 module-level function or class whose name, or whose module's name, starts
 with ``_``, and which the package does not export) has a caller in the
-package.
+package; the module hooks of PEP 562, which the interpreter calls, are
+exempt.
 """
 
 import ast
@@ -21,6 +24,8 @@ import doctest
 import importlib
 import pkgutil
 from pathlib import Path
+
+import pytest
 
 import heisenfock
 
@@ -57,6 +62,9 @@ UNCALLED_IN_SOURCE = {
 
 SOURCE = Path(heisenfock.__file__).parent
 
+# module attribute hooks (PEP 562), which attribute lookups on the module call
+PEP_562_HOOKS = {"__getattr__", "__dir__"}
+
 
 def _modules():
     yield heisenfock
@@ -76,6 +84,30 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{module.__name__}.{name}"
             checked += 1
     assert checked >= len(PUBLIC)
+
+
+def test_exports_resolve_lazily_to_their_home_objects():
+    # the package resolves each exported name on first access (PEP 562):
+    # it must be the very object its home module defines
+    for name in heisenfock.__all__:
+        obj = getattr(heisenfock, name)
+        home = importlib.import_module(obj.__module__)
+        assert getattr(home, name) is obj, name
+        assert vars(heisenfock)[name] is obj  # bound once, then a plain read
+    assert set(dir(heisenfock)) >= set(heisenfock.__all__)
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from heisenfock import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+    assert len(PUBLIC) == 54
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        heisenfock.no_such_name
+    assert not hasattr(heisenfock, "no_such_name")
 
 
 def test_library_reads_no_environment():
@@ -193,6 +225,8 @@ def test_private_code_has_a_caller():
             name = node.name
             if name in heisenfock.__all__ or not (
                     name.startswith("_") or module.startswith("_")):
+                continue
+            if name in PEP_562_HOOKS:  # the interpreter calls them
                 continue
             if not any(name in _references(other, skip=node)
                        for other in trees.values()):

@@ -156,6 +156,12 @@ class TestFiberSolver:
         wt = WhittakerType(Sector.UNTWISTED, 0, (sc(1),))  # 2*zeta = 2: no sqrt
         with pytest.raises(NonSquareError):
             solve_fiber(wt, 1, exact=True)
+        with pytest.raises(NonSquareError):  # a given sphere point needs it too
+            solve_fiber(wt, 2, sphere_point=[sc(1), sc(0)], exact=True)
+        # with no sphere point, rank 2 takes the top ((1+t)/2, i(1-t)/2)
+        point = solve_fiber(wt, 2, exact=True)
+        assert point.top_vector == (sc(3, 0) / 2, sc(0, -1) / 2)
+        assert point.sphere_point is None
         # an exactly scaled top vector sidesteps the square root: (1,1) has
         # self-pairing 2
         point = solve_fiber(wt, 2, exact=True, top_vector=[sc(1), sc(1)])
