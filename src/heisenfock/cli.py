@@ -10,6 +10,7 @@ Subcommands::
     certify    --lambda FILE --vector FILE   build a reduction certificate
                                              (factors per term <= 128)
     certify    --check CERT [--vector FILE]  replay/verify a certificate
+                                             (factors per term <= 128)
     relations  [--l N --bound B --seed S --trials T]   randomized identity suites
                                              (N <= 8, B <= 32, T <= 500)
     cmn        --order M                     exact twisted-correction coefficient table
@@ -62,8 +63,10 @@ MAX_SUPPORT_BOUND = 64
 MAX_RELATIONS_RANK = 8
 MAX_RELATIONS_BOUND = 32
 MAX_RELATIONS_TRIALS = 500
-# the factors in a term of a vector to certify, which bound its steps: at the
-# cap a certificate takes about a second, at twice the cap more than ten
+# the factors in a term of a vector to certify, or of the vector a certificate
+# is replayed on, which bound the steps: at the cap a certificate takes about a
+# second to build, at twice the cap more than ten, and a replay of x[1,1]^k
+# costs about five times more per doubling of k
 MAX_CERTIFY_FACTORS = 128
 
 
@@ -144,6 +147,13 @@ def _at_most(flag: str, value: int, cap: int) -> None:
         raise PreconditionError(f"{flag} {_quoted(value)} exceeds the maximum {cap}")
 
 
+def _factors_at_most(vector) -> None:
+    """Refuse a vector to certify or replay a certificate on whose largest
+    term has more than ``MAX_CERTIFY_FACTORS`` factors."""
+    factors = max((sum(e for *_, e in mono) for mono in vector.terms), default=0)
+    _at_most("factors in a term", factors, MAX_CERTIFY_FACTORS)
+
+
 def cmd_verify(args) -> int:
     from .serialize import lambda_from_json, report_to_json
     from .whittaker import verify_whittaker_vector
@@ -169,6 +179,7 @@ def cmd_certify(args) -> int:
         vector = cert.initial
         if args.vector:
             vector = fock_from_json(_load_json(args.vector))
+        _factors_at_most(vector)
         valid = verify_certificate(lam, vector, cert)
         _emit({"schema": "certify-check/1", "valid": valid,
                "steps": len(cert.steps)})
@@ -178,8 +189,7 @@ def cmd_certify(args) -> int:
     lam = lambda_from_json(_load_json(args.lambda_file))
     _at_most("r", lam.support_bound, MAX_SUPPORT_BOUND)
     vector = fock_from_json(_load_json(args.vector))
-    factors = max((sum(e for *_, e in mono) for mono in vector.terms), default=0)
-    _at_most("factors in a term", factors, MAX_CERTIFY_FACTORS)
+    _factors_at_most(vector)
     cert = certify_cyclic(lam, vector)
     _emit(certificate_to_json(lam, cert))
     return EXIT_OK

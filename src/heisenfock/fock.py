@@ -27,13 +27,14 @@ never change.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
 from .errors import (BosonIndexError, ModeRangeError, SectorMismatchError,
                      _quoted)
-from .scalars import ONE, Scalar, _ratio_text, _reduced, as_scalar
+from .scalars import Scalar, _ratio_text, _reduced, as_scalar
 
 # A monomial maps each variable to its exponent, stored as a sorted tuple of
 # (boson index, doubled mode, exponent) triples.  The empty tuple is the
@@ -332,11 +333,14 @@ def _accumulate_raw(acc: Dict[Monomial, Scalar], mono: Monomial, prev: Scalar,
 
 
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    """The product of two monomials."""
+    """The product of two monomials: a single factor of m2 is placed by
+    ``_insert_variable``, more are merged by one sort."""
     if not m1:
         return m2
     if not m2:
         return m1
+    if len(m2) == 1:
+        return _insert_variable(m1, *m2[0])
     return _sorted_monomial(m1 + m2)
 
 
@@ -354,14 +358,16 @@ def _sorted_monomial(factors) -> Monomial:
     return tuple(out)
 
 
-def _insert_variable(mono: Monomial, i: int, d2: int) -> Monomial:
-    key = (i, d2)
-    for pos, (bi, bd2, e) in enumerate(mono):
-        if (bi, bd2) == key:
-            return mono[:pos] + ((bi, bd2, e + 1),) + mono[pos + 1:]
-        if (bi, bd2) > key:
-            return mono[:pos] + ((i, d2, 1),) + mono[pos:]
-    return mono + ((i, d2, 1),)
+def _insert_variable(mono: Monomial, i: int, d2: int, e: int = 1) -> Monomial:
+    """mono times x[i, d2/2]^e.  The pair (i, d2) sorts just before every
+    factor (i, d2, *), so ``bisect_left`` finds the variable's place: its
+    exponent is raised there, or the factor is inserted there."""
+    pos = bisect_left(mono, (i, d2))
+    if pos < len(mono):
+        bi, bd2, be = mono[pos]
+        if bi == i and bd2 == d2:
+            return mono[:pos] + ((i, d2, be + e),) + mono[pos + 1:]
+    return mono[:pos] + ((i, d2, e),) + mono[pos:]
 
 
 def weighted_partial(i: int, mode: ModeLike, f: FockVector) -> FockVector:
@@ -386,53 +392,78 @@ def _add_weighted_partial2(acc: Dict[Monomial, Scalar], i: int, d2: int,
 
     None stands for a ``scale`` of 1 and a ``shift`` of 0; a ``shift`` or
     ``scale`` given is nonzero, since a fresh slot stores its product
-    unchecked.  A factor equal to 1 is not multiplied in.  A d2 of 0 leaves
-    the shift alone (no variable has mode 0).  A term with x[i,n]^e is
-    scaled by n * e, the integer d2 * e over 2, together with ``scale``.
+    unchecked.  A d2 of 0 leaves the shift alone (no variable has mode 0).
+    A term with x[i,n]^e is scaled by n * e, the integer d2 * e over 2,
+    together with ``scale``.
+
+    Two passes write into ``acc``: the shift pass, then the derivative
+    pass, each one loop over ``terms`` with the factors read as ints before
+    it starts.  A pass never meets a slot it wrote itself: the monomials of
+    ``terms`` are distinct, and both M -> M * creators and M -> M / x[i,n]
+    are injective.  So a pass into an empty ``acc`` looks up no slot, and a
+    unit shift pass into an empty ``acc`` with no creators is a copy.
 
     Each write costs one reduction: a product is formed as a raw Gaussian
     integer over its denominator and summed into its slot before the one
     ``_reduced``; a unit shift stores the term's own Scalar, with none when
     the slot is fresh.
     """
-    if scale is not None and scale == ONE:
-        scale = None
-    if shift is not None and scale is not None:
-        shift = shift * scale
-    unit = shift is not None and shift == ONE
-    for mono, c in terms.items():
-        if shift is not None:
-            out = _merge_monomials(mono, creators) if creators else mono
-            if unit:
-                _accumulate(acc, out, c)
-            else:
-                a, b, sa, sb = c.a, c.b, shift.a, shift.b
-                a, b, d = a * sa - b * sb, a * sb + b * sa, c.d * shift.d
-                prev = acc.get(out)
-                if prev is None:
-                    acc[out] = _reduced(a, b, d)
-                else:
-                    _accumulate_raw(acc, out, prev, a, b, d)
-        if not d2:
-            continue
-        for pos, (bi, bd2, e) in enumerate(mono):
-            if bi == i and bd2 == d2:
-                if e == 1:
-                    reduced = mono[:pos] + mono[pos + 1:]
-                else:
-                    reduced = mono[:pos] + ((bi, bd2, e - 1),) + mono[pos + 1:]
+    ka, kb, kd = (1, 0, 1) if scale is None else (scale.a, scale.b, scale.d)
+    if shift is not None:
+        if kb or ka != kd:  # a scale other than 1, whose form is (1, 0, 1)
+            shift = shift * scale
+        sa, sb, sd = shift.a, shift.b, shift.d
+        unit = not sb and sa == sd
+        fresh = not acc
+        if unit and fresh and not creators:
+            acc.update(terms)
+        else:
+            for mono, c in terms.items():
                 if creators:
-                    reduced = _merge_monomials(reduced, creators)
-                m = d2 * e
-                if scale is None:
-                    a, b, d = c.a * m, c.b * m, 2 * c.d
+                    mono = _merge_monomials(mono, creators)
+                prev = None if fresh else acc.get(mono)
+                if unit:
+                    if prev is None:
+                        acc[mono] = c
+                        continue
+                    a, b, d = c.a, c.b, c.d
                 else:
-                    a, b, sa, sb = c.a, c.b, scale.a, scale.b
-                    a, b, d = ((a * sa - b * sb) * m, (a * sb + b * sa) * m,
-                               2 * c.d * scale.d)
-                prev = acc.get(reduced)
-                if prev is None:
-                    acc[reduced] = _reduced(a, b, d)
-                else:
-                    _accumulate_raw(acc, reduced, prev, a, b, d)
-                break
+                    a, b, d = c.a, c.b, c.d * sd
+                    if sb:
+                        a, b = a * sa - b * sb, a * sb + b * sa
+                    else:
+                        a, b = a * sa, b * sa
+                    if prev is None:
+                        acc[mono] = _reduced(a, b, d)
+                        continue
+                _accumulate_raw(acc, mono, prev, a, b, d)
+    if not d2:
+        return
+    fresh = not acc
+    kd2 = 2 * kd  # n * e = d2 * e / 2
+    key = (i, d2)  # sorts just before the factor (i, d2, e) of a monomial
+    for mono, c in terms.items():
+        pos = bisect_left(mono, key)
+        if pos == len(mono):
+            continue
+        bi, bd2, e = mono[pos]
+        if bi != i or bd2 != d2:
+            continue
+        if e == 1:
+            mono = mono[:pos] + mono[pos + 1:]
+        else:
+            mono = mono[:pos] + ((i, d2, e - 1),) + mono[pos + 1:]
+        if creators:
+            mono = _merge_monomials(mono, creators)
+        m = d2 * e
+        a, b = c.a, c.b
+        if kb:
+            a, b = (a * ka - b * kb) * m, (a * kb + b * ka) * m
+        else:
+            m *= ka
+            a, b = a * m, b * m
+        prev = None if fresh else acc.get(mono)
+        if prev is None:
+            acc[mono] = _reduced(a, b, c.d * kd2)
+        else:
+            _accumulate_raw(acc, mono, prev, a, b, c.d * kd2)

@@ -214,8 +214,14 @@ def fock_from_json(doc) -> FockVector:
     factors: Dict = {}  # each distinct factor text, parsed once per document
     acc: Dict[Monomial, Scalar] = {}
     for idx, item in enumerate(terms):
-        mono_text = _expect(item, "monomial", str, f"vector term {idx}")
-        coeff_text = _expect(item, "coeff", str, f"vector term {idx}")
+        mono_text = coeff_text = None
+        if isinstance(item, dict):
+            mono_text, coeff_text = item.get("monomial"), item.get("coeff")
+        if not (isinstance(mono_text, str) and isinstance(coeff_text, str)):
+            # a malformed term: the checks name it in their message
+            where = f"vector term {idx}"
+            mono_text = _expect(item, "monomial", str, where)
+            coeff_text = _expect(item, "coeff", str, where)
         mono = _monomial(mono_text, sector, factors)
         # sorted by boson index: only the ends can fall outside the rank
         if mono and (mono[0][0] < 1 or mono[-1][0] > rank):

@@ -716,6 +716,46 @@ def test_certify_factor_cap_edge(tmp_path, sector, entries, low, high):
             assert len(json.loads(out)["steps"]) == cap
 
 
+@pytest.mark.parametrize("sector, entries, low", [
+    ("untwisted", [[["0", "0"]], [["1", "0"]]], "x[1,1]"),
+    ("twisted", [[["1", "0"]]], "x[1,1/2]"),
+])
+def test_certify_check_factor_cap_edge(tmp_path, sector, entries, low):
+    # a replay on x[1,1]^k costs about five times more per doubling of k:
+    # the vector replayed on, the certificate's own or --vector, is capped
+    # as the vector to certify is
+    cap = cli.MAX_CERTIFY_FACTORS
+    lam = write(tmp_path / "lam.json",
+                {"sector": sector, "rank": 1, "entries": entries})
+
+    def vector_doc(k):
+        return {"sector": sector, "rank": 1,
+                "terms": [{"monomial": "1", "coeff": "1"},
+                          {"monomial": f"{low}^{k}", "coeff": "1"}]}
+
+    vec = write(tmp_path / "vec.json", vector_doc(cap))
+    code, out = run_cli("certify", "--lambda", lam, "--vector", vec)
+    assert code == 0
+    cert = json.loads(out)
+    cert_path = write(tmp_path / "cert.json", cert)
+    for argv in ((), ("--vector", vec)):
+        code, out, err = run_cli_stderr("certify", "--check", cert_path, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"schema": "certify-check/1", "valid": True,
+                                   "steps": cap}
+    long_vec = write(tmp_path / "long.json", vector_doc(cap + 1))
+    long_cert = write(tmp_path / "long-cert.json",
+                      {**cert, "initial": vector_doc(cap + 1)})
+    for argv in (("--check", long_cert), ("--check", cert_path, "--vector",
+                                          long_vec)):
+        start = time.perf_counter()
+        code, out, err = run_cli_stderr("certify", *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (f"precondition violated: factors in a term {cap + 1} "
+                       f"exceeds the maximum {cap}\n")
+
+
 @pytest.mark.parametrize("monomial", [
     "x[1,1]^100000000000000000000",
     "x[1,1]^" + "9" * 4300 + "*x[1,1]^" + "9" * 4300,

@@ -341,20 +341,25 @@ def dense(rng, sector, forms=3):
 
 @pytest.mark.parametrize("sector", list(Sector))
 def test_kernel_writes_reduced_values_equal_to_the_reference(rng, sector):
-    touched = {"collide": 0, "cancel": 0, "fresh": 0}
+    p = sector.parity
+    # no creators; a single creator that no term holds, and one that many
+    # terms hold (its exponent is raised in place); two creators
+    creator_sets = ((), ((2, 6 - p, 1),), ((1, 2 - p, 1),),
+                    ((1, 2 - p, 1), (2, 6 - p, 2)))
+    touched = {"collide": 0, "cancel": 0, "fresh": 0, "copy": 0,
+               "empty shift": 0, "empty derivative": 0}
     for _ in range(4):
         f = dense(rng, sector)
-        i, d2 = rng.choice([(1, 2 - sector.parity), (2, 2 - sector.parity),
-                            (1, 4 - sector.parity), (0, 0)])
+        i, d2 = rng.choice([(1, 2 - p), (2, 2 - p), (1, 4 - p), (0, 0)])
         for shift_kind in FACTORS:
             for scale_kind in FACTORS:
-                for creators in ((), ((2, 6 - sector.parity, 1),)):
+                for creators in creator_sets:
                     shift, scale = factor(shift_kind, rng), factor(scale_kind, rng)
                     written = {}
                     ref_kernel(written, i, d2, f.terms, shift, scale, creators)
                     # some slots taken before the call, some with the
                     # negative of what it writes, and one it never writes
-                    before = {((1, 10 + sector.parity, 1),): sc(7, 2)}
+                    before = {((1, 10 + p, 1),): sc(7, 2)}
                     for mono, c in written.items():
                         pick = rng.randrange(3)
                         if pick == 0:
@@ -362,12 +367,23 @@ def test_kernel_writes_reduced_values_equal_to_the_reference(rng, sector):
                         elif pick == 1:
                             before[mono] = factor("gaussian", rng)
                         touched[("cancel", "collide", "fresh")[pick]] += 1
-                    got, want = dict(before), dict(before)
-                    _add_weighted_partial2(got, i, d2, f.terms, shift, scale,
-                                           creators)
-                    ref_kernel(want, i, d2, f.terms, shift, scale, creators)
-                    assert got == want, (i, d2, shift, scale, creators)
-                    assert_canonical(got)
+                    # and the same call into an empty accumulator
+                    if shift is None:
+                        touched["empty derivative"] += d2 != 0
+                    elif shift_kind == "one" and scale_kind in ("none", "one") \
+                            and not creators:
+                        touched["copy"] += 1
+                    else:
+                        touched["empty shift"] += 1
+                    for start in (before, {}):
+                        got, want = dict(start), dict(start)
+                        _add_weighted_partial2(got, i, d2, f.terms, shift,
+                                               scale, creators)
+                        ref_kernel(want, i, d2, f.terms, shift, scale,
+                                   creators)
+                        assert got == want, (i, d2, shift, scale, creators,
+                                             bool(start))
+                        assert_canonical(got)
     assert min(touched.values()) > 0, touched
 
 
@@ -481,3 +497,13 @@ def test_each_coefficient_write_costs_one_reduction(monkeypatch):
     composed = _compose_quadratic(lam, q, f)
     assert len(calls) <= compose_writes
     assert len(composed.terms) < compose_writes
+    # a shift pass into an empty accumulator with no creators is a copy:
+    # none for a unit shift, which stores the terms' own Scalars, and one
+    # per term for any other shift
+    del calls[:]
+    copy = {}
+    _add_weighted_partial2(copy, 0, 0, f.terms, ONE)
+    assert copy == f.terms and not calls
+    copy = {}
+    _add_weighted_partial2(copy, 0, 0, f.terms, q.shift)
+    assert len(calls) == len(f.terms) == len(copy)
