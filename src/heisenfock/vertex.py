@@ -6,30 +6,40 @@ h_a(-n).  Its field is the normal-ordered product of derivative fields; the
 ``k``-th mode of that field applied to a concrete Fock vector is a *finite*
 sum of ordinary oscillator monomials, because annihilation modes beyond the
 vector's weight (and beyond the lambda support) act by zero and creation
-modes are then capped by the output weight.  One kernel expands each state
-monomial for both sectors, fixing its factors' modes depth-first: each mode
-lies between what the remaining factors can still make up and the
-annihilation cap, the last factor takes the remainder, a derivative factor's
-binomial weight is multiplied in as its mode is fixed (zero skips the mode),
-an annihilator acts at once (a zero result prunes the subtree) and the
-creators, carried down as one sorted monomial, are merged into each term at
-the leaf, after every annihilator (normal ordering).  Nodes pass plain term
-dicts down, not vectors; every annihilator runs through the one weighted
-derivation kernel of ``fock``.  Annihilators commute, so the terms left by
-a multiset of them depend on nothing else: they are computed once per call,
-keyed by the sorted (boson, doubled mode) pairs, and shared by every state
-monomial and part of the call.
-Equal factors commute, so each run x[a,n]^e of them is expanded once per
-multiset of modes: its modes are taken non-decreasing, and as each block of
-k equal modes closes the weight gains that block's share of the run's
-e!/prod k! orderings (nothing when the run holds one block).  In the last
-run the factors still to fix take no less than this one, so its mode is
-also capped at their equal share of what is left.  The weight
-carried down is the state coefficient itself.  The last factor writes
-straight into the result, the only vector a call builds: an annihilator
-adds its shift lambda times the weight and its derivative scaled by the
-weight, a creator the node's terms times the weight, with the creators
-merged in; a weight of 1 is not multiplied.
+modes are then capped by the output weight.  One engine serves both sectors,
+in two steps.
+
+Plan.  ``_plan`` fixes a state monomial's factors' modes depth-first: each
+mode lies between what the remaining factors can still make up and the
+annihilation cap, the last factor takes the remainder, and a derivative
+factor's binomial weight is multiplied in as its mode is fixed (zero skips
+the mode).  Equal factors commute, so each run x[a,n]^e of them is expanded
+once per multiset of modes: its modes are taken non-decreasing, and as each
+block of k equal modes closes the weight gains that block's share of the
+run's e!/prod k! orderings (nothing when the run holds one block).  In the
+last run the factors still to fix take no less than this one, so its mode
+is also capped at their equal share of what is left.  An annihilator
+above lambda's top mode has no shift and only differentiates, lowering the
+weight by its mode, so such modes add up to at most the weight of the
+vector, rounded up to a power of two so that nearby weights share plans.
+Without that bound, a state of three or more factors on a vector of high
+modes but low weight would plan every creator that balances annihilators
+the vector cannot feed; one or two factors take no bound.  The expansion
+depends only on the monomial, the mode total its factors must reach, the
+cap and that bound, never on a coefficient, so it is written once as a
+flat tuple of nodes in depth-first order and cached under that key.
+
+Execute.  ``_modes_on`` walks the plan of each state monomial on f.
+Annihilators commute, so the terms left by a multiset of them depend on
+nothing else: each node fills them once per call, from its parent's terms,
+and every state monomial and part of the call shares them; a node that
+leaves nothing skips its subtree.  A leaf scales the state coefficient by
+its weight (one reduction; none for a weight of 1) and writes straight into
+the result, the only vector a call builds: a last annihilator adds its
+shift lambda times the weight and its derivative scaled by the weight, a
+last creator the node's terms times the weight, with the creators merged in
+(normal ordering: every annihilator acts before the creators).  Every
+write runs through the one weighted derivation kernel of ``fock``.
 
 ``mode_apply`` reads the sector from its vector and lambda data.  Parity
 rule: r half-odd twisted modes sum to an integer of the parity of r, so on
@@ -57,15 +67,17 @@ omega = (1/2) sum_i x[i,1]^2, so both sectors run through the same engine.
 Everything here is a pure function of immutable values; the only shared
 state is memoized: the coefficient table, the omega state, the parts of
 exp(Delta_z) omega that every twisted Virasoro mode reads (a tuple per
-rank) and the field weights, all immutable once built, so concurrent use
-is safe.  The engine's table of annihilated terms lives for one call.
+rank), the field weights and the expansion plans (at most
+``PLAN_CACHE_SIZE`` tuples, least recently used out), all immutable once
+built, so concurrent use is safe.  The engine's table of annihilated terms
+lives for one call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 from typing import Dict, List, Tuple, Union
 
 from ._record import Record, _set
@@ -74,7 +86,7 @@ from .fock import (FockVector, ModeLike, Monomial, Sector,
                    _add_weighted_partial2, _doubled_value, _insert_variable,
                    doubled_mode)
 from .heisenberg import LambdaSequence, act_mode2
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, _reduced
 
 
 def _gbinom(top: Union[int, Fraction], k: int) -> Fraction:
@@ -115,21 +127,136 @@ def omega(rank: int) -> FockVector:
 
 # -- the normal-ordered derivative-field engine --------------------------------
 
+#: Bound on the expansion plans ``_plan`` keeps, least recently used first
+#: out.  A plan depends on the state monomial, its mode total, the
+#: annihilation cap and the weight bound only, and real traffic repeats
+#: them: a pass of the benchmark's ``vertex`` workload builds about 470 and
+#: looks up 1,200.
+PLAN_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(runs: Monomial, target2: int, cap2: int, free2: int,
+          room2: int) -> tuple:
+    """The depth-first expansion of the state monomial ``runs`` (a run
+    x[a,n]^e is the factor (a, 2n, e)) whose modes add up to ``target2``
+    halves, each at most ``cap2``, flattened into one tuple.  The
+    annihilators above ``free2`` take at most ``room2`` halves together.
+
+    An annihilator before the last factor is a node (a, d2, parent_key,
+    key, end): key is the (a, d2) pairs of the annihilators on its path,
+    sorted and laid end to end in one tuple, parent_key those above it, and
+    end indexes just past its subtree.
+    The last factor is a leaf (a, d2, key, creators, num, den): it acts on
+    the terms left by key, and creators is the sorted monomial of every
+    creator on its path, its own x[a,-d2] included when d2 < 0; the weight
+    num/den (den > 0, lowest terms) multiplies the state coefficient.  A
+    node whose subtree holds no leaf is left out.  The caller passes only
+    totals the factors can reach: of their parity, and at most count * cap2."""
+    nodes: list = []
+    # one object per equal key or creator monomial: a cached plan holds
+    # each once
+    shared: dict = {}
+
+    def build(r, t, prev2, block, rest, left2, room2, num, den, key,
+              creators):
+        # fix factor t of the run runs[r] = (a, 2n, e), whose last ``block``
+        # factors sit at prev2; ``rest`` factors are left, this one included
+        a, n2, e = runs[r]
+        n = n2 // 2
+        # the factors after this one take at most cap2 each, and this run's
+        # take at least prev2
+        lo2 = left2 - (rest - 1) * cap2
+        if t and lo2 < prev2:
+            lo2 = prev2
+        last = rest == 1
+        # in the last run the e - t factors left share left2, none below
+        # this one (the range keeps the parity of lo2)
+        hi2 = cap2 if r + 1 < len(runs) else min(cap2, left2 // (e - t))
+        # the rest - 1 factors after this one make up at most free2 each
+        # and what room leaves above that, itself at most their cap
+        floor2, reach2 = (rest - 1) * free2, (rest - 1) * cap2
+        for d2 in range(lo2, hi2 + 1, 2):
+            room = room2
+            if d2 > free2:
+                if d2 > room2:  # and so is every mode after this one
+                    break
+                room -= d2
+            more2 = (room if room < reach2 else reach2) - free2
+            if left2 - d2 > (floor2 + more2 if more2 > 0 else floor2):
+                continue
+            p, q = num, den
+            if n > 1:
+                fw = _field_weight(d2, n)
+                if not fw:
+                    continue
+                p *= fw.numerator
+                q *= fw.denominator
+            if d2 == prev2:
+                k = block + 1
+            else:
+                k = 1
+                if block < t:  # the block at prev2 closes after t factors
+                    p *= comb(t, block)
+            if t + 1 == e and k < e:  # the last block closes with the run
+                p *= comb(e, k)
+            if d2 >= 0:
+                cr = creators
+            else:
+                cr = _insert_variable(creators, a, -d2)
+                cr = shared.setdefault(cr, cr)
+            if last:  # here d2 = left2: the modes add up
+                g = gcd(p, q)
+                nodes.append((a, d2, key, cr, p // g, q // g))
+                continue
+            if d2 >= 0:
+                pos = len(key)
+                while pos and (key[pos - 2], key[pos - 1]) > (a, d2):
+                    pos -= 2
+                hkey = key[:pos] + (a, d2) + key[pos:]
+                hkey = shared.setdefault(hkey, hkey)
+                at = len(nodes)
+                nodes.append(None)
+            else:
+                hkey = key
+            if t + 1 < e:
+                build(r, t + 1, d2, k, rest - 1, left2 - d2, room, p, q, hkey,
+                      cr)
+            else:
+                build(r + 1, 0, None, 0, rest - 1, left2 - d2, room, p, q,
+                      hkey, cr)
+            if d2 >= 0:
+                if len(nodes) == at + 1:
+                    nodes.pop()
+                else:
+                    nodes[at] = (a, d2, key, hkey, len(nodes))
+
+    build(0, 0, None, 0, sum(e for _, _, e in runs), target2, room2, 1, 1,
+          (), ())
+    return tuple(nodes)
+
+
 def _modes_on(parts, k2: int, f: FockVector, lam: LambdaSequence) -> FockVector:
     """Sum over the (j, state) parts of mode k - j of the state on f, where
-    ``k2`` = 2k; the depth-first expansion of the module docstring.  The
-    callers have checked lam against f, so its entries are read directly."""
+    ``k2`` = 2k: each state monomial's ``_plan`` run on f, as the module
+    docstring describes.  The callers have checked lam against f, so its
+    entries are read directly."""
     acc: Dict[Monomial, Scalar] = {}
     if not f.terms:
         return FockVector(f.rank, f.sector, acc)
-    parity = f.sector.parity
     # no mode above cap2 acts on f; a twisted cap of 0 becomes -1 (no mode 0)
     cap2 = max(f.max_mode2(), lam.top_doubled, 0)
-    if cap2 % 2 != parity:
+    if cap2 % 2 != f.sector.parity:
         cap2 -= 1
+    # an annihilator above free2 has no lambda shift: it only differentiates,
+    # lowering the weight by its mode, so on a nonzero term such modes add
+    # up to at most the doubled weight of f, here rounded up to a power of
+    # two, so that vectors of nearby weights share plans
+    free2 = min(lam.top_doubled, cap2)
+    room2 = 1 << max(f.degree2 - 1, 0).bit_length()
     entries = lam.entries
-    # annihilators commute: the terms left by each multiset of them, keyed
-    # by its sorted (a, d2) pairs, shared by every part and state monomial
+    # annihilators commute: the terms left by each multiset of them, under
+    # its plan key, shared by every part and state monomial
     after: Dict[tuple, Dict[Monomial, Scalar]] = {(): f.terms}
 
     def pairing(a, d2):
@@ -139,74 +266,55 @@ def _modes_on(parts, k2: int, f: FockVector, lam: LambdaSequence) -> FockVector:
             return entries[slot][a - 1] or None
         return None
 
-    def expand(runs, t, prev2, block, rest, left2, weight, key, g, creators):
-        # fix factor t of the run runs[0] = (a, n, e), whose last ``block``
-        # factors sit at prev2; ``rest`` factors are left, this one included
-        a, n, e = runs[0]
-        # the factors after this one take at most cap2 each, and this run's
-        # take at least prev2
-        lo2 = left2 - (rest - 1) * cap2
-        if t and lo2 < prev2:
-            lo2 = prev2
-        last = rest == 1
-        # in the last run the e - t factors left share left2, none below
-        # this one (the range keeps the parity of lo2)
-        hi2 = cap2 if len(runs) > 1 else min(cap2, left2 // (e - t))
-        for d2 in range(lo2, hi2 + 1, 2):
-            w = weight
-            if n > 1:
-                fw = _field_weight(d2, n)
-                if not fw:
-                    continue
-                w = w.scale(fw)
-            if d2 == prev2:
-                k = block + 1
+    for j, state in parts:
+        shift2 = k2 - 2 * j + 2
+        for mono, coeff in state.terms.items():
+            # total doubled oscillator mode forced by the z-power bookkeeping
+            target2 = shift2 - sum(d2 * e for _, d2, e in mono)
+            if not mono:
+                if target2 == 0:  # the vacuum state acts as the identity
+                    _add_weighted_partial2(acc, 0, 0, f.terms, coeff)
+                continue
+            # r modes of parity p sum to the parity of r*p (cap2 has the
+            # parity p), and to at most r*cap2; else the mode is 0
+            count = sum(e for _, _, e in mono)
+            most2 = count * cap2
+            if target2 > most2 or (target2 - most2) % 2:
+                continue
+            # a plan of one or two factors has a node per mode of its first
+            # factor at most, and one key serves every weight
+            if count < 3 or free2 == cap2 or room2 >= most2:
+                plan = _plan(mono, target2, cap2, cap2, most2)
             else:
-                k = 1
-                if block < t:  # the block at prev2 closes after t factors
-                    w = w.scale(comb(t, block))
-            if t + 1 == e and k < e:  # the last block closes with the run
-                w = w.scale(comb(e, k))
-            if last:  # here d2 = left2: the modes add up
+                plan = _plan(mono, target2, cap2, free2, room2)
+            ca, cb, cd = coeff.a, coeff.b, coeff.d
+            size = len(plan)
+            i = 0
+            while i < size:
+                node = plan[i]
+                i += 1
+                if len(node) == 5:  # an annihilator: fill its terms once
+                    a, d2, parent, key, end = node
+                    h = after.get(key)
+                    if h is None:
+                        h = after[key] = {}
+                        _add_weighted_partial2(h, a, d2, after[parent],
+                                               pairing(a, d2))
+                    if not h:  # nothing left: skip the subtree
+                        i = end
+                    continue
+                a, d2, key, creators, num, den = node
+                w = coeff if num == den else _reduced(ca * num, cb * num,
+                                                      cd * den)
                 if d2 < 0:  # the result takes g times w and the creators
-                    _add_weighted_partial2(acc, a, 0, g, w, None,
-                                           _insert_variable(creators, a, -d2))
+                    _add_weighted_partial2(acc, a, 0, after[key], w, None,
+                                           creators)
                     continue
                 # the last annihilator writes into the result
                 c = pairing(a, d2)
                 if c is not None or d2:
-                    _add_weighted_partial2(acc, a, d2, g, c, w, creators)
-                continue
-            if d2 < 0:
-                h, hkey, cr = g, key, _insert_variable(creators, a, -d2)
-            else:
-                hkey = tuple(sorted(key + ((a, d2),)))
-                h = after.get(hkey)
-                if h is None:
-                    h = after[hkey] = {}
-                    _add_weighted_partial2(h, a, d2, g, pairing(a, d2))
-                if not h:
-                    continue
-                cr = creators
-            if t + 1 < e:
-                expand(runs, t + 1, d2, k, rest - 1, left2 - d2, w, hkey, h, cr)
-            else:
-                expand(runs[1:], 0, None, 0, rest - 1, left2 - d2, w, hkey, h,
-                       cr)
-
-    for j, state in parts:
-        for mono, coeff in state.terms.items():
-            runs = tuple((a, d2 // 2, e) for a, d2, e in mono)
-            count = sum(e for _, _, e in runs)
-            # total doubled oscillator mode forced by the z-power bookkeeping
-            target2 = k2 - 2 * j + 2 - 2 * sum(n * e for _, n, e in runs)
-            # r modes of parity p sum to the parity of r*p; else the mode is 0
-            if (target2 - count * parity) % 2:
-                continue
-            if runs:
-                expand(runs, 0, None, 0, count, target2, coeff, (), f.terms, ())
-            elif target2 == 0:  # the vacuum state acts as the identity
-                _add_weighted_partial2(acc, 0, 0, f.terms, coeff)
+                    _add_weighted_partial2(acc, a, d2, after[key], c, w,
+                                           creators)
     return FockVector(f.rank, f.sector, acc)
 
 

@@ -144,11 +144,13 @@ def draw_mode_cases(seed: int, count: int):
     return cases
 
 
+def mode_case_inputs(case):
+    return (fock_from_json(case["state"]), Fraction(case["k"]),
+            fock_from_json(case["vector"]), lambda_from_json(case["lambda"]))
+
+
 def apply_mode_case(case) -> str:
-    lam = lambda_from_json(case["lambda"])
-    out = mode_apply(fock_from_json(case["state"]), Fraction(case["k"]),
-                     fock_from_json(case["vector"]), lam)
-    return str(out)
+    return str(mode_apply(*mode_case_inputs(case)))
 
 
 MODES = json.loads(MODES_DATA.read_text(encoding="utf-8"))
@@ -214,6 +216,41 @@ REPEATED_CASES = MODES["repeated"]["cases"]
                               for n, c in enumerate(REPEATED_CASES)])
 def test_repeated_factor_mode_output_unchanged(case):
     assert apply_mode_case(case) == case["out"]
+
+
+def test_mode_output_same_cold_and_warm():
+    # a cached expansion plan gives the vector a freshly built one gives
+    from heisenfock import vertex
+    for case in MODE_CASES + REPEATED_CASES:
+        args = mode_case_inputs(case)
+        vertex._plan.cache_clear()
+        cold = mode_apply(*args)
+        assert mode_apply(*args) == cold
+        assert str(cold) == case["out"]
+
+
+@pytest.mark.parametrize("kept_apart_by", ["cap", "weight"])
+def test_plans_kept_apart(kept_apart_by):
+    # the same state monomial and mode on two vectors that need different
+    # plans: a plan made for the first lacks modes the second needs
+    from heisenfock import vertex
+    lam = LambdaSequence.make(Sector.UNTWISTED, 1, [[1], [Fraction(1, 2)]])
+    x1, x3 = FockVector.variable(1, 1, 1), FockVector.variable(1, 3, 1)
+    state = x1 * x1 * x1
+    if kept_apart_by == "cap":  # weights 3 and 4, both rounded up to 4
+        vecs = [x3, FockVector.variable(1, 4, 1)]
+        assert vecs[0].max_mode2() < vecs[1].max_mode2()
+    else:
+        vecs = [x3, x3 * x3]
+        assert vecs[0].max_mode2() == vecs[1].max_mode2()
+    alone = []
+    for f in vecs:
+        vertex._plan.cache_clear()
+        alone.append(mode_apply(state, 1, f, lam))
+    for order in ((0, 1), (1, 0)):
+        vertex._plan.cache_clear()
+        for i in order:
+            assert mode_apply(state, 1, vecs[i], lam) == alone[i]
 
 
 # -- the twisted correction exp(Delta_z) ------------------------------------------

@@ -67,10 +67,13 @@ class TestModeApply:
             assert mode_apply(u, k, f, lam) == expected
 
     def test_field_weights_computed_once_per_mode(self, monkeypatch):
-        # binom(-d-1, n-1) depends only on (d, n): 22 pairs here, where the
-        # expansion visits about 190,000 nodes
+        # binom(-d-1, n-1) depends only on (d, n): no pair is computed twice.
+        # The cold plan reaches 21 pairs, where the expansion visits about
+        # 190,000 nodes; a plan sees f only through its cap and weight, so
+        # it also holds modes that f's monomials prune
         from heisenfock import vertex
         vertex._field_weight.cache_clear()
+        vertex._plan.cache_clear()
         calls = []
         gbinom = vertex._gbinom
 
@@ -84,7 +87,8 @@ class TestModeApply:
         u = x1 * x1 * x1 * x1 * x2 * x2
         f = x1 * x1 * x2 + x(1, 3, 1) + 2 * one(1)
         assert len(mode_apply(u, 1, f, lam).terms) == 483
-        assert len(calls) <= 22
+        assert len(set(calls)) == len(calls)
+        assert len(calls) == 21
 
     @pytest.mark.parametrize("power, terms, most, digest", [
         (5, 155, 164,
@@ -98,8 +102,10 @@ class TestModeApply:
         # kernel runs once per new multiset of annihilators and once per
         # leaf, where an expansion of every ordering makes 6,388 and 63,019
         # calls here.  The digest is that of the output text of the ordered
-        # expansion.
+        # expansion.  A second vector of the same cap reuses the plan: it
+        # builds none and makes as many kernel calls.
         from heisenfock import vertex
+        vertex._plan.cache_clear()
         calls = []
         kernel = vertex._add_weighted_partial2
 
@@ -118,6 +124,33 @@ class TestModeApply:
         assert len(out.terms) == terms
         assert sha256(str(out).encode()).hexdigest() == digest
         assert 0 < len(calls) <= most
+        cold, misses = len(calls), vertex._plan.cache_info().misses
+        g = 3 * x1 * x1 * x(1, 2, 1) - 5 * x(1, 3, 1) + 7 * one(1)
+        assert g.max_mode2() == f.max_mode2()
+        out = mode_apply(u, 1, g, lam)
+        assert vertex._plan.cache_info().misses == misses
+        assert len(calls) == 2 * cold
+        assert out == reference_modes_on(((0, u),), 2, g, lam)
+
+    def test_weight_of_f_bounds_the_plan(self):
+        # above lambda's top mode an annihilator only differentiates, so
+        # those modes add up to at most the weight of f: x[1,1]^6 on a
+        # vector of weight 8 and cap 8 plans about a tenth of the nodes
+        # that the cap alone allows, and gives the reference's vector
+        from heisenfock import vertex
+        lam = lam_of(Sector.UNTWISTED, 1, [1], [Fraction(1, 2)])
+        f = x(1, 8, 1) + x(1, 1, 1)
+        u = one(1)
+        for _ in range(6):
+            u = u * x(1, 1, 1)
+        vertex._plan.cache_clear()
+        assert mode_apply(u, 0, f, lam) == reference_modes_on(((0, u),), 0,
+                                                              f, lam)
+        assert vertex._plan.cache_info().currsize == 1
+        runs, target2 = ((1, 2, 6),), 2 - 12
+        weighed = vertex._plan(runs, target2, 16, 2, 16)
+        assert vertex._plan.cache_info().currsize == 1
+        assert 5 * len(weighed) < len(vertex._plan(runs, target2, 16, 16, 96))
 
     def test_one_vector_per_call(self, monkeypatch):
         # nodes pass term dicts down and the last annihilator writes into
@@ -349,6 +382,44 @@ class TestVirasoro:
                 Fraction(1, 2))
         assert state == summed
         assert list(state.terms) == list(summed.terms)
+
+    @pytest.mark.parametrize("sector", list(Sector))
+    def test_two_threads_share_the_plan_cache(self, rng, sector):
+        # two threads against a cleared cache build and read the same
+        # plans; each gets what a serial run gets
+        import sys
+        import threading
+        from heisenfock import vertex
+        lams = [random_lambda(rng, 2, sector, max_r=2) for _ in range(2)]
+        vecs = [random_fock(rng, 2, sector, max_degree=4, max_terms=3)
+                for _ in range(2)]
+        modes = range(-4, 5)
+
+        def run(t):
+            return [virasoro_mode(n, vecs[t], lams[t]) for n in modes]
+
+        vertex._plan.cache_clear()
+        serial = [run(0), run(1)]
+        vertex._plan.cache_clear()
+        got = [None, None]
+        start = threading.Barrier(2)
+
+        def work(t):
+            start.wait()
+            got[t] = run(t)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch often inside the plan builder
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == serial
 
     def test_bracket_randomized(self, rng):
         # 200 random (f, m, n) samples split over both sectors
