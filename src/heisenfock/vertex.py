@@ -19,15 +19,15 @@ block of k equal modes closes the weight gains that block's share of the
 run's e!/prod k! orderings (nothing when the run holds one block).  In the
 last run the factors still to fix take no less than this one, so its mode
 is also capped at their equal share of what is left.  An annihilator
-above lambda's top mode has no shift and only differentiates, lowering the
-weight by its mode, so such modes add up to at most the weight of the
-vector, rounded up to a power of two so that nearby weights share plans.
-Without that bound, a state of three or more factors on a vector of high
-modes but low weight would plan every creator that balances annihilators
-the vector cannot feed; one or two factors take no bound.  The expansion
-depends only on the monomial, the mode total its factors must reach, the
-cap and that bound, never on a coefficient, so it is written once as a
-flat tuple of nodes in depth-first order and cached under that key.
+above lambda's top mode has no shift and only differentiates: it acts only
+as a variable the vector holds, and such modes add up to at most their
+weight in one term of the vector.  Without these bounds, a state of many
+factors on a vector of a few high modes would plan every creator that
+balances annihilators the vector cannot feed.  The expansion depends only
+on the monomial, the mode total its factors must reach, the cap, lambda's
+top mode, the vector's variables above it and their room, never on a
+coefficient, so it is written once as a flat tuple of nodes in
+depth-first order and cached under that key.
 
 Execute.  ``_modes_on`` walks the plan of each state monomial on f.
 Annihilators commute, so the terms left by a multiset of them depend on
@@ -129,19 +129,20 @@ def omega(rank: int) -> FockVector:
 
 #: Bound on the expansion plans ``_plan`` keeps, least recently used first
 #: out.  A plan depends on the state monomial, its mode total, the
-#: annihilation cap and the weight bound only, and real traffic repeats
-#: them: a pass of the benchmark's ``vertex`` workload builds about 470 and
-#: looks up 1,200.
+#: annihilation cap and the vector's variables above lambda's top mode
+#: only, and real traffic repeats them: a pass of the benchmark's
+#: ``vertex`` workload builds about 700 and looks up 1,200.
 PLAN_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(runs: Monomial, target2: int, cap2: int, free2: int,
-          room2: int) -> tuple:
+          room2: int, held: frozenset) -> tuple:
     """The depth-first expansion of the state monomial ``runs`` (a run
     x[a,n]^e is the factor (a, 2n, e)) whose modes add up to ``target2``
-    halves, each at most ``cap2``, flattened into one tuple.  The
-    annihilators above ``free2`` take at most ``room2`` halves together.
+    halves, each at most ``cap2``, flattened into one tuple.  An
+    annihilator above ``free2`` is one of the (a, d2) pairs in ``held``,
+    and together such annihilators take at most ``room2`` halves.
 
     An annihilator before the last factor is a node (a, d2, parent_key,
     key, end): key is the (a, d2) pairs of the annihilators on its path,
@@ -181,6 +182,8 @@ def _plan(runs: Monomial, target2: int, cap2: int, free2: int,
             if d2 > free2:
                 if d2 > room2:  # and so is every mode after this one
                     break
+                if (a, d2) not in held:
+                    continue
                 room -= d2
             more2 = (room if room < reach2 else reach2) - free2
             if left2 - d2 > (floor2 + more2 if more2 > 0 else floor2):
@@ -244,16 +247,27 @@ def _modes_on(parts, k2: int, f: FockVector, lam: LambdaSequence) -> FockVector:
     acc: Dict[Monomial, Scalar] = {}
     if not f.terms:
         return FockVector(f.rank, f.sector, acc)
+    # an annihilator above lambda's top mode has no shift: it only
+    # differentiates, so it acts only as one of the variables f holds, held,
+    # and such modes add up to at most their doubled weight in one term of
+    # f, room2
+    top2 = lam.top_doubled
+    pairs = set()
+    room2 = 0
+    for mono in f.terms:
+        w = 0
+        for a, d2, e in mono:
+            if d2 > top2:
+                pairs.add((a, d2))
+                w += d2 * e
+        if w > room2:
+            room2 = w
+    held = frozenset(pairs)
     # no mode above cap2 acts on f; a twisted cap of 0 becomes -1 (no mode 0)
-    cap2 = max(f.max_mode2(), lam.top_doubled, 0)
+    cap2 = max(max((d2 for _, d2 in held), default=0), top2, 0)
     if cap2 % 2 != f.sector.parity:
         cap2 -= 1
-    # an annihilator above free2 has no lambda shift: it only differentiates,
-    # lowering the weight by its mode, so on a nonzero term such modes add
-    # up to at most the doubled weight of f, here rounded up to a power of
-    # two, so that vectors of nearby weights share plans
-    free2 = min(lam.top_doubled, cap2)
-    room2 = 1 << max(f.degree2 - 1, 0).bit_length()
+    free2 = min(top2, cap2)
     entries = lam.entries
     # annihilators commute: the terms left by each multiset of them, under
     # its plan key, shared by every part and state monomial
@@ -281,12 +295,7 @@ def _modes_on(parts, k2: int, f: FockVector, lam: LambdaSequence) -> FockVector:
             most2 = count * cap2
             if target2 > most2 or (target2 - most2) % 2:
                 continue
-            # a plan of one or two factors has a node per mode of its first
-            # factor at most, and one key serves every weight
-            if count < 3 or free2 == cap2 or room2 >= most2:
-                plan = _plan(mono, target2, cap2, cap2, most2)
-            else:
-                plan = _plan(mono, target2, cap2, free2, room2)
+            plan = _plan(mono, target2, cap2, free2, room2, held)
             ca, cb, cd = coeff.a, coeff.b, coeff.d
             size = len(plan)
             i = 0

@@ -229,7 +229,7 @@ def test_mode_output_same_cold_and_warm():
         assert str(cold) == case["out"]
 
 
-@pytest.mark.parametrize("kept_apart_by", ["cap", "weight"])
+@pytest.mark.parametrize("kept_apart_by", ["cap", "weight", "variables"])
 def test_plans_kept_apart(kept_apart_by):
     # the same state monomial and mode on two vectors that need different
     # plans: a plan made for the first lacks modes the second needs
@@ -237,12 +237,15 @@ def test_plans_kept_apart(kept_apart_by):
     lam = LambdaSequence.make(Sector.UNTWISTED, 1, [[1], [Fraction(1, 2)]])
     x1, x3 = FockVector.variable(1, 1, 1), FockVector.variable(1, 3, 1)
     state = x1 * x1 * x1
-    if kept_apart_by == "cap":  # weights 3 and 4, both rounded up to 4
+    if kept_apart_by == "cap":
         vecs = [x3, FockVector.variable(1, 4, 1)]
         assert vecs[0].max_mode2() < vecs[1].max_mode2()
-    else:
+    elif kept_apart_by == "weight":  # the same variables
         vecs = [x3, x3 * x3]
         assert vecs[0].max_mode2() == vecs[1].max_mode2()
+    else:  # the same cap and weight
+        vecs = [x3, x3 + FockVector.variable(1, 2, 1)]
+        assert vecs[0].degree2 == vecs[1].degree2
     alone = []
     for f in vecs:
         vertex._plan.cache_clear()

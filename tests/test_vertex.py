@@ -69,8 +69,8 @@ class TestModeApply:
     def test_field_weights_computed_once_per_mode(self, monkeypatch):
         # binom(-d-1, n-1) depends only on (d, n): no pair is computed twice.
         # The cold plan reaches 21 pairs, where the expansion visits about
-        # 190,000 nodes; a plan sees f only through its cap and weight, so
-        # it also holds modes that f's monomials prune
+        # 190,000 nodes; a plan sees f only through its variables, not its
+        # monomials, so it also holds modes that f's monomials prune
         from heisenfock import vertex
         vertex._field_weight.cache_clear()
         vertex._plan.cache_clear()
@@ -102,8 +102,8 @@ class TestModeApply:
         # kernel runs once per new multiset of annihilators and once per
         # leaf, where an expansion of every ordering makes 6,388 and 63,019
         # calls here.  The digest is that of the output text of the ordered
-        # expansion.  A second vector of the same cap reuses the plan: it
-        # builds none and makes as many kernel calls.
+        # expansion.  A second vector with the same variables reuses the
+        # plan: it builds none and makes as many kernel calls.
         from heisenfock import vertex
         vertex._plan.cache_clear()
         calls = []
@@ -126,31 +126,48 @@ class TestModeApply:
         assert 0 < len(calls) <= most
         cold, misses = len(calls), vertex._plan.cache_info().misses
         g = 3 * x1 * x1 * x(1, 2, 1) - 5 * x(1, 3, 1) + 7 * one(1)
-        assert g.max_mode2() == f.max_mode2()
+        assert g.terms.keys() == f.terms.keys()
         out = mode_apply(u, 1, g, lam)
         assert vertex._plan.cache_info().misses == misses
         assert len(calls) == 2 * cold
         assert out == reference_modes_on(((0, u),), 2, g, lam)
 
-    def test_weight_of_f_bounds_the_plan(self):
-        # above lambda's top mode an annihilator only differentiates, so
-        # those modes add up to at most the weight of f: x[1,1]^6 on a
-        # vector of weight 8 and cap 8 plans about a tenth of the nodes
-        # that the cap alone allows, and gives the reference's vector
+    @pytest.mark.parametrize("power, high, nodes, most", [
+        (6, 1, 534, 938), (8, 1, 2718, 3627), (8, 8, 16383, 5901)])
+    def test_vector_bounds_the_plan(self, monkeypatch, power, high, nodes,
+                                    most):
+        # above lambda's top mode an annihilator only differentiates: it
+        # acts only as a variable f holds, and such modes add up to at most
+        # their weight in one term of f.  So x[1,1]^p at mode 0 on
+        # x[1,8]^h + x[1,1] plans no mode from 2 to 7, and at most h of
+        # mode 8.  Planned on the cap alone, the last case held 662,076
+        # nodes; the expansion before plans made ``most`` kernel calls here
         from heisenfock import vertex
         lam = lam_of(Sector.UNTWISTED, 1, [1], [Fraction(1, 2)])
-        f = x(1, 8, 1) + x(1, 1, 1)
-        u = one(1)
-        for _ in range(6):
+        f, u = one(1), one(1)
+        for _ in range(high):
+            f = f * x(1, 8, 1)
+        for _ in range(power):
             u = u * x(1, 1, 1)
-        vertex._plan.cache_clear()
-        assert mode_apply(u, 0, f, lam) == reference_modes_on(((0, u),), 0,
-                                                              f, lam)
-        assert vertex._plan.cache_info().currsize == 1
-        runs, target2 = ((1, 2, 6),), 2 - 12
-        weighed = vertex._plan(runs, target2, 16, 2, 16)
-        assert vertex._plan.cache_info().currsize == 1
-        assert 5 * len(weighed) < len(vertex._plan(runs, target2, 16, 16, 96))
+        f = f + x(1, 1, 1)
+        planned, calls = [], []
+        plan, kernel = vertex._plan, vertex._add_weighted_partial2
+
+        def counted_plan(*key):
+            planned.append(plan(*key))
+            return planned[-1]
+
+        def counted_kernel(*args, **kwargs):
+            calls.append(args[2])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(vertex, "_plan", counted_plan)
+        monkeypatch.setattr(vertex, "_add_weighted_partial2", counted_kernel)
+        plan.cache_clear()
+        out = mode_apply(u, 0, f, lam)
+        assert sum(map(len, planned)) == nodes
+        assert len(calls) < most
+        assert out == reference_modes_on(((0, u),), 0, f, lam)
 
     def test_one_vector_per_call(self, monkeypatch):
         # nodes pass term dicts down and the last annihilator writes into
