@@ -23,8 +23,10 @@ above lambda's top mode has no shift and only differentiates: it acts only
 as a variable the vector holds, and such modes add up to at most their
 weight in one term of the vector.  Without these bounds, a state of many
 factors on a vector of a few high modes would plan every creator that
-balances annihilators the vector cannot feed.  The expansion depends only
-on the monomial, the mode total its factors must reach, the cap, lambda's
+balances annihilators the vector cannot feed.  A plan of one or two
+factors has at most one node per mode of its first factor, so it takes
+neither bound.  The expansion depends only on the monomial, the mode total
+its factors must reach, the cap and, for three or more factors, lambda's
 top mode, the vector's variables above it and their room, never on a
 coefficient, so it is written once as a flat tuple of nodes in
 depth-first order and cached under that key.
@@ -129,9 +131,9 @@ def omega(rank: int) -> FockVector:
 
 #: Bound on the expansion plans ``_plan`` keeps, least recently used first
 #: out.  A plan depends on the state monomial, its mode total, the
-#: annihilation cap and the vector's variables above lambda's top mode
-#: only, and real traffic repeats them: a pass of the benchmark's
-#: ``vertex`` workload builds about 700 and looks up 1,200.
+#: annihilation cap and, for three or more factors, the vector's variables
+#: above lambda's top mode only, and real traffic repeats them: a pass of
+#: the benchmark's ``vertex`` workload builds about 460 and looks up 1,200.
 PLAN_CACHE_SIZE = 1024
 
 
@@ -295,7 +297,12 @@ def _modes_on(parts, k2: int, f: FockVector, lam: LambdaSequence) -> FockVector:
             most2 = count * cap2
             if target2 > most2 or (target2 - most2) % 2:
                 continue
-            plan = _plan(mono, target2, cap2, free2, room2, held)
+            # a plan of one or two factors has at most a node per mode of
+            # its first factor, so one plan per cap serves every vector
+            if count < 3:
+                plan = _plan(mono, target2, cap2, cap2, 0, frozenset())
+            else:
+                plan = _plan(mono, target2, cap2, free2, room2, held)
             ca, cb, cd = coeff.a, coeff.b, coeff.d
             size = len(plan)
             i = 0
