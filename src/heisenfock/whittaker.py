@@ -32,7 +32,7 @@ from .fock import FockVector, Sector
 from .heisenberg import LambdaSequence
 from .scalars import ONE, ZERO, Scalar, as_scalar, scalar_sqrt
 
-TOLERANCE = 1e-10  # the largest type residual a numeric fiber point may have
+TOLERANCE = 1e-10  # a numeric fiber's type residual per unit of max(1, |zeta|)
 
 
 def bilinear(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
@@ -426,14 +426,17 @@ def solve_fiber(zeta: WhittakerType, rank: int,
             raise NumericFailure("exact fiber solve failed to reproduce the type")
         residual = Fraction(0)
     else:
+        values = [field.coerce(z) for z in zeta.zeta]
         residual = numeric_type_residual(lam_entries, zeta)
-        if not cmath.isfinite(residual) and all(
-                cmath.isfinite(field.coerce(z)) for z in zeta.zeta):
+        if not cmath.isfinite(residual) and all(map(cmath.isfinite, values)):
             raise PreconditionError(
                 "the fiber residual overflows: the type is beyond the float range")
-        if not residual <= TOLERANCE:  # a NaN residual fails too
+        # the sums round relative to their size, so the bound scales with
+        # the largest |zeta_i| above 1; a NaN residual or an inf bound fails
+        bound = TOLERANCE * max(1.0, *map(abs, values))
+        if not residual <= bound < cmath.inf:
             raise NumericFailure(
-                f"fiber residual {residual:.3e} exceeds tolerance {TOLERANCE:.3e}")
+                f"fiber residual {residual:.3e} exceeds tolerance {bound:.3e}")
     root = field.sqrt(bilinear(top, top))
     sphere = None if root is None else tuple(c / root for c in top)
     return FiberPoint(zeta.sector, rank, zeta.r, exact, sphere, top,

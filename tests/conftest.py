@@ -11,6 +11,19 @@ def rng():
     return Random(20260810)
 
 
+@pytest.fixture
+def plant_wrong_entry(monkeypatch):
+    """Every numeric fiber solve then scales its lowest entry by 1 + 1e-6."""
+    from heisenfock import whittaker
+    solve = whittaker._back_substitute
+
+    def planted(zeta, entries, *rest):
+        solve(zeta, entries, *rest)
+        entries[0] = tuple(c * (1 + 1e-6) for c in entries[0])
+
+    monkeypatch.setattr(whittaker, "_back_substitute", planted)
+
+
 def sc(re, im=0):
     return Scalar(Fraction(re), Fraction(im))
 

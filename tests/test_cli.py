@@ -171,6 +171,26 @@ def test_fiber_numeric(tmp_path):
     assert doc["residual"] <= 1e-10
 
 
+LARGE_ZETA = {"sector": "untwisted", "r": 1,
+              "zeta": ["1234567+1/2i", "2345678-i"]}
+
+
+def test_fiber_numeric_large_type_exit_0(tmp_path):
+    # the residual bound scales with the largest |zeta_i|; the residual
+    # written stays absolute
+    zeta = write(tmp_path / "z.json", LARGE_ZETA)
+    code, out = run_cli("fiber", "--zeta", zeta, "--l", "2")
+    assert code == 0
+    assert 1e-10 < json.loads(out)["residual"] <= 1e-10 * 2345678
+
+
+def test_fiber_numeric_planted_wrong_entry_exit_3(tmp_path, plant_wrong_entry):
+    zeta = write(tmp_path / "z.json", LARGE_ZETA)
+    code, out, err = run_cli_stderr("fiber", "--zeta", zeta, "--l", "2")
+    assert (code, out) == (3, "")
+    assert "exceeds tolerance 2.346e-04" in err
+
+
 def test_fiber_zero_top_exit_1(tmp_path):
     zeta = write(tmp_path / "z.json", {
         "sector": "untwisted", "r": 0, "zeta": ["0"]})

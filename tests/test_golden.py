@@ -229,14 +229,21 @@ def test_mode_output_same_cold_and_warm():
         assert str(cold) == case["out"]
 
 
-@pytest.mark.parametrize("kept_apart_by", ["cap", "weight", "variables"])
-def test_plans_kept_apart(kept_apart_by):
+@pytest.mark.parametrize("kept_apart_by, factors, k", [
+    ("cap", 3, 1), ("weight", 3, 1), ("variables", 3, 1),
+    ("variables", 1, 2), ("variables", 2, 1)],
+    ids=["cap", "weight", "variables", "variables-one-factor",
+         "variables-two-factors"])
+def test_plans_kept_apart(kept_apart_by, factors, k):
     # the same state monomial and mode on two vectors that need different
-    # plans: a plan made for the first lacks modes the second needs
+    # plans: a plan made for the first lacks modes the second needs, for
+    # every factor count
     from heisenfock import vertex
     lam = LambdaSequence.make(Sector.UNTWISTED, 1, [[1], [Fraction(1, 2)]])
     x1, x3 = FockVector.variable(1, 1, 1), FockVector.variable(1, 3, 1)
-    state = x1 * x1 * x1
+    state = x1
+    for _ in range(factors - 1):
+        state = state * x1
     if kept_apart_by == "cap":
         vecs = [x3, FockVector.variable(1, 4, 1)]
         assert vecs[0].max_mode2() < vecs[1].max_mode2()
@@ -249,11 +256,12 @@ def test_plans_kept_apart(kept_apart_by):
     alone = []
     for f in vecs:
         vertex._plan.cache_clear()
-        alone.append(mode_apply(state, 1, f, lam))
+        alone.append(mode_apply(state, k, f, lam))
+    assert alone[1]
     for order in ((0, 1), (1, 0)):
         vertex._plan.cache_clear()
         for i in order:
-            assert mode_apply(state, 1, vecs[i], lam) == alone[i]
+            assert mode_apply(state, k, vecs[i], lam) == alone[i]
 
 
 # -- the twisted correction exp(Delta_z) ------------------------------------------

@@ -159,6 +159,16 @@ def test_fused_write_has_one_home():
     assert callers == {("fock.py", "_add_weighted_partial2")}
 
 
+def test_one_plan_call_site():
+    # every state monomial is planned under the one key: the vertex engine
+    # calls _plan once, with no fork on the factor count
+    sites = [path.name for path in sorted(SOURCE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_plan"]
+    assert sites == ["vertex.py"]
+
+
 def test_docstring_examples_pass():
     attempted = 0
     for module in _modules():

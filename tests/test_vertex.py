@@ -133,15 +133,17 @@ class TestModeApply:
         assert out == reference_modes_on(((0, u),), 2, g, lam)
 
     @pytest.mark.parametrize("power, high, nodes, most", [
-        (6, 1, 534, 938), (8, 1, 2718, 3627), (8, 8, 16383, 5901)])
+        (2, 8, 3, 9), (6, 1, 534, 938), (8, 1, 2718, 3627),
+        (8, 8, 16383, 5901)])
     def test_vector_bounds_the_plan(self, monkeypatch, power, high, nodes,
                                     most):
         # above lambda's top mode an annihilator only differentiates: it
         # acts only as a variable f holds, and such modes add up to at most
         # their weight in one term of f.  So x[1,1]^p at mode 0 on
         # x[1,8]^h + x[1,1] plans no mode from 2 to 7, and at most h of
-        # mode 8.  Planned on the cap alone, the last case held 662,076
-        # nodes; the expansion before plans made ``most`` kernel calls here
+        # mode 8.  Planned on the cap alone, the first case held 9 nodes
+        # and the last 662,076; the expansion before plans made ``most``
+        # kernel calls here
         from heisenfock import vertex
         lam = lam_of(Sector.UNTWISTED, 1, [1], [Fraction(1, 2)])
         f, u = one(1), one(1)

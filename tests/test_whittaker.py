@@ -232,11 +232,45 @@ class TestFiberSolver:
         assert math.isnan(numeric_type_residual([(nan, 0j), (1 + 0j, 0j)], wt))
         assert numeric_type_residual([(0j, 0j), (1 + 0j, 1 + 0j)], wt) == 1.0
 
-    def test_finite_residual_above_tolerance_fails(self):
+    @pytest.mark.parametrize("zeta", [(1e30 + 0j, 3 + 0j),
+                                      (1234567 + 0.5j, 2345678 - 1j)],
+                             ids=["1e30", "1e6"])
+    def test_large_type_holds_relative_to_its_size(self, zeta):
+        # the residual is reported absolute, above 1e-10 here, and bounded
+        # by the tolerance times the largest |zeta_i|
+        wt = WhittakerType(Sector.UNTWISTED, 1, zeta, exact=False)
+        point = solve_fiber(wt, 2)
+        assert point.residual == numeric_type_residual(point.lambda_entries, wt)
+        assert TOLERANCE < point.residual <= TOLERANCE * max(map(abs, zeta))
+
+    @pytest.mark.parametrize("zeta", [(1 + 0j, 3 + 0j),
+                                      (1234567 + 0.5j, 2345678 - 1j)],
+                             ids=["1", "1e6"])
+    def test_planted_wrong_entry_fails(self, plant_wrong_entry, zeta):
         from heisenfock.errors import NumericFailure
-        wt = WhittakerType(Sector.UNTWISTED, 1, (1e30 + 0j, 3 + 0j), exact=False)
-        with pytest.raises(NumericFailure, match="exceeds tolerance 1.000e-10"):
+        wt = WhittakerType(Sector.UNTWISTED, 1, zeta, exact=False)
+        bound = TOLERANCE * max(1.0, *map(abs, zeta))
+        with pytest.raises(NumericFailure,
+                           match=f"exceeds tolerance {bound:.3e}"):
             solve_fiber(wt, 2)
+
+    def test_numeric_fibers_hold_at_every_scale(self, rng):
+        # a seeded sweep of types of scale 1e3 to 1e12: every one solves
+        # within the tolerance times its largest |zeta_i|, where an
+        # absolute 1e-10 refuses many
+        above = 0
+        for trial in range(96):
+            scale = 10.0 ** (3 + trial // 2 % 10)
+            sector = (Sector.UNTWISTED, Sector.TWISTED)[trial % 2]
+            eps = 1 - sector.parity
+            rank, r = rng.randint(1, 4), rng.randint(sector.parity, 3)
+            zeta = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale
+                         for _ in range(r + eps))
+            wt = WhittakerType(sector, r, zeta, exact=False)
+            point = solve_fiber(wt, rank)
+            assert point.residual <= TOLERANCE * max(1.0, *map(abs, zeta))
+            above += point.residual > TOLERANCE
+        assert above >= 48
 
 
 class TestPivotFallback:
