@@ -12,9 +12,11 @@ acts as the identity throughout (level one); it never appears explicitly.
 
 The quadratic elements h_i(m) h_j(n) - (lambda_m, h_i)(lambda_n, h_j) with
 positive m, n act by pure differential operators; ``quadratic_act`` applies
-that closed form directly, while the two-step composition is kept as an
-independent cross-check (``quadratic_check``, certificate replay and the
-test suites).  A ``QuadraticElement`` stores both of its modes doubled.
+that closed form directly (a diagonal element, i = j and m = n, in two
+kernel calls, d_im f and one over it, as case 3a of ``certify`` reads it),
+while the two-step composition is kept as an independent cross-check
+(``quadratic_check``, certificate replay and the test suites).  A
+``QuadraticElement`` stores both of its modes doubled.
 """
 
 from __future__ import annotations
@@ -199,7 +201,12 @@ def quadratic_act(lam: LambdaSequence, q: QuadraticElement,
     The closed form is the pure differential operator
     (lambda_m,h_i) d_jn + (lambda_n,h_j) d_im + d_im d_jn
     with d_in the weighted derivation; it agrees exactly with the two-step
-    composition minus the canonical shift.
+    composition minus the canonical shift.  One kernel call takes d_jn f
+    and a second applies (lambda_m,h_i) + d_im to it.  A diagonal element
+    (i = j, m = n; case 3a of ``certify``) is (2 c_m + d_im) d_im, so its
+    second call adds the whole shift and it needs no third; any other
+    element adds (lambda_n,h_j) d_im f in a third call when that pairing is
+    nonzero.
     """
     lam._check_vector(f)
     if q.sector is not f.sector:
@@ -210,10 +217,15 @@ def quadratic_act(lam: LambdaSequence, q: QuadraticElement,
     dj: Dict[Monomial, Scalar] = {}
     _add_weighted_partial2(dj, q.j, q.n2, f.terms)
     acc: Dict[Monomial, Scalar] = {}
-    # d_im d_jn f and cm * d_jn f in one pass, then cn * d_im f
-    _add_weighted_partial2(acc, q.i, q.m2, dj, cm if cm else None)
-    if cn:
-        _add_weighted_partial2(acc, q.i, q.m2, f.terms, scale=cn)
+    if q.i == q.j and q.m2 == q.n2:
+        # d_im = d_jn and cn = cm, so cn * d_im f is cn * dj:
+        # (cm + cn + d_im) dj in one pass, with no sum formed when cm = 0
+        _add_weighted_partial2(acc, q.i, q.m2, dj, cm + cn if cm else None)
+    else:
+        # d_im d_jn f and cm * d_jn f in one pass, then cn * d_im f
+        _add_weighted_partial2(acc, q.i, q.m2, dj, cm if cm else None)
+        if cn:
+            _add_weighted_partial2(acc, q.i, q.m2, f.terms, scale=cn)
     return FockVector(f.rank, f.sector, acc)
 
 

@@ -4,8 +4,9 @@ Exact values are always strings: rationals ``p/q``, scalars ``a+bi``, modes
 ``n`` or ``n/2`` in ASCII digits, monomials ``x[i,n]^e`` joined by ``*``.
 Floating-point payloads carry an explicit ``"numeric": true`` marker and
 encode complex numbers as two-element ``[re, im]`` arrays.  Every document
-carries ``"schema": <name>/<version>``; parsers accept documents without the
-marker but validate everything else strictly, raising ``SchemaError``.
+carries ``"schema": <name>/<version>``; a parser refuses a marker other than
+its own ``<name>/1``, accepts a document without one, and validates everything
+else strictly, raising ``SchemaError``.
 
 A vector document reads each distinct factor text ``x[i,n]^e`` once and
 writes each distinct factor once, through a table that lives for that one
@@ -32,6 +33,15 @@ SCHEMA_VERSION = 1
 
 def _schema(name: str) -> str:
     return f"{name}/{SCHEMA_VERSION}"
+
+
+def _check_marker(doc, name: str) -> None:
+    """A ``schema`` marker, when present, must be this reader's own."""
+    if isinstance(doc, dict) and "schema" in doc:
+        marker = doc["schema"]
+        if marker != _schema(name):
+            raise SchemaError(f"{name}: schema marker {_quoted(marker)} "
+                              f"is not {_schema(name)!r}")
 
 
 def _is_number(value) -> bool:
@@ -118,6 +128,7 @@ def lambda_to_json(lam: LambdaSequence) -> dict:
 
 
 def lambda_from_json(doc) -> LambdaSequence:
+    _check_marker(doc, "lambda")
     sector = parse_sector(_expect(doc, "sector", str, "lambda"))
     rank = _rank(doc, "lambda")
     entries = _expect(doc, "entries", list, "lambda")
@@ -208,6 +219,7 @@ def fock_to_json(f: FockVector) -> dict:
 
 
 def fock_from_json(doc) -> FockVector:
+    _check_marker(doc, "vector")
     sector = parse_sector(_expect(doc, "sector", str, "vector"))
     rank = _rank(doc, "vector")
     terms = _expect(doc, "terms", list, "vector")
@@ -249,6 +261,7 @@ def whittaker_type_to_json(wt: WhittakerType) -> dict:
 
 def whittaker_type_from_json(doc) -> WhittakerType:
     from .whittaker import WhittakerType
+    _check_marker(doc, "type")
     sector = parse_sector(_expect(doc, "sector", str, "type"))
     r = _expect(doc, "r", int, "type")
     zeta_raw = _expect(doc, "zeta", list, "type")
@@ -295,6 +308,7 @@ def certificate_to_json(lam: LambdaSequence,
 
 def certificate_from_json(doc):
     from .certify import ReductionCertificate, ReductionStep
+    _check_marker(doc, "certificate")
     lam = lambda_from_json(_expect(doc, "lambda", dict, "certificate"))
     initial = fock_from_json(_expect(doc, "initial", dict, "certificate"))
     steps = []

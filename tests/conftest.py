@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -38,3 +39,10 @@ def one(rank, sector=Sector.UNTWISTED):
 
 def lam_of(sector, rank, *rows):
     return LambdaSequence.make(sector, rank, [list(r) for r in rows])
+
+
+def assert_canonical(terms):
+    """Every stored value a reduced, nonzero Scalar."""
+    for c in terms.values():
+        assert type(c) is Scalar and c.d > 0 and (c.a or c.b), c
+        assert gcd(c.a, c.b, c.d) == 1, (c.a, c.b, c.d)

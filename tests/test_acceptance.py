@@ -192,7 +192,7 @@ def test_criterion_6_binomial_mode_identity():
 
 def test_criterion_7_simplicity_certificates():
     start = time.perf_counter()
-    case2_checked = 0
+    case2_checked = diagonal_steps = 0
     for sector in (Sector.UNTWISTED, Sector.TWISTED):
         rng = Random(7)
         for _ in range(100):
@@ -214,12 +214,19 @@ def test_criterion_7_simplicity_certificates():
                                                 Fraction(step.element.n2, 2),
                                                 current)
                     case2_checked += 1
+                # case 3a is the diagonal element: two kernel calls, d_im a and
+                # one over it
+                diagonal_steps += step.case == "3a"
                 current = quadratic_act(lam, step.element, current)
+            # the closed-form walk lands where the composition replay did
+            assert current == FockVector.constant(cert.terminal, rank, sector)
     elapsed = time.perf_counter() - start
     assert elapsed < CERTIFICATE_BUDGET_S, f"took {elapsed:.1f}s"
+    assert diagonal_steps > 0
     announce(7, f"200 certificates built, replayed, and degree-checked "
                 f"({elapsed:.1f}s; {case2_checked} low-mode steps with "
-                "exactly vanishing dropped term)")
+                f"exactly vanishing dropped term; {diagonal_steps} diagonal "
+                "(3a) steps)")
 
 
 def test_criterion_8_fiber_solver():

@@ -934,6 +934,41 @@ def test_schema_error_quotes_input_briefly(tmp_path, kind, doc):
     assert len(lines) == 1 and len(lines[0]) <= 200, lines[0][:300]
 
 
+@pytest.mark.parametrize("kind,doc", [
+    ("lambda", {"sector": "untwisted", "rank": 1, "entries": [[["1", "0"]]]}),
+    ("vector", {"sector": "untwisted", "rank": 1,
+                "terms": [{"monomial": "x[1,1]", "coeff": "1"}]}),
+    ("zeta", {"sector": "untwisted", "r": 1, "zeta": ["1", "1/2"]}),
+])
+@pytest.mark.parametrize("marker", ["lambda/2", "vector/1", "type/1", 5,
+                                    "s" * 5000])
+def test_dump_wrong_schema_marker_exit_1(tmp_path, kind, doc, marker):
+    own = {"zeta": "type/1"}.get(kind, f"{kind}/1")
+    path = write(tmp_path / "doc.json", {**doc, "schema": own})
+    assert run_cli("dump", "--kind", kind, "--input", path)[0] == 0
+    if marker == own:
+        return
+    path = write(tmp_path / "doc.json", {**doc, "schema": marker})
+    code, out, err = run_cli_stderr("dump", "--kind", kind, "--input", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("schema error: ") and err.count("\n") == 1, err
+    assert "schema marker" in err and len(err) <= 200, err[:300]
+
+
+def test_certify_check_wrong_schema_marker_exit_1(tmp_path, lambda_file):
+    vec = write(tmp_path / "vec.json", {
+        "sector": "untwisted", "rank": 1,
+        "terms": [{"monomial": "x[1,1]", "coeff": "1"}]})
+    code, out = run_cli("certify", "--lambda", lambda_file, "--vector", vec)
+    assert code == 0
+    doc = json.loads(out)
+    path = write(tmp_path / "cert.json", {**doc, "schema": "certificate/2"})
+    assert run_cli_stderr("certify", "--check", path) == (
+        1, "", "schema error: certificate: schema marker 'certificate/2' "
+               "is not 'certificate/1'\n")
+    assert run_cli("dump", "--kind", "certificate", "--input", path) == (1, "")
+
+
 def test_relations_all_pass():
     code, out = run_cli("relations", "--l", "2", "--bound", "3",
                         "--seed", "7", "--trials", "10")

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import gcd
 from random import Random
 
 import pytest
@@ -16,7 +15,7 @@ from heisenfock.heisenberg import (QuadraticElement, _compose_quadratic,
 from heisenfock.sampling import random_fock, random_lambda
 from heisenfock.scalars import ONE, ZERO
 
-from conftest import lam_of, one, sc, x
+from conftest import assert_canonical, lam_of, one, sc, x
 
 
 def monomial_degree2(mono):
@@ -302,13 +301,6 @@ def ref_compose(lam, q, f):
     for mono, c in f.terms.items():
         ref_add(acc, mono, c * q.shift * -1)
     return acc
-
-
-def assert_canonical(terms):
-    """Every stored value a reduced, nonzero Scalar."""
-    for c in terms.values():
-        assert type(c) is Scalar and c.d > 0 and (c.a or c.b), c
-        assert gcd(c.a, c.b, c.d) == 1, (c.a, c.b, c.d)
 
 
 FACTORS = ("none", "one", "real", "gaussian")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -7,10 +8,13 @@ from heisenfock import (BosonIndexError, FockVector, HighestWeightError,
                         SectorMismatchError, act_mode, commutator_check,
                         j_generator, quadratic_act, quadratic_check,
                         reduce_step, theta_involution)
-from heisenfock.heisenberg import act_mode2
-from heisenfock.sampling import commutator_trial, random_fock, random_lambda
+from heisenfock import heisenberg
+from heisenfock.fock import _add_weighted_partial2
+from heisenfock.heisenberg import _compose_quadratic, act_mode2
+from heisenfock.sampling import (commutator_trial, random_fock, random_lambda,
+                                 random_scalar)
 
-from conftest import lam_of, one, sc, x
+from conftest import assert_canonical, lam_of, one, sc, x
 
 HALF = Fraction(1, 2)
 
@@ -238,6 +242,140 @@ class TestQuadraticElement:
             q = QuadraticElement(i, j, 2, 2, Sector.UNTWISTED, sc(0))
             with pytest.raises(BosonIndexError):
                 quadratic_act(lam, q, x(1, 1, 2))
+
+
+def three_pass_act(lam, q, f):
+    """The closed form in three kernel calls for every element, the
+    diagonal ones included: d_jn f, then (c_m + d_im) over it, then
+    c_n d_im f from f (skipped when c_n = 0)."""
+    cm = lam.pair2(q.m2, q.i)
+    cn = lam.pair2(q.n2, q.j)
+    dj = {}
+    _add_weighted_partial2(dj, q.j, q.n2, f.terms)
+    acc = {}
+    _add_weighted_partial2(acc, q.i, q.m2, dj, cm if cm else None)
+    if cn:
+        _add_weighted_partial2(acc, q.i, q.m2, f.terms, scale=cn)
+    return FockVector(f.rank, f.sector, acc)
+
+
+PAIRINGS = {"zero": sc(0), "unit": sc(1), "real": sc(Fraction(-7, 3)),
+            "gaussian": sc(Fraction(2, 5), Fraction(-3, 4))}
+
+
+def free_of(rng, rank, sector, i, d2, max_degree):
+    """A nonzero random vector in which x[i,n] does not occur."""
+    while True:
+        f = random_fock(rng, rank, sector, max_degree=max_degree)
+        f = FockVector(rank, sector, {
+            mono: c for mono, c in f.terms.items()
+            if not any(a == i and b == d2 for a, b, _ in mono)})
+        if f:
+            return f
+
+
+def vector_with_powers(rng, rank, sector, i, d2, powers):
+    """A vector free of x[i,n], plus, for each e in ``powers``, another
+    one times x[i,n]^e."""
+    f = free_of(rng, rank, sector, i, d2, 6)
+    for e in powers:
+        g = free_of(rng, rank, sector, i, d2, 4)
+        for _ in range(e):
+            g = g.times_variable(i, d2)
+        f = f + g
+    return f
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The (i, d2) of every kernel call ``heisenberg`` makes."""
+    calls = []
+    kernel = heisenberg._add_weighted_partial2
+
+    def counted(acc, i, d2, *rest, **kwargs):
+        calls.append((i, d2))
+        kernel(acc, i, d2, *rest, **kwargs)
+
+    monkeypatch.setattr(heisenberg, "_add_weighted_partial2", counted)
+    return calls
+
+
+class TestDiagonalElement:
+    """i = j and m = n: (2 c_m + d_im) d_im in one kernel call over d_im f."""
+
+    @pytest.mark.parametrize("sector", list(Sector))
+    def test_sweep_matches_three_calls_and_composition(self, sector):
+        rng = Random(2507 + sector.parity)
+        p = sector.parity
+        seen = set()
+        for _ in range(12):
+            for kind, c in PAIRINGS.items():
+                for powers in ((), (1,), (2,), (3,), (1, 3), (1, 2, 3)):
+                    rank = rng.randint(1, 3)
+                    i = rng.randint(1, rank)
+                    m2 = rng.randrange(2 - p, 9, 2)
+                    rows = [[random_scalar(rng) for _ in range(rank)]
+                            for _ in range(m2 // 2 + rng.randint(1, 2))]
+                    rows[m2 // 2][i - 1] = c
+                    lam = LambdaSequence.make(sector, rank, rows)
+                    assert lam.pair2(m2, i) == c
+                    f = vector_with_powers(rng, rank, sector, i, m2, powers)
+                    q = QuadraticElement.build(lam, i, i, Fraction(m2, 2),
+                                               Fraction(m2, 2))
+                    out = quadratic_act(lam, q, f)
+                    assert out == three_pass_act(lam, q, f), (q, kind, powers)
+                    assert out == _compose_quadratic(lam, q, f), (q, kind)
+                    assert_canonical(out.terms)
+                    # d_im f is nonzero iff x[i,m] occurs, and then only
+                    # d_im^2 can kill it: when c = 0 and every e is 1
+                    nonzero = bool(powers) and bool(c or max(powers) > 1)
+                    assert bool(out) == nonzero, (kind, powers)
+                    seen.add((kind, powers))
+                    # the neighbours off the diagonal keep their third call
+                    n2 = m2 + 2
+                    neighbours = [QuadraticElement.build(
+                        lam, i, i, Fraction(m2, 2), Fraction(n2, 2))]
+                    if rank > 1:
+                        neighbours.append(QuadraticElement.build(
+                            lam, i, i % rank + 1, Fraction(m2, 2),
+                            Fraction(m2, 2)))
+                    for near in neighbours:
+                        assert quadratic_act(lam, near, f) == \
+                            three_pass_act(lam, near, f), near
+        assert len(seen) == len(PAIRINGS) * 6
+
+    # pairings: (m, 1) = 3, (m, 2) = 0, (m + 1, 1) = 2, (m + 1, 2) = 5
+    @pytest.mark.parametrize("sector", list(Sector))
+    @pytest.mark.parametrize("i,j,dm,dn,calls", [
+        (1, 1, 0, 0, 2),  # diagonal, c_m = c_n = 3
+        (2, 2, 0, 0, 2),  # diagonal, c_m = c_n = 0
+        (1, 1, 0, 2, 3),  # i = j only, c_n = 2
+        (2, 1, 0, 0, 3),  # m = n only, c_n = 3
+        (1, 2, 2, 0, 2),  # off the diagonal, c_n = 0
+    ])
+    def test_kernel_calls(self, kernel_calls, sector, i, j, dm, dn, calls):
+        p = sector.parity
+        m2 = 2 - p
+        lam = lam_of(sector, 2, *[[0, 0]] * (1 - p), [3, 0], [2, 5])
+        xs = [x(a, Fraction(d2, 2), 2, sector)
+              for a in (1, 2) for d2 in (m2, m2 + 2)]
+        form = xs[0] + xs[1] + xs[2] + xs[3]
+        f = form * form * form
+        q = QuadraticElement.build(lam, i, j, Fraction(m2 + dm, 2),
+                                   Fraction(m2 + dn, 2))
+        out = quadratic_act(lam, q, f)
+        assert len(kernel_calls) == calls, kernel_calls
+        assert out and out == _compose_quadratic(lam, q, f)
+
+    @pytest.mark.parametrize("sector", list(Sector))
+    def test_index_above_rank_raises_before_any_call(self, kernel_calls,
+                                                     sector):
+        m2 = 2 - sector.parity
+        lam = lam_of(sector, 2, *[[0, 0]] * (1 - sector.parity), [1, 1])
+        q = QuadraticElement(3, 3, m2, m2, sector, sc(0))
+        with pytest.raises(BosonIndexError):
+            quadratic_act(lam, q, x(1, Fraction(m2, 2), 2, sector))
+        assert kernel_calls == []
 
 
 class TestTheta:

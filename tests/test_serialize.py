@@ -168,6 +168,41 @@ class TestCertificateJson:
         assert doc["steps"][0]["deg_before"] == "1/2"
 
 
+def _marked_documents():
+    """One valid document per reader, as (name, reader, document)."""
+    lam = lam_of(Sector.UNTWISTED, 1, [0], [2])
+    f = x(1, 1, 1) * x(1, 1, 1)
+    wt = WhittakerType(Sector.UNTWISTED, 1, (sc(0), sc(2)))
+    return [("lambda", lambda_from_json, lambda_to_json(lam)),
+            ("vector", fock_from_json, fock_to_json(f)),
+            ("type", whittaker_type_from_json, whittaker_type_to_json(wt)),
+            ("certificate", certificate_from_json,
+             certificate_to_json(lam, certify_cyclic(lam, f)))]
+
+
+@pytest.mark.parametrize("name,reader,doc", _marked_documents(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+@pytest.mark.parametrize("marker", ["other name", "version 2", 5, None])
+def test_reader_refuses_a_marker_not_its_own(name, reader, doc, marker):
+    wrong = {"other name": "vector/1" if name != "vector" else "lambda/1",
+             "version 2": f"{name}/2"}.get(marker, marker)
+    assert doc["schema"] == f"{name}/1"
+    good = reader(doc)
+    with pytest.raises(SchemaError, match="schema marker"):
+        reader({**doc, "schema": wrong})
+    unmarked = dict(doc)
+    del unmarked["schema"]
+    assert reader(unmarked) == good
+
+
+@pytest.mark.parametrize("key", ["lambda", "initial"])
+def test_certificate_refuses_a_wrong_inner_marker(key):
+    _, _, doc = _marked_documents()[3]
+    inner = {**doc[key], "schema": doc[key]["schema"].replace("/1", "/2")}
+    with pytest.raises(SchemaError, match="schema marker"):
+        certificate_from_json({**doc, key: inner})
+
+
 def test_cmn_json():
     doc = cmn_to_json(cmn_table(2))
     assert doc["order"] == 2
