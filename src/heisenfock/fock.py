@@ -12,6 +12,9 @@ checked by ``_check_parity`` and ``_check_positive``.  The sector fixes the
 parity of every doubled mode, ``Sector.parity``: 0 untwisted, 1 twisted; the
 other lattice facts (where lambda entry k sits, a type's epsilon) follow.
 
+Every coefficient written goes through one loop, the weighted-derivation
+kernel ``_add_weighted_partial2``; each ring operation is its shift pass.
+
 Values are immutable after construction; every operation returns a new
 vector, so sharing across threads is safe.  A vector's degree is scanned
 once, on its first read, and kept in the vector: the terms it derives from
@@ -34,7 +37,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from .errors import (BosonIndexError, ModeRangeError, SectorMismatchError,
                      _quoted)
-from .scalars import Scalar, _ratio_text, _reduced, as_scalar
+from .scalars import ONE, Scalar, _ratio_text, _reduced, as_scalar
 
 # A monomial maps each variable to its exponent, stored as a sorted tuple of
 # (boson index, doubled mode, exponent) triples.  The empty tuple is the
@@ -44,6 +47,8 @@ Monomial = Tuple[Tuple[int, int, int], ...]
 ModeLike = Union[int, Fraction]
 
 NEG_INFINITY = float("-inf")
+
+_MINUS_ONE = -ONE
 
 
 class Sector(str, Enum):
@@ -150,8 +155,7 @@ class FockVector:
             return NotImplemented
         self._check_compatible(other)
         acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            _accumulate(acc, mono, c)
+        _add_weighted_partial2(acc, 0, 0, other.terms, ONE)
         return FockVector(self.rank, self.sector, acc)
 
     def __sub__(self, other) -> "FockVector":
@@ -159,13 +163,13 @@ class FockVector:
             return NotImplemented
         self._check_compatible(other)
         acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            _accumulate(acc, mono, -c)
+        _add_weighted_partial2(acc, 0, 0, other.terms, _MINUS_ONE)
         return FockVector(self.rank, self.sector, acc)
 
     def __neg__(self) -> "FockVector":
-        return FockVector(self.rank, self.sector,
-                          {m: -c for m, c in self.terms.items()})
+        acc: Dict[Monomial, Scalar] = {}
+        _add_weighted_partial2(acc, 0, 0, self.terms, _MINUS_ONE)
+        return FockVector(self.rank, self.sector, acc)
 
     def __mul__(self, other) -> "FockVector":
         if isinstance(other, FockVector):
@@ -183,23 +187,25 @@ class FockVector:
 
     def scaled(self, value) -> "FockVector":
         c = as_scalar(value)
-        if not c:
-            return FockVector.zero(self.rank, self.sector)
-        return FockVector(self.rank, self.sector,
-                          {m: v * c for m, v in self.terms.items()})
+        acc: Dict[Monomial, Scalar] = {}
+        if c:  # the kernel stores a fresh product unchecked
+            _add_weighted_partial2(acc, 0, 0, self.terms, c)
+        return FockVector(self.rank, self.sector, acc)
 
     def scaled_fraction(self, q: Fraction) -> "FockVector":
-        if not q:
-            return FockVector.zero(self.rank, self.sector)
-        return FockVector(self.rank, self.sector,
-                          {m: v.scale(q) for m, v in self.terms.items()})
+        acc: Dict[Monomial, Scalar] = {}
+        if q:
+            _add_weighted_partial2(acc, 0, 0, self.terms,
+                                   _reduced(q.numerator, 0, q.denominator))
+        return FockVector(self.rank, self.sector, acc)
 
     def times_variable(self, i: int, d2: int) -> "FockVector":
         """Multiply by x[i, d2/2]; fast path used by creation operators."""
+        _check_positive(d2, self.sector)
         _check_boson(i, self.rank)
-        return FockVector(self.rank, self.sector,
-                          {_insert_variable(m, i, d2): c
-                           for m, c in self.terms.items()})
+        acc: Dict[Monomial, Scalar] = {}
+        _add_weighted_partial2(acc, 0, 0, self.terms, ONE, None, ((i, d2, 1),))
+        return FockVector(self.rank, self.sector, acc)
 
     # -- structure -------------------------------------------------------------
 
@@ -295,21 +301,6 @@ def _check_boson(i: int, rank: int):
         raise BosonIndexError(f"boson index {i} outside 1..{rank}")
 
 
-def _accumulate(acc: Dict[Monomial, Scalar], mono: Monomial, c: Scalar):
-    """Add the Scalar c into the slot mono of acc: a fresh slot stores c as
-    is, a taken one is summed with one reduction and emptied at zero."""
-    prev = acc.get(mono)
-    if prev is None:
-        if c:
-            acc[mono] = c
-        return
-    s = prev + c
-    if s:
-        acc[mono] = s
-    else:
-        del acc[mono]
-
-
 def _accumulate_raw(acc: Dict[Monomial, Scalar], mono: Monomial, prev: Scalar,
                     a: int, b: int, d: int):
     """Add the raw Gaussian rational (a + b*i)/d, d > 0 and not reduced, to
@@ -388,7 +379,9 @@ def _add_weighted_partial2(acc: Dict[Monomial, Scalar], i: int, d2: int,
                            scale: Optional[Scalar] = None,
                            creators: Monomial = ()) -> None:
     """Add scale * (n * d/dx[i,n] + shift) f, times the monomial
-    ``creators``, into the terms ``acc``; ``terms`` are those of f.
+    ``creators``, into the terms ``acc``; ``terms`` are those of f.  With
+    d2 = 0 it is every ``FockVector`` ring operation (+, -, negation, *,
+    scalings, ``times_variable``) as well as the derivations.
 
     None stands for a ``scale`` of 1 and a ``shift`` of 0; a ``shift`` or
     ``scale`` given is nonzero, since a fresh slot stores its product
@@ -406,13 +399,14 @@ def _add_weighted_partial2(acc: Dict[Monomial, Scalar], i: int, d2: int,
     Each write costs one reduction: a product is formed as a raw Gaussian
     integer over its denominator and summed into its slot before the one
     ``_reduced``; a unit shift stores the term's own Scalar, with none when
-    the slot is fresh.
+    the slot is fresh.  Shift times scale is a raw triple too: equal to 1,
+    it still has the unit form (d, 0, d).
     """
     ka, kb, kd = (1, 0, 1) if scale is None else (scale.a, scale.b, scale.d)
     if shift is not None:
-        if kb or ka != kd:  # a scale other than 1, whose form is (1, 0, 1)
-            shift = shift * scale
         sa, sb, sd = shift.a, shift.b, shift.d
+        if kb or ka != kd:  # a scale other than 1, whose form is (1, 0, 1)
+            sa, sb, sd = sa * ka - sb * kb, sa * kb + sb * ka, sd * kd
         unit = not sb and sa == sd
         fresh = not acc
         if unit and fresh and not creators:

@@ -121,7 +121,7 @@ class Scalar:
         return s
 
     def scale(self, q: RationalLike) -> "Scalar":
-        """Fast multiply by a real rational (hot path of the derivations)."""
+        """Fast multiply by a real rational (the fiber solver's halving)."""
         n = q.numerator
         return _reduced(self.a * n, self.b * n, self.d * q.denominator)
 

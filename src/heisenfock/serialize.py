@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .errors import SchemaError, _quoted
-from .fock import (FockVector, Monomial, Sector, _accumulate, _check_positive,
+from .fock import (FockVector, Monomial, Sector, _check_positive,
                    _factor_text, _sorted_monomial, mode_text)
 from .heisenberg import LambdaSequence, QuadraticElement
 from .scalars import (Scalar, _ratio_text, format_scalar, parse_rational,
@@ -240,7 +240,11 @@ def fock_from_json(doc) -> FockVector:
             i = next(i for i, _, _ in mono if not 1 <= i <= rank)
             raise SchemaError(
                 f"vector term {idx}: boson index {_quoted(i)} outside 1..{rank}")
-        _accumulate(acc, mono, parse_scalar(coeff_text))
+        c = parse_scalar(coeff_text)
+        if mono in acc:  # a repeated monomial: its coefficients summed
+            c = acc.pop(mono) + c
+        if c:
+            acc[mono] = c
     return FockVector(rank, sector, acc)
 
 

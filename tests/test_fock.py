@@ -213,6 +213,17 @@ def test_variable_validation():
         FockVector.variable(1, Fraction(1, 2), rank=2)
     with pytest.raises(ModeRangeError):
         FockVector.variable(1, 2, rank=2, sector=Sector.TWISTED)
+    # times_variable takes a doubled mode, checked the same way: a wrong
+    # parity or a mode <= 0 builds nothing
+    f = FockVector.variable(1, 1, rank=1)
+    t = FockVector.variable(1, Fraction(1, 2), rank=1, sector=Sector.TWISTED)
+    for g, d2 in ((f, 3), (f, 0), (f, -2), (t, 2), (t, -1)):
+        with pytest.raises(ModeRangeError):
+            g.times_variable(1, d2)
+    with pytest.raises(BosonIndexError):
+        f.times_variable(2, 2)
+    assert f.times_variable(1, 4) == x(1, 1, 1) * x(1, 2, 1)
+    assert t.times_variable(1, 1) == t * t
 
 
 def test_each_vector_reports_its_own_degree():
@@ -290,6 +301,16 @@ def ref_ring(f, g, op):
     for mono, c in g.terms.items():
         ref_add(acc, mono, c if op == "+" else c * -1)
     return acc
+
+
+def ref_scaled(f, c):
+    """c * f by Scalar arithmetic, one product per term."""
+    return {mono: v * c for mono, v in f.terms.items()} if c else {}
+
+
+def ref_times_variable(f, i, d2):
+    """f times x[i, d2/2], each monomial rebuilt by ``ref_monomial``."""
+    return {ref_monomial(mono, ((i, d2, 1),)): v for mono, v in f.terms.items()}
 
 
 def ref_compose(lam, q, f):
@@ -377,6 +398,24 @@ def test_kernel_writes_reduced_values_equal_to_the_reference(rng, sector):
                                              bool(start))
                         assert_canonical(got)
     assert min(touched.values()) > 0, touched
+    # a Gaussian shift s and a scale 1/s: their raw product is an unreduced
+    # triple, still read as a unit, so each write stores the term's own
+    # Scalar; on the copy path (no creators, fresh accumulator) and on the
+    # unit path (a creator, fresh and taken slots)
+    f = dense(rng, sector)
+    s = factor("gaussian", rng)
+    assert s != ONE and ONE / s != ONE
+    for creators in ((), ((1, 2 - p, 1),)):
+        moved = {ref_monomial(mono, creators): c for mono, c in f.terms.items()}
+        taken = {mono: factor("gaussian", rng) for mono in list(moved)[::2]}
+        for start in ({}, taken):
+            got, want = dict(start), dict(start)
+            _add_weighted_partial2(got, 0, 0, f.terms, s, ONE / s, creators)
+            ref_kernel(want, 0, 0, f.terms, s, ONE / s, creators)
+            assert got == want, (creators, bool(start))
+            assert_canonical(got)
+            assert all(got[mono] is c for mono, c in moved.items()
+                       if mono not in start)
 
 
 @pytest.mark.parametrize("sector", list(Sector))
@@ -397,6 +436,20 @@ def test_ring_operations_write_reduced_values_equal_to_the_reference(rng, sector
         assert len((f + plus).terms) < len(f.terms) + len(plus.terms)
         assert len(((f + g) * (f - g)).terms) < len(
             (f + g).terms) * len((f - g).terms)
+        # scalings, and a creator f holds (its exponent is raised in place)
+        # and one it does not
+        q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12),
+                     rng.randint(2, 12))
+        p = sector.parity
+        held = rng.choice([(1, 2 - p), (2, 2 - p), (1, 4 - p)])
+        for out, want in ((-f, ref_scaled(f, -1)), (0 * f, {}),
+                          (f.scaled(0), {}),
+                          (f.scaled_fraction(q), ref_scaled(f, q)),
+                          (f.times_variable(*held), ref_times_variable(f, *held)),
+                          (f.times_variable(2, 4 - p),
+                           ref_times_variable(f, 2, 4 - p))):
+            assert out.terms == want
+            assert_canonical(out.terms)
 
 
 @pytest.mark.parametrize("sector", list(Sector))
@@ -443,6 +496,10 @@ def test_no_caller_passes_the_kernel_a_zero_factor(rng, monkeypatch):
             for n in range(-1, 3):
                 out = vertex.virasoro_mode(n, f, lam)
                 assert_canonical(out.terms)
+            # the ring operations that make a zero vector
+            for out in (f.scaled(0), 0 * f, f.scaled_fraction(Fraction(0)),
+                        f - f, -FockVector.zero(2, sector)):
+                assert not out.terms
     assert len(factors) > 100
     assert all(factors), [v for v in factors if not v]
 
@@ -499,3 +556,10 @@ def test_each_coefficient_write_costs_one_reduction(monkeypatch):
     copy = {}
     _add_weighted_partial2(copy, 0, 0, f.terms, q.shift)
     assert len(calls) == len(f.terms) == len(copy)
+    # a shift and a scale, neither 1, are multiplied as raw ints: the call
+    # reduces once per write and never for the product of its factors
+    del calls[:]
+    both = {}
+    _add_weighted_partial2(both, 1, 2, f.terms, q.shift, sc(2, 1))
+    assert len(calls) == _writes(q.shift, 1, 2, f.terms)
+    assert_canonical(both)

@@ -2,9 +2,9 @@
 
 Seeded random ``FockVector``s of ranks 1-3 in both sectors are mirrored in
 ``sympy.polys.rings.ring(..., QQ_I)`` with one generator per (boson,
-doubled mode).  Sums, differences, products, ``scaled`` and
-``weighted_partial`` must give exactly the same coefficient dict on both
-sides.
+doubled mode).  Sums, differences, negation, products, ``scaled`` (also
+by 0), ``scaled_fraction``, ``times_variable`` and ``weighted_partial`` must
+give exactly the same coefficient dict on both sides.
 """
 
 from fractions import Fraction
@@ -68,6 +68,7 @@ def test_ring_operations_match_sympy(rank, sector):
     def check(f, p):
         assert _fock_dict(f, variables) == _sympy_dict(p)
 
+    kinds = set()
     for _ in range(TRIALS):
         f = random_fock(rng, rank, sector, max_degree=MAX_DEGREE, nonzero=False)
         g = random_fock(rng, rank, sector, max_degree=MAX_DEGREE, nonzero=False)
@@ -79,6 +80,21 @@ def test_ring_operations_match_sympy(rank, sector):
         check(f * g, pf * pg)
         s = random_scalar(rng)
         check(f.scaled(s), pf * _gaussian(s))
+        check(-f, -pf)
+        check(0 * f, pf * 0)
+        check(f.scaled(0), pf * 0)
+        q = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+        check(f.scaled_fraction(q), pf * QQ_I(QQ(q.numerator, q.denominator),
+                                               QQ(0)))
+        # a creator f holds, when it holds one, and one it does not
+        held = sorted({(i, d2) for mono in f.terms for i, d2, _ in mono})
+        absent = [v for v in variables if v not in held]
+        creators = (rng.sample(held, min(1, len(held)))
+                    + rng.sample(absent, min(1, len(absent))))
+        for i, d2 in creators:
+            check(f.times_variable(i, d2), pf * gens[index[(i, d2)]])
+            kinds.add((i, d2) in held)
         i, d2 = rng.choice(variables)
         check(weighted_partial(i, Fraction(d2, 2), f),
               pf.diff(gens[index[(i, d2)]]) * QQ_I(QQ(d2, 2), QQ(0)))
+    assert kinds == {True, False}

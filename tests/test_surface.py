@@ -159,6 +159,26 @@ def test_fused_write_has_one_home():
     assert callers == {("fock.py", "_add_weighted_partial2")}
 
 
+def test_ring_operations_have_no_coefficient_loop():
+    # sums, differences, negation, scalings and creation write their
+    # coefficients through _add_weighted_partial2: fock keeps no summing
+    # helper of its own, and these methods loop over no terms themselves
+    tree = ast.parse((SOURCE / "fock.py").read_text(encoding="utf-8"))
+    names = {node.name for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    assert "_accumulate" not in names
+    vector = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "FockVector")
+    methods = {node.name: node for node in vector.body
+               if isinstance(node, ast.FunctionDef)}
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    for name in ("__add__", "__sub__", "__neg__", "scaled", "scaled_fraction",
+                 "times_variable"):
+        assert not any(isinstance(node, loops)
+                       for node in ast.walk(methods[name])), name
+
+
 def test_one_plan_call_site():
     # every state monomial is planned under the one key: the vertex engine
     # calls _plan once, with no fork on the factor count

@@ -11,6 +11,7 @@ from heisenfock import (FockVector, LambdaSequence, Sector,
                         weighted_partial)
 from heisenfock.errors import ModeRangeError
 from heisenfock.sampling import random_fock, random_lambda, random_nonzero_scalar
+from heisenfock.scalars import ZERO
 
 from conftest import lam_of, one, sc, x
 
@@ -490,7 +491,7 @@ def reference_modes_on(parts, k2, f, lam):
     """The engine as it stood before nodes passed term dicts: every
     annihilator builds a vector through act_mode2, and the leaf merges the
     creators into each of its terms and multiplies by the weight."""
-    from heisenfock.fock import _accumulate, _insert_variable, _merge_monomials
+    from heisenfock.fock import _insert_variable, _merge_monomials
     from heisenfock.heisenberg import act_mode2
     from heisenfock.vertex import _field_weight
     acc = {}
@@ -502,8 +503,14 @@ def reference_modes_on(parts, k2, f, lam):
         cap2 -= 1
 
     def leaf(weight, g, creators):
+        # summed by Scalar arithmetic, apart from the kernel
         for mono, c in g.terms.items():
-            _accumulate(acc, _merge_monomials(mono, creators), c * weight)
+            mono = _merge_monomials(mono, creators)
+            s = acc.get(mono, ZERO) + c * weight
+            if s:
+                acc[mono] = s
+            else:
+                acc.pop(mono, None)
 
     def expand(runs, t, prev2, block, rest, left2, weight, g, creators):
         a, n, e = runs[0]
