@@ -33,16 +33,14 @@ certificate schema and is always 0 when written.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Tuple
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import (HighestWeightError, PreconditionError, ReductionError,
                      SchemaError)
 from .fock import FockVector
 from .heisenberg import (LambdaSequence, QuadraticElement, _compose_quadratic,
                          quadratic_act)
-from .scalars import Scalar
 
 CASE_HIGH = "1"     # n > m
 CASE_LOW = "2"      # n < m
@@ -50,27 +48,12 @@ CASE_DIAG = "3a"    # n = m, (lambda_m, h_i0) != 0
 CASE_OFFDIAG = "3b"  # n = m, (lambda_m, h_i0) = 0
 
 
-class ReductionStep(Record):
+class ReductionStep(Record, defaults=(0,)):
     __slots__ = ("element", "case", "degree_before", "degree_after", "retries")
-
-    def __init__(self, element: QuadraticElement, case: str,
-                 degree_before: Fraction, degree_after: Fraction,
-                 retries: int = 0):
-        _set(self, "element", element)
-        _set(self, "case", case)
-        _set(self, "degree_before", degree_before)
-        _set(self, "degree_after", degree_after)
-        _set(self, "retries", retries)
 
 
 class ReductionCertificate(Record):
     __slots__ = ("initial", "steps", "terminal")
-
-    def __init__(self, initial: FockVector, steps: Tuple[ReductionStep, ...],
-                 terminal: Scalar):
-        _set(self, "initial", initial)
-        _set(self, "steps", steps)
-        _set(self, "terminal", terminal)
 
 
 def _mode_candidates(a: FockVector) -> Tuple[int, int]:

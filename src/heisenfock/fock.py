@@ -398,9 +398,9 @@ def _add_weighted_partial2(acc: Dict[Monomial, Scalar], i: int, d2: int,
 
     Each write costs one reduction: a product is formed as a raw Gaussian
     integer over its denominator and summed into its slot before the one
-    ``_reduced``; a unit shift stores the term's own Scalar, with none when
-    the slot is fresh.  Shift times scale is a raw triple too: equal to 1,
-    it still has the unit form (d, 0, d).
+    ``_reduced``; into a fresh slot, a unit shift stores the term's own
+    Scalar and a shift of -1 its negation, with none.  Shift times scale is
+    a raw triple too: equal to +-1, it still has the form (+-d, 0, d).
     """
     ka, kb, kd = (1, 0, 1) if scale is None else (scale.a, scale.b, scale.d)
     if shift is not None:
@@ -408,6 +408,7 @@ def _add_weighted_partial2(acc: Dict[Monomial, Scalar], i: int, d2: int,
         if kb or ka != kd:  # a scale other than 1, whose form is (1, 0, 1)
             sa, sb, sd = sa * ka - sb * kb, sa * kb + sb * ka, sd * kd
         unit = not sb and sa == sd
+        negate = not sb and sa == -sd
         fresh = not acc
         if unit and fresh and not creators:
             acc.update(terms)
@@ -421,6 +422,11 @@ def _add_weighted_partial2(acc: Dict[Monomial, Scalar], i: int, d2: int,
                         acc[mono] = c
                         continue
                     a, b, d = c.a, c.b, c.d
+                elif negate:
+                    if prev is None:
+                        acc[mono] = -c
+                        continue
+                    a, b, d = -c.a, -c.b, c.d
                 else:
                     a, b, d = c.a, c.b, c.d * sd
                     if sb:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import BosonIndexError, SchemaError, SectorMismatchError
 from .fock import (FockVector, ModeLike, Monomial, Sector,
                    _add_weighted_partial2, _check_boson, _check_parity,
@@ -43,13 +43,9 @@ class LambdaSequence(Record):
 
     __slots__ = ("sector", "rank", "entries")
 
-    def __init__(self, sector: Sector, rank: int,
-                 entries: Tuple[Tuple[Scalar, ...], ...]):
-        if rank < 1:
-            raise BosonIndexError(f"rank must be >= 1, got {rank}")
-        _set(self, "sector", sector)
-        _set(self, "rank", rank)
-        _set(self, "entries", entries)
+    def _check(self):
+        if self.rank < 1:
+            raise BosonIndexError(f"rank must be >= 1, got {self.rank}")
 
     @classmethod
     def make(cls, sector: Sector, rank: int,
@@ -170,19 +166,12 @@ class QuadraticElement(Record):
 
     __slots__ = ("i", "j", "m2", "n2", "sector", "shift")
 
-    def __init__(self, i: int, j: int, m2: int, n2: int, sector: Sector,
-                 shift: Scalar):
-        _check_positive(m2, sector)
-        _check_positive(n2, sector)
-        if i < 1 or j < 1:
+    def _check(self):
+        _check_positive(self.m2, self.sector)
+        _check_positive(self.n2, self.sector)
+        if self.i < 1 or self.j < 1:
             raise BosonIndexError(
-                f"boson indices must be >= 1, got i={i}, j={j}")
-        _set(self, "i", i)
-        _set(self, "j", j)
-        _set(self, "m2", m2)
-        _set(self, "n2", n2)
-        _set(self, "sector", sector)
-        _set(self, "shift", shift)
+                f"boson indices must be >= 1, got i={self.i}, j={self.j}")
 
     @classmethod
     def build(cls, lam: LambdaSequence, i: int, j: int,

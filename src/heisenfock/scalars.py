@@ -279,8 +279,9 @@ def scalar_sqrt(c: Scalar) -> Optional[Scalar]:
     n = fraction_sqrt(a * a + b * b)
     if n is None:
         return None
+    # b != 0 makes n > |a|, so x > 0
     x = fraction_sqrt((a + n) / 2)
-    if x is None or x == 0:
+    if x is None:
         return None
     root = Scalar(x, b / (2 * x))
     return root if root * root == c else None

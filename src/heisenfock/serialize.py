@@ -8,6 +8,10 @@ carries ``"schema": <name>/<version>``; a parser refuses a marker other than
 its own ``<name>/1``, accepts a document without one, and validates everything
 else strictly, raising ``SchemaError``.
 
+The record classes of ``certify``, ``whittaker`` and ``vertex`` are named in
+annotations through the package, which loads their modules only when an
+annotation is evaluated: a request loads only its subcommand's modules.
+
 A vector document reads each distinct factor text ``x[i,n]^e`` once and
 writes each distinct factor once, through a table that lives for that one
 call; text whose factors come sorted and distinct, as canonical text does,
@@ -20,6 +24,8 @@ import cmath
 import re as _re
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
+
+import heisenfock as hf
 
 from .errors import SchemaError, _quoted
 from .fock import (FockVector, Monomial, Sector, _check_positive,
@@ -250,7 +256,7 @@ def fock_from_json(doc) -> FockVector:
 
 # -- Whittaker types -----------------------------------------------------------------
 
-def whittaker_type_to_json(wt: WhittakerType) -> dict:
+def whittaker_type_to_json(wt: hf.WhittakerType) -> dict:
     doc = {
         "schema": _schema("type"),
         "sector": wt.sector.value,
@@ -263,7 +269,7 @@ def whittaker_type_to_json(wt: WhittakerType) -> dict:
     return doc
 
 
-def whittaker_type_from_json(doc) -> WhittakerType:
+def whittaker_type_from_json(doc) -> hf.WhittakerType:
     from .whittaker import WhittakerType
     _check_marker(doc, "type")
     sector = parse_sector(_expect(doc, "sector", str, "type"))
@@ -290,7 +296,7 @@ def _bad_zeta(z):
 # -- certificates ---------------------------------------------------------------------
 
 def certificate_to_json(lam: LambdaSequence,
-                        cert: ReductionCertificate) -> dict:
+                        cert: hf.ReductionCertificate) -> dict:
     return {
         "schema": _schema("certificate"),
         "lambda": lambda_to_json(lam),
@@ -359,7 +365,7 @@ def _step_mode(text: str, sector: Sector, where: str) -> int:
 
 # -- reports and fibers ------------------------------------------------------------------
 
-def report_to_json(report: WhittakerReport) -> dict:
+def report_to_json(report: hf.WhittakerReport) -> dict:
     return {
         "schema": _schema("verify-report"),
         "sector": report.sector.value,
@@ -377,7 +383,7 @@ def report_to_json(report: WhittakerReport) -> dict:
     }
 
 
-def fiber_to_json(point: FiberPoint) -> dict:
+def fiber_to_json(point: hf.FiberPoint) -> dict:
     exact = point.exact
     sphere = point.sphere_point
     return {
@@ -408,7 +414,7 @@ def _coordinates(values: Sequence, exact: bool) -> list:
     return [complex_pair(complex(c)) for c in values]
 
 
-def cmn_to_json(table: CmnTable) -> dict:
+def cmn_to_json(table: hf.CmnTable) -> dict:
     return {
         "schema": _schema("cmn-table"),
         "order": table.order,

@@ -66,11 +66,10 @@ omega = (1/2) sum_i x[i,1]^2, so both sectors run through the same engine.
 
 Everything here is a pure function of immutable values; the only shared
 state is memoized: the coefficient table, the omega state, the parts of
-exp(Delta_z) omega that every twisted Virasoro mode reads (a tuple per
-rank), the field weights and the expansion plans (at most
-``PLAN_CACHE_SIZE`` tuples, least recently used out), all immutable once
-built, so concurrent use is safe.  The engine's table of annihilated terms
-lives for one call.
+omega's field that every Virasoro mode reads (a tuple per rank and sector),
+the field weights and the expansion plans (at most ``PLAN_CACHE_SIZE``
+tuples, least recently used out), all immutable once built, so concurrent
+use is safe.  The engine's table of annihilated terms lives for one call.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd
 from typing import Dict, List, Tuple, Union
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import PreconditionError, SectorMismatchError
 from .fock import (FockVector, ModeLike, Monomial, Sector,
                    _add_weighted_partial2, _doubled_value, _insert_variable,
@@ -341,12 +340,12 @@ def mode_apply(u: FockVector, k: ModeLike, f: FockVector,
 # -- Virasoro operators -----------------------------------------------------------
 
 def virasoro_mode(n: int, f: FockVector, lam: LambdaSequence) -> FockVector:
-    """L_n: the (n+1)-st mode of omega; twisted, the rank/16 shift enters
-    through Delta_z, whose parts of omega are built once per rank."""
-    if f.sector is Sector.UNTWISTED:
-        return mode_apply(omega(f.rank), n + 1, f, lam)
+    """L_n: the (n+1)-st mode of omega, read off omega's parts in the sector
+    of f; twisted, the rank/16 shift enters through Delta_z."""
     lam._check_vector(f)
-    return _modes_on(_twisted_omega_parts(f.rank), _doubled_value(n + 1), f, lam)
+    k2 = (_doubled_value(n + 1) if f.sector is Sector.TWISTED
+          else doubled_mode(n + 1, f.sector))
+    return _modes_on(_omega_parts(f.rank, f.sector), k2, f, lam)
 
 
 # the benchmark calls the sector-free operators by these names too
@@ -355,8 +354,11 @@ twisted_virasoro_mode = virasoro_mode
 
 
 @lru_cache(maxsize=None)
-def _twisted_omega_parts(rank: int) -> Tuple[Tuple[int, FockVector], ...]:
-    """The parts of exp(Delta_z) omega, built once per rank."""
+def _omega_parts(rank: int, sector: Sector) -> Tuple[Tuple[int, FockVector], ...]:
+    """The parts of omega's field in a sector, built once per (rank, sector):
+    omega itself untwisted, those of exp(Delta_z) omega twisted."""
+    if sector is Sector.UNTWISTED:
+        return ((0, omega(rank)),)
     return tuple(delta_z_apply(omega(rank)).items())
 
 
@@ -380,10 +382,6 @@ class CmnTable(Record):
     """Exact rational coefficients c[m,n] of the twisted lowering operator."""
 
     __slots__ = ("order", "values")
-
-    def __init__(self, order: int, values: Tuple[Tuple[Fraction, ...], ...]):
-        _set(self, "order", order)
-        _set(self, "values", values)
 
     def c(self, m: int, n: int) -> Fraction:
         return self.values[m][n]

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import (IsotropicTopError, NonSquareError, NumericFailure,
                      PreconditionError, _quoted)
 from .fock import FockVector, Sector
@@ -43,16 +42,12 @@ def bilinear(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     return sum(a * b for a, b in zip(u, v))
 
 
-class WhittakerType(Record):
+class WhittakerType(Record, defaults=(True,)):
     """Eigenvalue data (r, zeta_{r+1..2r+eps}) with nonzero last entry."""
 
     __slots__ = ("sector", "r", "zeta", "exact")
 
-    def __init__(self, sector: Sector, r: int, zeta: Tuple, exact: bool = True):
-        _set(self, "sector", sector)
-        _set(self, "r", r)
-        _set(self, "zeta", zeta)
-        _set(self, "exact", exact)
+    def _check(self):
         if self.r < self.sector.parity:
             raise PreconditionError(
                 f"{self.sector.value} type needs r >= {self.sector.parity}")
@@ -131,24 +126,9 @@ def whittaker_type_of(lam: LambdaSequence) -> WhittakerType:
 class ReportRow(Record):
     __slots__ = ("index", "expected", "actual", "ok")
 
-    def __init__(self, index: int, expected: Scalar, actual: str, ok: bool):
-        _set(self, "index", index)
-        _set(self, "expected", expected)
-        _set(self, "actual", actual)
-        _set(self, "ok", ok)
-
 
 class WhittakerReport(Record):
     __slots__ = ("sector", "r", "epsilon", "bound", "valid_type", "rows")
-
-    def __init__(self, sector: Sector, r: int, epsilon: int, bound: int,
-                 valid_type: bool, rows: Tuple[ReportRow, ...]):
-        _set(self, "sector", sector)
-        _set(self, "r", r)
-        _set(self, "epsilon", epsilon)
-        _set(self, "bound", bound)
-        _set(self, "valid_type", valid_type)
-        _set(self, "rows", rows)
 
     @property
     def all_ok(self) -> bool:
@@ -195,21 +175,6 @@ class FiberPoint(Record):
     __slots__ = ("sector", "rank", "r", "exact", "sphere_point", "top_vector",
                  "free_params", "lambda_entries", "residual")
 
-    def __init__(self, sector: Sector, rank: int, r: int, exact: bool,
-                 sphere_point: Optional[Tuple], top_vector: Tuple,
-                 free_params: Tuple[Tuple, ...],
-                 lambda_entries: Tuple[Tuple, ...],
-                 residual: Union[Fraction, float]):
-        _set(self, "sector", sector)
-        _set(self, "rank", rank)
-        _set(self, "r", r)
-        _set(self, "exact", exact)
-        _set(self, "sphere_point", sphere_point)
-        _set(self, "top_vector", top_vector)
-        _set(self, "free_params", free_params)
-        _set(self, "lambda_entries", lambda_entries)
-        _set(self, "residual", residual)
-
     def to_lambda(self) -> LambdaSequence:
         if not self.exact:
             raise PreconditionError("numeric fiber point has no exact lambda")
@@ -225,16 +190,15 @@ def fiber_dimension(rank: int, r: int, sector: Sector) -> Tuple[int, int]:
     return (rank - 1, (rank - 1) * (r - sector.parity))
 
 
-class _Field(NamedTuple):
-    """The scalars a fiber solve runs over: Q(i) exactly, or complex floats."""
+class _Field(Record):
+    """The scalars a fiber solve runs over: Q(i) exactly, or complex floats.
 
-    exact: bool
-    coerce: Callable      # an input value as a field element
-    zero: object
-    one: object
-    sqrt: Callable        # a square root, or None when the field lacks one
-    negligible: Callable  # a Gram-Schmidt self-pairing too small to keep
-    pivot: Callable       # the top coordinate the fallback basis divides by
+    ``coerce`` makes an input value a field element; ``sqrt`` gives a square
+    root, or None when the field lacks one; ``negligible`` tells a
+    Gram-Schmidt self-pairing too small to keep; ``pivot`` picks the top
+    coordinate the fallback basis divides by."""
+
+    __slots__ = ("exact", "coerce", "zero", "one", "sqrt", "negligible", "pivot")
 
 
 def _exact_value(x) -> Scalar:

@@ -191,6 +191,25 @@ def test_fiber_numeric_planted_wrong_entry_exit_3(tmp_path, plant_wrong_entry):
     assert "exceeds tolerance 2.346e-04" in err
 
 
+def test_fiber_exact_planted_wrong_entry_exit_3(tmp_path, monkeypatch):
+    # the exact solve re-derives its type: the lowest entry moved along the
+    # top moves one eigenvalue by 2 * zeta_top, and the solve refuses it
+    from heisenfock import whittaker
+    solve = whittaker._back_substitute
+
+    def planted(zeta, entries, *rest):
+        solve(zeta, entries, *rest)
+        entries[0] = tuple(a + b for a, b in zip(entries[0], entries[-1]))
+
+    monkeypatch.setattr(whittaker, "_back_substitute", planted)
+    zeta = write(tmp_path / "z.json", {
+        "sector": "untwisted", "r": 1, "zeta": ["1", "2"]})
+    code, out, err = run_cli_stderr("fiber", "--zeta", zeta, "--l", "2",
+                                    "--exact")
+    assert (code, out) == (3, "")
+    assert "exact fiber solve failed to reproduce the type" in err
+
+
 def test_fiber_zero_top_exit_1(tmp_path):
     zeta = write(tmp_path / "z.json", {
         "sector": "untwisted", "r": 0, "zeta": ["0"]})

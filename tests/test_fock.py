@@ -563,3 +563,14 @@ def test_each_coefficient_write_costs_one_reduction(monkeypatch):
     _add_weighted_partial2(both, 1, 2, f.terms, q.shift, sc(2, 1))
     assert len(calls) == _writes(q.shift, 1, 2, f.terms)
     assert_canonical(both)
+    # negation, and a -1 shift pass into an empty accumulator, store each
+    # term's negation, which is already reduced: no reduction at all
+    del calls[:]
+    negated = -f
+    minus = {}
+    _add_weighted_partial2(minus, 0, 0, f.terms, -ONE)
+    assert not calls
+    assert negated.terms == minus
+    assert all(minus[mono] == Scalar.__neg__(c) for mono, c in f.terms.items())
+    assert len(minus) == len(f.terms)
+    assert_canonical(minus)

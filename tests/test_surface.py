@@ -22,7 +22,9 @@ exempt.
 import ast
 import doctest
 import importlib
+import inspect
 import pkgutil
+import typing
 from pathlib import Path
 
 import pytest
@@ -262,3 +264,31 @@ def test_private_code_has_a_caller():
                        for other in trees.values()):
                 uncalled.append(f"{module}.{name}")
     assert uncalled == []
+
+
+def _functions():
+    """Every function and method the package's modules define, with the
+    functions under ``lru_cache`` and the methods under ``classmethod``,
+    ``staticmethod`` and ``property``."""
+    for module in _modules():
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if isinstance(obj, type) else (obj,)
+            for member in members:
+                member = getattr(member, "__func__",
+                                 getattr(member, "fget", member))
+                if inspect.isfunction(inspect.unwrap(member)):
+                    yield member
+
+
+def test_annotations_resolve():
+    # an annotation names an object its module can reach: a record class
+    # of a module imported lazily is named through the package
+    unresolved = []
+    for func in _functions():
+        try:
+            typing.get_type_hints(func)
+        except NameError as exc:
+            unresolved.append(f"{func.__module__}.{func.__qualname__}: {exc}")
+    assert not unresolved

@@ -366,7 +366,7 @@ class TestVirasoro:
 
     def test_twisted_omega_parts_built_once(self, rng, monkeypatch):
         from heisenfock import vertex
-        vertex._twisted_omega_parts.cache_clear()
+        vertex._omega_parts.cache_clear()
         ranks = []
         delta = vertex.delta_z_apply
 
@@ -380,7 +380,23 @@ class TestVirasoro:
         for n in range(-4, 5):
             twisted_virasoro_mode(n, f, lam)
         assert ranks == [2]
-        assert vertex._twisted_omega_parts(2) == tuple(delta(omega(2)).items())
+        assert (vertex._omega_parts(2, Sector.TWISTED)
+                == tuple(delta(omega(2)).items()))
+
+    def test_untwisted_omega_is_not_rechecked(self, rng, monkeypatch):
+        # untwisted, omega is its field's only part: L_n reads it from the
+        # cache, with no state check and no Delta_z, and agrees with the
+        # general state mode
+        from heisenfock import vertex
+        lam = random_lambda(rng, 2, Sector.UNTWISTED, max_r=2)
+        f = random_fock(rng, 2, Sector.UNTWISTED, max_degree=4, max_terms=2)
+        expected = [mode_apply(omega(2), n + 1, f, lam) for n in range(-4, 5)]
+        calls = []
+        for name in ("_as_state", "delta_z_apply"):
+            monkeypatch.setattr(vertex, name, lambda *args: calls.append(args))
+        assert [virasoro_mode(n, f, lam) for n in range(-4, 5)] == expected
+        assert not calls
+        assert vertex._omega_parts(2, Sector.UNTWISTED) == ((0, omega(2)),)
 
     def test_omega_builds_one_vector(self, monkeypatch):
         # one pass over the ranks: summing x[i,1]^2/2 vector by vector once
