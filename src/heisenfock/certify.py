@@ -14,8 +14,9 @@ minus the recorded shift, so the two routes check each other.
 Choice rule per step: m is the smallest mode of any variable occurring in a,
 i0 the smallest boson index carrying that mode, n the smallest positive mode
 with a nonzero lambda entry; j0 is i0 in case 3a and otherwise the first
-boson index (other than i0 in case 3b) with c_n = (lambda_n, h_j0) nonzero,
-which exists because lambda_n is nonzero and, in case 3b, vanishes at i0.
+boson index with c_n = (lambda_n, h_j0) nonzero, which exists because
+lambda_n is nonzero.  Case 3b needs no rule to pass over i0: there n = m
+and (lambda_m, h_i0) = 0, so the first such index is never i0.
 With c_m = (lambda_m, h_i0) and d_im = m d/dx[i0,m], the element acts as
 c_m d_jn + c_n d_im + d_im d_jn, and d_im a is nonzero because x[i0,m]
 occurs in a:
@@ -69,22 +70,14 @@ def _mode_candidates(a: FockVector) -> Tuple[int, int]:
 
 def _case_and_element(lam: LambdaSequence, i0: int, m2: int,
                       n2: int) -> Tuple[str, QuadraticElement]:
-    if n2 > m2:
-        case, j0 = CASE_HIGH, _index_pairing_nonzero(lam, n2)
-    elif n2 < m2:
-        case, j0 = CASE_LOW, _index_pairing_nonzero(lam, n2)
-    elif lam.pair2(m2, i0):
+    c_m = lam.pair2(m2, i0)
+    if n2 == m2 and c_m:
         case, j0 = CASE_DIAG, i0
     else:
-        case, j0 = CASE_OFFDIAG, _index_pairing_nonzero(lam, m2, skip=i0)
-    shift = lam.pair2(m2, i0) * lam.pair2(n2, j0)
-    return case, QuadraticElement(i0, j0, m2, n2, lam.sector, shift)
-
-
-def _index_pairing_nonzero(lam: LambdaSequence, n2: int, skip: int = 0) -> int:
-    """The first boson index but ``skip`` pairing nonzero with lambda_n."""
-    return next(j for j in range(1, lam.rank + 1)
-                if j != skip and lam.pair2(n2, j))
+        case = CASE_HIGH if n2 > m2 else CASE_LOW if n2 < m2 else CASE_OFFDIAG
+        j0 = next(j for j in range(1, lam.rank + 1) if lam.pair2(n2, j))
+    return case, QuadraticElement(i0, j0, m2, n2, lam.sector,
+                                  c_m * lam.pair2(n2, j0))
 
 
 def reduce_step(lam: LambdaSequence,

@@ -79,6 +79,13 @@ def _check_parity(d2: int, sector: Sector) -> int:
     return d2
 
 
+def _check_integer(d2: int) -> int:
+    """The doubled mode d2, refused in either sector unless it is an integer."""
+    if d2 % 2:
+        raise ModeRangeError(f"mode {_mode_quoted(d2)} is not an integer")
+    return d2
+
+
 def _check_positive(d2: int, sector: Sector) -> int:
     """The doubled mode d2, refused unless it is a positive mode of sector."""
     if _check_parity(d2, sector) <= 0:

@@ -2,7 +2,8 @@
 
 Everything here is driven by a caller-supplied ``random.Random`` so that a
 seed fully determines a run, in the relations suite ``run_suites`` and in
-the tests alike.
+the tests alike.  Nothing here imports ``whittaker``: a ``relations``
+request loads ``sampling``, ``vertex`` and the layers below them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .heisenberg import (LambdaSequence, QuadraticElement, commutator_check,
                          quadratic_check)
 from .scalars import Scalar
 from .vertex import binom_mode_identity_check, virasoro_bracket_check
-from .whittaker import bilinear
 
 
 def random_rational(rng: Random) -> Fraction:
@@ -65,27 +65,17 @@ def random_fock(rng: Random, rank: int, sector: Sector,
 
 
 def random_lambda(rng: Random, rank: int, sector: Sector,
-                  max_r: int = 3, anisotropic_top: bool = False) -> LambdaSequence:
-    """Random proper lambda data with support bound r in 1..max_r.
-
-    The top entry, at a positive mode, is nonzero; ``anisotropic_top``
-    re-draws until it pairs to a nonzero value with itself (so a Whittaker
-    type exists).
-    """
-    while True:
-        r = rng.randint(1, max_r)
-        entries = []
-        for _ in range(r + 1 - sector.parity):
-            entries.append([random_scalar(rng) if rng.random() < 0.7 else 0
-                            for _ in range(rank)])
-        while not any(entries[-1]):
-            entries[-1] = [random_scalar(rng) for _ in range(rank)]
-        lam = LambdaSequence.make(sector, rank, entries)
-        if anisotropic_top:
-            top = lam.entry2(lam.top_doubled)
-            if not bilinear(top, top):
-                continue
-        return lam
+                  max_r: int = 3) -> LambdaSequence:
+    """Random proper lambda data with support bound r in 1..max_r; the top
+    entry, at a positive mode, is nonzero."""
+    r = rng.randint(1, max_r)
+    entries = []
+    for _ in range(r + 1 - sector.parity):
+        entries.append([random_scalar(rng) if rng.random() < 0.7 else 0
+                        for _ in range(rank)])
+    while not any(entries[-1]):
+        entries[-1] = [random_scalar(rng) for _ in range(rank)]
+    return LambdaSequence.make(sector, rank, entries)
 
 
 def random_mode_pair(rng: Random, sector: Sector, bound: int):

@@ -8,9 +8,9 @@ carries ``"schema": <name>/<version>``; a parser refuses a marker other than
 its own ``<name>/1``, accepts a document without one, and validates everything
 else strictly, raising ``SchemaError``.
 
-The record classes of ``certify``, ``whittaker`` and ``vertex`` are named in
-annotations through the package, which loads their modules only when an
-annotation is evaluated: a request loads only its subcommand's modules.
+The record classes of ``certify``, ``whittaker`` and ``vertex`` are reached
+through the package, by annotations and readers alike, which loads their
+modules on first use: a request loads only its subcommand's modules.
 
 A vector document reads each distinct factor text ``x[i,n]^e`` once and
 writes each distinct factor once, through a table that lives for that one
@@ -270,7 +270,6 @@ def whittaker_type_to_json(wt: hf.WhittakerType) -> dict:
 
 
 def whittaker_type_from_json(doc) -> hf.WhittakerType:
-    from .whittaker import WhittakerType
     _check_marker(doc, "type")
     sector = parse_sector(_expect(doc, "sector", str, "type"))
     r = _expect(doc, "r", int, "type")
@@ -284,7 +283,7 @@ def whittaker_type_from_json(doc) -> hf.WhittakerType:
         zeta = tuple(parse_scalar(z) if isinstance(z, str)
                      else _bad_zeta(z) for z in zeta_raw)
     try:
-        return WhittakerType(sector, r, zeta, exact=not numeric)
+        return hf.WhittakerType(sector, r, zeta, exact=not numeric)
     except ValueError as exc:
         raise SchemaError(f"type: {exc}") from exc
 
@@ -317,7 +316,6 @@ def certificate_to_json(lam: LambdaSequence,
 
 
 def certificate_from_json(doc):
-    from .certify import ReductionCertificate, ReductionStep
     _check_marker(doc, "certificate")
     lam = lambda_from_json(_expect(doc, "lambda", dict, "certificate"))
     initial = fock_from_json(_expect(doc, "initial", dict, "certificate"))
@@ -347,9 +345,9 @@ def certificate_from_json(doc):
         if not isinstance(retries, int) or isinstance(retries, bool) or retries < 0:
             raise SchemaError(f"{where}: bad retries value {_quoted(retries)}")
         q = QuadraticElement(i, j, m2, n2, lam.sector, shift)
-        steps.append(ReductionStep(q, case, before, after, retries))
+        steps.append(hf.ReductionStep(q, case, before, after, retries))
     terminal = parse_scalar(_expect(doc, "terminal", str, "certificate"))
-    return lam, ReductionCertificate(initial, tuple(steps), terminal)
+    return lam, hf.ReductionCertificate(initial, tuple(steps), terminal)
 
 
 def _step_mode(text: str, sector: Sector, where: str) -> int:

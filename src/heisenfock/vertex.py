@@ -41,11 +41,11 @@ last creator the node's terms times the weight, with the creators merged in
 (normal ordering: every annihilator acts before the creators).  Every
 write runs through the one weighted derivation kernel of ``fock``.
 
-``mode_apply`` reads the sector from its vector and lambda data.  Parity
-rule: r half-odd twisted modes sum to an integer of the parity of r, so on
-twisted vectors a monomial whose factor count cannot reach the parity of
-``k`` contributes zero; untwisted modes are integers, and there
-``mode_apply`` refuses a half-odd ``k``.
+``mode_apply`` and ``virasoro_mode`` read the sector from their vector and
+lambda data, and each reads its mode by one rule.  L_n takes an integer n in
+both sectors.  A state's mode k: r half-odd twisted modes sum to an integer
+of the parity of r, so on twisted vectors a monomial whose factor count
+cannot reach the parity of k contributes zero; untwisted, k is an integer.
 
 On twisted vectors the field first acquires the lowering correction
 
@@ -58,8 +58,8 @@ product of two binomial series, so ``cmn_table`` reads them off the closed
 form c[m,n] = b_m b_n / (2(m+n)), b_k = binom(-1/2, k).  ``delta_z_apply``
 applies the (terminating) exponential on term dicts, through the same
 weighted derivation kernel of ``fock`` with c[m,n]/k as its scale, and
-``mode_apply`` hands its parts, the coefficients of z^(-j), to the
-engine, which reads mode k - j of each.
+``_field_parts``, the one source of a field's parts (the coefficients of
+z^(-j)), hands them to the engine, which reads mode k - j of each.
 
 All Virasoro operators are modes of the quadratic state
 omega = (1/2) sum_i x[i,1]^2, so both sectors run through the same engine.
@@ -82,8 +82,8 @@ from typing import Dict, List, Tuple, Union
 from ._record import Record
 from .errors import PreconditionError, SectorMismatchError
 from .fock import (FockVector, ModeLike, Monomial, Sector,
-                   _add_weighted_partial2, _doubled_value, _insert_variable,
-                   doubled_mode)
+                   _add_weighted_partial2, _check_integer, _doubled_value,
+                   _insert_variable, doubled_mode)
 from .heisenberg import LambdaSequence, act_mode2
 from .scalars import ONE, Scalar, _reduced
 
@@ -325,26 +325,30 @@ def _modes_on(parts, k2: int, f: FockVector, lam: LambdaSequence) -> FockVector:
     return FockVector(f.rank, f.sector, acc)
 
 
+def _field_parts(state: FockVector, sector: Sector) -> tuple:
+    """The parts (j, coefficient of z^(-j)) of a checked state's field: the
+    state itself untwisted, those of exp(Delta_z) state twisted."""
+    if sector is Sector.UNTWISTED:
+        return ((0, state),)
+    return tuple(delta_z_apply(state).items())
+
+
 def mode_apply(u: FockVector, k: ModeLike, f: FockVector,
                lam: LambdaSequence) -> FockVector:
-    """The k-th mode of the state u on f, in the sector of f and lam: untwisted,
-    u is its field's only part; twisted, the parts are those of exp(Delta_z) u."""
+    """The k-th mode of the state u on f, in the sector of f and lam: any k in
+    (1/2)Z twisted, an integer untwisted."""
     lam._check_vector(f)
-    twisted = f.sector is Sector.TWISTED
-    k2 = _doubled_value(k) if twisted else doubled_mode(k, f.sector)
-    state = _as_state(u, f.rank)
-    parts = delta_z_apply(state).items() if twisted else ((0, state),)
-    return _modes_on(parts, k2, f, lam)
+    k2 = _doubled_value(k) if f.sector.parity else doubled_mode(k, f.sector)
+    return _modes_on(_field_parts(_as_state(u, f.rank), f.sector), k2, f, lam)
 
 
 # -- Virasoro operators -----------------------------------------------------------
 
 def virasoro_mode(n: int, f: FockVector, lam: LambdaSequence) -> FockVector:
-    """L_n: the (n+1)-st mode of omega, read off omega's parts in the sector
-    of f; twisted, the rank/16 shift enters through Delta_z."""
+    """L_n, n an integer: mode n + 1 of omega, read off omega's parts in the
+    sector of f; twisted, the rank/16 shift enters through Delta_z."""
     lam._check_vector(f)
-    k2 = (_doubled_value(n + 1) if f.sector is Sector.TWISTED
-          else doubled_mode(n + 1, f.sector))
+    k2 = _check_integer(_doubled_value(n)) + 2
     return _modes_on(_omega_parts(f.rank, f.sector), k2, f, lam)
 
 
@@ -355,11 +359,8 @@ twisted_virasoro_mode = virasoro_mode
 
 @lru_cache(maxsize=None)
 def _omega_parts(rank: int, sector: Sector) -> Tuple[Tuple[int, FockVector], ...]:
-    """The parts of omega's field in a sector, built once per (rank, sector):
-    omega itself untwisted, those of exp(Delta_z) omega twisted."""
-    if sector is Sector.UNTWISTED:
-        return ((0, omega(rank)),)
-    return tuple(delta_z_apply(omega(rank)).items())
+    """The parts of omega's field in a sector, built once per (rank, sector)."""
+    return _field_parts(omega(rank), sector)
 
 
 def virasoro_bracket_check(m: int, n: int, f: FockVector,
@@ -469,17 +470,9 @@ def binom_mode_identity_check(a: int, b: int, p: int, q: int, n: int,
         w = _gbinom(i - ann_bound - 1, p) * _gbinom(j - ann_bound - 1, q)
         if not w:
             continue
-        g = u
-        for idx, mode in ((a, ann_bound - i), (b, ann_bound - j)):
-            if mode >= 0:
-                g = act_mode2(lam, idx, 2 * mode, g)
-                if not g:
-                    break
-        if not g:
-            continue
-        for idx, mode in ((a, ann_bound - i), (b, ann_bound - j)):
-            if mode < 0:
-                g = g.times_variable(idx, -2 * mode)
+        # normal order: the larger mode, an annihilator if either is, acts first
+        (low, i1), (high, i2) = sorted(((ann_bound - i, a), (ann_bound - j, b)))
+        g = act_mode2(lam, i1, 2 * low, act_mode2(lam, i2, 2 * high, u))
         rhs = rhs + g.scaled_fraction(w)
     return lhs == rhs
 

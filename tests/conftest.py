@@ -4,7 +4,8 @@ from random import Random
 
 import pytest
 
-from heisenfock import FockVector, LambdaSequence, Scalar, Sector
+from heisenfock import FockVector, LambdaSequence, Scalar, Sector, bilinear
+from heisenfock.sampling import random_lambda
 
 
 @pytest.fixture
@@ -46,3 +47,14 @@ def assert_canonical(terms):
     for c in terms.values():
         assert type(c) is Scalar and c.d > 0 and (c.a or c.b), c
         assert gcd(c.a, c.b, c.d) == 1, (c.a, c.b, c.d)
+
+
+def anisotropic_lambda(rng, rank, sector, max_r=3):
+    """``random_lambda`` re-drawn until its top entry pairs to a nonzero value
+    with itself, so a Whittaker type exists.  Each re-draw consumes the
+    stream as one more ``random_lambda`` call does."""
+    while True:
+        lam = random_lambda(rng, rank, sector, max_r)
+        top = lam.entry2(lam.top_doubled)
+        if bilinear(top, top):
+            return lam

@@ -28,6 +28,7 @@ from heisenfock.sampling import (random_fock, random_lambda,
                                  random_nonzero_scalar)
 from heisenfock.whittaker import numeric_type_residual
 
+from conftest import anisotropic_lambda
 from test_binom import exact_determinant
 from test_cmn import sympy_cmn_oracle
 
@@ -118,7 +119,7 @@ def test_criterion_4_whittaker_types():
     for sector in (Sector.UNTWISTED, Sector.TWISTED):
         for _ in range(50):
             rank = rng.randint(1, 3)
-            lam = random_lambda(rng, rank, sector, anisotropic_top=True)
+            lam = anisotropic_lambda(rng, rank, sector)
             wt = whittaker_type_of(lam)
             r, eps = wt.r, wt.epsilon
             report = verify_whittaker_vector(lam, 2 * r + eps + 4)

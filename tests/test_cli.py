@@ -1093,7 +1093,9 @@ GOLDEN_INPUTS = json.loads(
      {"certify"}, {"whittaker", "vertex", "sampling"}),
     (["type", "--lambda", "@lam_u1.json"], {"whittaker"},
      {"certify", "vertex", "sampling"}),
-], ids=["cmn", "certify", "type"])
+    (["relations", "--l", "1", "--bound", "1", "--trials", "2"],
+     {"sampling", "vertex"}, {"whittaker", "certify", "serialize"}),
+], ids=["cmn", "certify", "type", "relations"])
 def test_subcommand_loads_only_its_modules(tmp_path, argv, present, absent):
     # importing the package loads no module, and each subcommand imports
     # its own as it runs: an eager import would compile the others on every

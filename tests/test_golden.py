@@ -21,7 +21,9 @@ x[a1,n1]*x[a2,n2]*... of that rank, or of the largest boson index listed
 when the rank is null.
 Under its key ``sampling`` it holds the text of seeded ``random_lambda`` /
 ``random_fock`` / ``random_mode_pair`` draws (ranks 1-3, both
-sectors, ``anisotropic_top`` on and off) with the lattice facts of each
+sectors, the lambda data drawn by ``random_lambda`` or, where a case's
+``anisotropic_top`` is set, re-drawn by ``conftest.anisotropic_lambda``
+until its top entry is anisotropic) with the lattice facts of each
 drawn lambda: ``support_bound``, ``top_doubled``, ``positive_support2`` and
 ``pair2`` (or the error it raises) for the doubled modes -3..9.
 Under its key ``text`` it holds a seeded corpus of scalar strings and of
@@ -60,6 +62,8 @@ from heisenfock.sampling import (random_fock, random_lambda,
 from heisenfock.serialize import (fock_from_json, fock_to_json,
                                   lambda_from_json, lambda_to_json,
                                   parse_monomial)
+
+from conftest import anisotropic_lambda
 
 DATA = Path(__file__).with_name("data") / "golden_cli.json"
 GOLDEN = json.loads(DATA.read_text(encoding="utf-8"))
@@ -327,8 +331,9 @@ def test_delta_z_output_unchanged(case):
 # -- seeded sampling and the lambda mode lattice ----------------------------------
 
 def draw_sampling_cases(seed: int, count: int):
-    """A grid over sector, rank, ``anisotropic_top``, ``max_r`` (0 stands for
-    the zero sequence) and ``max_degree``, one draw seed per case."""
+    """A grid over sector, rank, ``anisotropic_top`` (lambda data drawn by
+    ``anisotropic_lambda``), ``max_r`` (0 stands for the zero sequence) and
+    ``max_degree``, one draw seed per case."""
     return [{"seed": seed + n,
              "sector": ("untwisted", "twisted")[n % 2],
              "rank": 1 + n // 2 % 3,
@@ -350,8 +355,8 @@ def sample_case(case) -> str:
     scalars = [random_rational(rng), random_scalar(rng),
                random_nonzero_scalar(rng)]
     if case["max_r"]:
-        lam = random_lambda(rng, rank, sector, max_r=case["max_r"],
-                            anisotropic_top=case["anisotropic_top"])
+        draw = anisotropic_lambda if case["anisotropic_top"] else random_lambda
+        lam = draw(rng, rank, sector, max_r=case["max_r"])
     else:
         lam = LambdaSequence.zero(rank, sector)
     f = random_fock(rng, rank, sector, max_degree=case["max_degree"],

@@ -23,7 +23,9 @@ import heisenfock as hf
 from heisenfock import (BosonIndexError, PreconditionError, Sector,
                         certify_cyclic, cmn_table, solve_fiber,
                         verify_whittaker_vector, whittaker, whittaker_type_of)
-from heisenfock.sampling import random_fock, random_lambda
+from heisenfock.sampling import random_fock
+
+from conftest import anisotropic_lambda
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ def _samples():
     for seed in range(3):
         rng = Random(4100 + seed)
         for sector in Sector:
-            lam = random_lambda(rng, 2, sector, max_r=2, anisotropic_top=True)
+            lam = anisotropic_lambda(rng, 2, sector, max_r=2)
             cert = certify_cyclic(lam, random_fock(rng, 2, sector, max_degree=3))
             ty = whittaker_type_of(lam)
             report = verify_whittaker_vector(lam, lam.support_bound + 2)

@@ -191,6 +191,24 @@ def test_one_plan_call_site():
     assert sites == ["vertex.py"]
 
 
+def test_one_parts_source():
+    # a field's parts have one source: exp(Delta_z) is applied at one call
+    # site, and neither front door nor the omega cache names a sector
+    sites = [path.name for path in sorted(SOURCE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "delta_z_apply"]
+    assert sites == ["vertex.py"]
+    tree = ast.parse((SOURCE / "vertex.py").read_text(encoding="utf-8"))
+    doors = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)
+             and node.name in ("mode_apply", "virasoro_mode", "_omega_parts")}
+    assert len(doors) == 3
+    for name, node in doors.items():
+        assert not [n for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                    and getattr(n.value, "id", None) == "Sector"], name
+
+
 def test_docstring_examples_pass():
     attempted = 0
     for module in _modules():

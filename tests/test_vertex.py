@@ -364,6 +364,19 @@ class TestVirasoro:
                - virasoro_mode(5, virasoro_mode(3, f, lam), lam))
         assert lhs == virasoro_mode(8, f, lam).scaled(-2)
 
+    def test_non_integer_index_is_refused_in_both_sectors(self):
+        # L_n exists for integer n only: a twisted L_{1/2} is no operator,
+        # not the zero one, and the refusal names n, not n + 1 or a sector
+        for sector, mode in ((Sector.TWISTED, Fraction(1, 2)),
+                             (Sector.UNTWISTED, 1)):
+            lam = lam_of(sector, 1, (1,))
+            f = x(1, mode, 1, sector)
+            for n in (Fraction(1, 2), Fraction(-3, 2)):
+                with pytest.raises(ModeRangeError) as info:
+                    virasoro_mode(n, f, lam)
+                assert str(info.value) == f"mode {n} is not an integer"
+            assert virasoro_mode(Fraction(-2), f, lam) == virasoro_mode(-2, f, lam)
+
     def test_twisted_omega_parts_built_once(self, rng, monkeypatch):
         from heisenfock import vertex
         vertex._omega_parts.cache_clear()

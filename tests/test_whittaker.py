@@ -8,12 +8,12 @@ from heisenfock import (FockVector, IsotropicTopError, LambdaSequence,
                         solve_fiber, verify_whittaker_vector,
                         whittaker_type_of)
 from heisenfock.errors import PreconditionError, SchemaError
-from heisenfock.sampling import random_lambda, random_nonzero_scalar
+from heisenfock.sampling import random_nonzero_scalar
 from heisenfock.whittaker import (_EXACT, _NUMERIC, TOLERANCE,
                                   _complement_basis, numeric_type_residual,
                                   type_eigenvalues)
 
-from conftest import lam_of, sc
+from conftest import anisotropic_lambda, lam_of, sc
 
 HALF = Fraction(1, 2)
 
@@ -50,7 +50,7 @@ class TestTypeMap:
     def test_matches_engine_eigenvalues(self, rng):
         for sector in (Sector.UNTWISTED, Sector.TWISTED):
             for _ in range(10):
-                lam = random_lambda(rng, 2, sector, anisotropic_top=True)
+                lam = anisotropic_lambda(rng, 2, sector)
                 wt = whittaker_type_of(lam)
                 report = verify_whittaker_vector(lam, wt.last_index + 3)
                 assert report.all_ok and report.valid_type
@@ -109,7 +109,7 @@ class TestFiberSolver:
     def test_exact_round_trip(self, rng):
         for sector in (Sector.UNTWISTED, Sector.TWISTED):
             for _ in range(10):
-                lam = random_lambda(rng, 3, sector, anisotropic_top=True)
+                lam = anisotropic_lambda(rng, 3, sector)
                 wt = whittaker_type_of(lam)
                 top, params = extract_fiber_data(lam)
                 point = solve_fiber(wt, 3, free_params=params, exact=True,
