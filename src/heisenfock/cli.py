@@ -106,7 +106,7 @@ def cmd_type(args) -> int:
 
 def _one_vector(path, rank: int, where: str, exact: bool):
     from .serialize import vectors_from_json
-    rows = vectors_from_json(_load_json(path), rank, where, numeric=not exact)
+    rows = vectors_from_json(_load_json(path), rank, where, exact)
     if len(rows) != 1:
         raise SchemaError(f"{where} file must hold exactly one vector")
     return rows[0]
@@ -129,7 +129,7 @@ def cmd_fiber(args) -> int:
         top = _one_vector(args.top, rank, "top", args.exact)
     if args.params:
         params = vectors_from_json(_load_json(args.params), rank - 1, "params",
-                                   numeric=not args.exact)
+                                   args.exact)
     if rank == 1 and sphere is None and top is None:
         points = [solve_fiber(zeta, 1, sphere_point=[s], free_params=params,
                               exact=args.exact) for s in (1, -1)]

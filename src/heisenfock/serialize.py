@@ -8,6 +8,12 @@ carries ``"schema": <name>/<version>``; a parser refuses a marker other than
 its own ``<name>/1``, accepts a document without one, and validates everything
 else strictly, raising ``SchemaError``.
 
+Type and fiber coordinates have one writer, ``_coordinates``, and one
+reader, ``_coordinate``, which also takes a bare number as a real numeric
+coordinate and names the entry it refuses.  The sphere, top and parameter
+files of ``fiber`` carry no ``numeric`` marker: the CLI's ``--exact`` flag
+picks the mode they are read in.
+
 The record classes of ``certify``, ``whittaker`` and ``vertex`` are reached
 through the package, by annotations and readers alike, which loads their
 modules on first use: a request loads only its subcommand's modules.
@@ -91,23 +97,8 @@ def fraction_pair(value, where: str) -> Scalar:
         raise SchemaError(f"{where}: bad rational in {_quoted(value)}") from exc
 
 
-def scalar_pair(x: Scalar) -> List[str]:
-    return [_ratio_text(x.a, x.d), _ratio_text(x.b, x.d)]
-
-
 def _rational_text(q: Fraction) -> str:
     return _ratio_text(q.numerator, q.denominator)
-
-
-def complex_pair(z: complex) -> List[float]:
-    return [z.real, z.imag]
-
-
-def parse_complex_pair(value, where: str) -> complex:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(_is_number(v) for v in value)):
-        raise SchemaError(f"{where}: expected a numeric [re, im] pair")
-    return _finite(value[0], value[1], where)
 
 
 def _finite(re, im, where: str) -> complex:
@@ -129,7 +120,8 @@ def lambda_to_json(lam: LambdaSequence) -> dict:
         "schema": _schema("lambda"),
         "sector": lam.sector.value,
         "rank": lam.rank,
-        "entries": [[scalar_pair(c) for c in row] for row in lam.entries],
+        "entries": [[[_ratio_text(c.a, c.d), _ratio_text(c.b, c.d)]
+                     for c in row] for row in lam.entries],
     }
 
 
@@ -277,19 +269,12 @@ def whittaker_type_from_json(doc) -> hf.WhittakerType:
     numeric = doc.get("numeric", False)
     if not isinstance(numeric, bool):
         raise SchemaError("type: the numeric marker must be true or false")
-    if numeric:
-        zeta = tuple(parse_complex_pair(z, "type zeta") for z in zeta_raw)
-    else:
-        zeta = tuple(parse_scalar(z) if isinstance(z, str)
-                     else _bad_zeta(z) for z in zeta_raw)
+    zeta = tuple(_coordinate(z, not numeric, f"type zeta[{k}]")
+                 for k, z in enumerate(zeta_raw))
     try:
         return hf.WhittakerType(sector, r, zeta, exact=not numeric)
     except ValueError as exc:
         raise SchemaError(f"type: {exc}") from exc
-
-
-def _bad_zeta(z):
-    raise SchemaError(f"type zeta entry {_quoted(z)} must be a scalar string")
 
 
 # -- certificates ---------------------------------------------------------------------
@@ -406,10 +391,26 @@ def fiber_to_json(point: hf.FiberPoint) -> dict:
 
 
 def _coordinates(values: Sequence, exact: bool) -> list:
-    """Scalar strings, or ``[re, im]`` float pairs, one per value."""
+    """Scalar strings, or ``[re, im]`` float pairs, one per value; the one
+    writer of type and fiber coordinates, which ``_coordinate`` reads."""
     if exact:
         return [format_scalar(c) for c in values]
-    return [complex_pair(complex(c)) for c in values]
+    return [[z.real, z.imag] for z in map(complex, values)]
+
+
+def _coordinate(value, exact: bool, where: str):
+    """One coordinate as ``_coordinates`` writes it: a scalar string when
+    exact, else a finite number or a ``[re, im]`` pair of finite numbers."""
+    if exact:
+        if isinstance(value, str):
+            return parse_scalar(value)
+        raise SchemaError(f"{where}: exact coordinates must be scalar "
+                          f"strings, got {_quoted(value)}")
+    pair = value if isinstance(value, (list, tuple)) else (value, 0)
+    if len(pair) == 2 and all(_is_number(v) for v in pair):
+        return _finite(*pair, where)
+    raise SchemaError(f"{where}: expected a number or a numeric [re, im] "
+                      f"pair, got {_quoted(value)}")
 
 
 def cmn_to_json(table: hf.CmnTable) -> dict:
@@ -423,30 +424,14 @@ def cmn_to_json(table: hf.CmnTable) -> dict:
 # -- free-form sphere/parameter files -------------------------------------------------
 
 def vectors_from_json(doc, rank: int, where: str,
-                      numeric: bool) -> List[Sequence]:
-    """Parse a list of coordinate vectors (scalar strings or float pairs)."""
+                      exact: bool) -> List[Sequence]:
+    """Parse a list of coordinate vectors, each coordinate read by
+    ``_coordinate``: the file carries no mode marker, ``exact`` picks it."""
     if not isinstance(doc, list):
         raise SchemaError(f"{where}: expected a list of vectors")
     rows = []
     for idx, row in enumerate(doc):
         if not isinstance(row, list) or len(row) != rank:
             raise SchemaError(f"{where}[{idx}]: expected {rank} coordinates")
-        if numeric:
-            rows.append([parse_complex_pair(c, f"{where}[{idx}]")
-                         if isinstance(c, (list, tuple)) else _as_float(c, where)
-                         for c in row])
-        else:
-            rows.append([parse_scalar(c) if isinstance(c, str)
-                         else _bad_coord(c, where) for c in row])
+        rows.append([_coordinate(c, exact, f"{where}[{idx}]") for c in row])
     return rows
-
-
-def _as_float(c, where):
-    if _is_number(c):
-        return _finite(c, 0, where)
-    raise SchemaError(f"{where}: bad numeric coordinate {_quoted(c)}")
-
-
-def _bad_coord(c, where):
-    raise SchemaError(
-        f"{where}: exact coordinates must be scalar strings, got {_quoted(c)}")

@@ -171,6 +171,17 @@ def test_fiber_numeric(tmp_path):
     assert doc["residual"] <= 1e-10
 
 
+def test_fiber_numeric_type_bare_number_entries_exit_0(tmp_path):
+    # a numeric type may write a real entry as a bare number, as numeric
+    # sphere, top and parameter files may
+    runs = []
+    for zeta in ([0.5, 1], [[0.5, 0], [1, 0]]):
+        path = write(tmp_path / "z.json", {
+            "sector": "untwisted", "r": 1, "numeric": True, "zeta": zeta})
+        runs.append(run_cli("fiber", "--zeta", path, "--l", "2"))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
 LARGE_ZETA = {"sector": "untwisted", "r": 1,
               "zeta": ["1234567+1/2i", "2345678-i"]}
 
@@ -671,7 +682,7 @@ def test_fiber_exact_number_coordinate_exit_1(tmp_path):
     sphere = write(tmp_path / "s.json", [[1, "0"]])
     assert run_cli_stderr("fiber", "--zeta", zeta, "--l", "2", "--exact",
                           "--sphere", sphere) == (
-        1, "", "schema error: sphere: exact coordinates must be scalar "
+        1, "", "schema error: sphere[0]: exact coordinates must be scalar "
                "strings, got 1\n")
 
 

@@ -115,8 +115,11 @@ TWINS = {hf.LambdaSequence: LambdaSequence,
          hf.FiberPoint: FiberPoint}
 
 
-def _samples():
-    """Records of every kind, from seeded draws in both sectors."""
+@pytest.fixture(scope="module")
+def samples():
+    """Records of every kind, from seeded draws in both sectors, built when
+    a test first asks: a fault in an operation that builds them is reported
+    at each test that uses them, not as a collection error of this module."""
     out = [cmn_table(0), cmn_table(3)]
     for seed in range(3):
         rng = Random(4100 + seed)
@@ -132,12 +135,11 @@ def _samples():
     return out
 
 
-SAMPLES = _samples()
 RECORDS = pytest.mark.parametrize("cls", list(TWINS), ids=lambda c: c.__name__)
 
 
-def _of(cls):
-    return [rec for rec in SAMPLES if type(rec) is cls]
+def _of(samples, cls):
+    return [rec for rec in samples if type(rec) is cls]
 
 
 def _field_names(rec):
@@ -151,9 +153,10 @@ def _hash(value):
         return str(exc)
 
 
-def test_every_record_is_sampled_in_both_sectors():
-    assert {type(rec) for rec in SAMPLES} == set(TWINS)
-    assert {lam.sector for lam in _of(hf.LambdaSequence)} == set(Sector)
+def test_every_record_is_sampled_in_both_sectors(samples):
+    assert {type(rec) for rec in samples} == set(TWINS)
+    lams = _of(samples, hf.LambdaSequence)
+    assert {lam.sector for lam in lams} == set(Sector)
 
 
 @RECORDS
@@ -166,8 +169,8 @@ def test_constructor_matches_twin(cls):
 
 
 @RECORDS
-def test_repr_eq_hash_match_twin(cls):
-    for rec in _of(cls):
+def test_repr_eq_hash_match_twin(cls, samples):
+    for rec in _of(samples, cls):
         values = [getattr(rec, name) for name in _field_names(rec)]
         twin, again = TWINS[cls](*values), cls(*values)
         assert repr(rec) == repr(twin)
@@ -179,8 +182,8 @@ def test_repr_eq_hash_match_twin(cls):
 
 
 @RECORDS
-def test_fields_cannot_be_set_or_deleted(cls):
-    for rec in _of(cls):
+def test_fields_cannot_be_set_or_deleted(cls, samples):
+    for rec in _of(samples, cls):
         for name in _field_names(rec):
             with pytest.raises(AttributeError,
                                match=f"cannot assign to field '{name}'"):
@@ -194,8 +197,8 @@ def test_fields_cannot_be_set_or_deleted(cls):
 
 
 @RECORDS
-def test_copy_deepcopy_and_pickle_round_trip(cls):
-    for rec in _of(cls):
+def test_copy_deepcopy_and_pickle_round_trip(cls, samples):
+    for rec in _of(samples, cls):
         for back in (copy.copy(rec), copy.deepcopy(rec),
                      pickle.loads(pickle.dumps(rec))):
             assert type(back) is cls and back == rec

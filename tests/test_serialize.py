@@ -10,7 +10,7 @@ from heisenfock import (FockVector, LambdaSequence, Scalar, SchemaError,
                         Sector, WhittakerType, certify_cyclic, cmn_table,
                         serialize)
 from heisenfock.fock import _check_positive, mode_text
-from heisenfock.sampling import random_fock, random_lambda
+from heisenfock.sampling import random_fock, random_lambda, random_scalar
 from heisenfock.scalars import format_scalar, parse_scalar
 from heisenfock.serialize import (certificate_from_json, certificate_to_json,
                                   cmn_to_json, fock_from_json, fock_to_json,
@@ -122,8 +122,70 @@ class TestTypeJson:
 @pytest.mark.parametrize("coord", [NAN, INF, -INF, [NAN, 0], [1, INF]])
 def test_numeric_vectors_reject_non_finite(coord):
     with pytest.raises(SchemaError):
-        vectors_from_json([[1.0, coord]], 2, "sphere", numeric=True)
-    assert vectors_from_json([[1.0, 2]], 2, "sphere", numeric=True) == [[1, 2]]
+        vectors_from_json([[1.0, coord]], 2, "sphere", exact=False)
+    assert vectors_from_json([[1.0, 2]], 2, "sphere", exact=False) == [[1, 2]]
+
+
+# One coordinate, given as JSON text, through both of its readers: entry 1
+# of a type's zeta and row 1 of a sphere file, each between good entries
+def _read_type(text, exact):
+    good = "1" if exact else [1, 0]
+    doc = {"sector": "untwisted", "r": 2,
+           "zeta": [good, json.loads(text), good]}
+    if not exact:
+        doc["numeric"] = True
+    return whittaker_type_from_json(doc).zeta[1]
+
+
+def _read_sphere(text, exact):
+    good = "1" if exact else 1
+    rows = [[good], [json.loads(text)], [good]]
+    return vectors_from_json(rows, 1, "sphere", exact)[1][0]
+
+
+_READERS = pytest.mark.parametrize(
+    "read, where", [(_read_type, "type zeta[1]"), (_read_sphere, "sphere[1]")],
+    ids=["type", "sphere"])
+
+
+@_READERS
+@pytest.mark.parametrize("text, exact, value", [
+    ('"1/2-3i"', True, sc(HALF, -3)),
+    ('"7"', True, sc(7)),
+    ("2", False, 2),
+    ("-0.5", False, -0.5),
+    ("[1.5, -2]", False, 1.5 - 2j),
+    ("[0, 1e-300]", False, 1e-300j),
+])
+def test_coordinate_readers_accept(read, where, text, exact, value):
+    got = read(text, exact)
+    assert got == value and type(got) is (Scalar if exact else complex)
+
+
+@_READERS
+@pytest.mark.parametrize("text, exact", [
+    ("true", False), ("true", True), ("[1, false]", False),
+    ("[1, 2, 3]", False), ("[[1, 0], 0]", False), ("[1]", False),
+    ("null", False), ('"1"', False), ("1", True), ('["1", "0"]', True),
+    ("NaN", False), ("Infinity", False), ("-Infinity", False),
+    ("1e400", False), ("[0, NaN]", False), ("[1e400, 0]", False),
+    ("NaN", True),
+])
+def test_coordinate_readers_refuse_naming_the_entry(read, where, text, exact):
+    with pytest.raises(SchemaError) as info:
+        read(text, exact)
+    assert str(info.value).startswith(f"{where}: ")
+
+
+def test_coordinate_reads_back_what_coordinates_writes(rng):
+    exact = [random_scalar(rng) for _ in range(40)]
+    numeric = [complex(rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6))
+               for _ in range(40)] + [1e-300 - 1e300j, -0.0, 2.5]
+    for values, is_exact in ((exact, True), (numeric, False)):
+        written = json.loads(json.dumps(
+            serialize._coordinates(values, is_exact)))
+        assert [serialize._coordinate(c, is_exact, "here")
+                for c in written] == values
 
 
 class TestCertificateJson:

@@ -9,7 +9,8 @@ Every exported name must resolve, and the library reads no environment
 variable: every option is an argument or a documented constant.  Mode
 errors are raised in one module, ``fock``, whose checks every caller uses,
 and the weighted derivation and the fused coefficient write have their one
-home there too.
+home there too.  Type and fiber coordinates have one reader,
+``serialize._coordinate``, the only caller of ``_finite``.
 The package resolves each exported name on first access (PEP 562) to the
 object its home module defines, and ``dir`` and ``import *`` see every one.
 The docstring examples of every module run and pass.  Private code (a
@@ -207,6 +208,23 @@ def test_one_parts_source():
     for name, node in doors.items():
         assert not [n for n in ast.walk(node) if isinstance(n, ast.Attribute)
                     and getattr(n.value, "id", None) == "Sector"], name
+
+
+def test_one_coordinate_reader():
+    # every type and fiber coordinate is read by the inverse of the one
+    # writer: no other function checks finiteness, and neither file reader
+    # parses a coordinate itself
+    calls = {}
+    for path in sorted(SOURCE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                calls[path.name, node.name] = {
+                    getattr(call.func, "id", getattr(call.func, "attr", None))
+                    for call in ast.walk(node) if isinstance(call, ast.Call)}
+    assert [key for key, names in calls.items() if "_finite" in names] == [
+        ("serialize.py", "_coordinate")]
+    for name in ("whittaker_type_from_json", "vectors_from_json"):
+        assert not calls["serialize.py", name] & {"parse_scalar", "_finite"}
 
 
 def test_docstring_examples_pass():
