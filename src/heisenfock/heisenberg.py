@@ -22,7 +22,7 @@ while the two-step composition is kept as an independent cross-check
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Sequence
 
 from ._record import Record
 from .errors import BosonIndexError, SchemaError, SectorMismatchError
@@ -83,27 +83,13 @@ class LambdaSequence(Record):
             return 0
         return 2 * len(self.entries) - 2 + self.sector.parity
 
-    def _slot(self, d2: int) -> Optional[int]:
-        idx = _check_parity(d2, self.sector) // 2
-        return idx if 0 <= idx < len(self.entries) else None
-
-    def entry2(self, d2: int) -> Tuple[Scalar, ...]:
-        """The vector lambda_n for doubled mode d2 (zero beyond the support)."""
-        slot = self._slot(d2)
-        if slot is None:
-            return tuple(ZERO for _ in range(self.rank))
-        return self.entries[slot]
-
     def pair2(self, d2: int, i: int) -> Scalar:
         """(lambda_n, h_i) for the doubled mode d2: the i-th coordinate."""
         _check_boson(i, self.rank)
-        slot = self._slot(d2)
-        if slot is None:
-            return ZERO
-        return self.entries[slot][i - 1]
-
-    def pair(self, mode: ModeLike, i: int) -> Scalar:
-        return self.pair2(doubled_mode(mode, self.sector), i)
+        slot = _check_parity(d2, self.sector) // 2
+        if 0 <= slot < len(self.entries):
+            return self.entries[slot][i - 1]
+        return ZERO
 
     def positive_support2(self) -> Iterator[int]:
         """Doubled indices n > 0 with lambda_n nonzero, ascending."""

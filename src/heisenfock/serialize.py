@@ -101,6 +101,14 @@ def _rational_text(q: Fraction) -> str:
     return _ratio_text(q.numerator, q.denominator)
 
 
+def _scalar(text: str, where: str) -> Scalar:
+    """``parse_scalar``, whose refusal names the entry ``where`` it reads."""
+    try:
+        return parse_scalar(text)
+    except SchemaError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
 def _finite(re, im, where: str) -> complex:
     """The complex number re + i*im; NaN, infinities and overflow are refused."""
     try:
@@ -238,7 +246,10 @@ def fock_from_json(doc) -> FockVector:
             i = next(i for i, _, _ in mono if not 1 <= i <= rank)
             raise SchemaError(
                 f"vector term {idx}: boson index {_quoted(i)} outside 1..{rank}")
-        c = parse_scalar(coeff_text)
+        try:
+            c = parse_scalar(coeff_text)
+        except SchemaError as exc:  # the location is written only on refusal
+            raise SchemaError(f"vector term {idx}: {exc}") from exc
         if mono in acc:  # a repeated monomial: its coefficients summed
             c = acc.pop(mono) + c
         if c:
@@ -316,7 +327,7 @@ def certificate_from_json(doc):
                     f"outside 1..{lam.rank}")
         m2 = _step_mode(_expect(raw, "m", str, where), lam.sector, where)
         n2 = _step_mode(_expect(raw, "n", str, where), lam.sector, where)
-        shift = parse_scalar(_expect(raw, "shift", str, where))
+        shift = _scalar(_expect(raw, "shift", str, where), where)
         case = _expect(raw, "case", str, where)
         if case not in ("1", "2", "3a", "3b"):
             raise SchemaError(f"{where}: unknown case tag {_quoted(case)}")
@@ -331,7 +342,8 @@ def certificate_from_json(doc):
             raise SchemaError(f"{where}: bad retries value {_quoted(retries)}")
         q = QuadraticElement(i, j, m2, n2, lam.sector, shift)
         steps.append(hf.ReductionStep(q, case, before, after, retries))
-    terminal = parse_scalar(_expect(doc, "terminal", str, "certificate"))
+    terminal = _scalar(_expect(doc, "terminal", str, "certificate"),
+                       "certificate terminal")
     return lam, hf.ReductionCertificate(initial, tuple(steps), terminal)
 
 
@@ -403,7 +415,7 @@ def _coordinate(value, exact: bool, where: str):
     exact, else a finite number or a ``[re, im]`` pair of finite numbers."""
     if exact:
         if isinstance(value, str):
-            return parse_scalar(value)
+            return _scalar(value, where)
         raise SchemaError(f"{where}: exact coordinates must be scalar "
                           f"strings, got {_quoted(value)}")
     pair = value if isinstance(value, (list, tuple)) else (value, 0)

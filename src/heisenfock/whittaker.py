@@ -7,6 +7,10 @@ and 0 twisted:
 
     zeta_i = (1/2) * sum_{m+n=i-1} (lambda_m, lambda_n)
 
+Below the public boundary the type is read by lambda's slots, slot a at
+mode a + p/2 with t the top slot: entry k of zeta is zeta_{r+1+k}, the half
+pair sum over slots a + b = k + t, in both sectors.
+
 ``solve_fiber`` inverts the map: the quadratic top equation
 (lambda_top, lambda_top) = 2*zeta_top puts lambda_top on a scaled complex
 sphere, after which each remaining equation is affine in one unknown vector
@@ -62,38 +66,22 @@ class WhittakerType(Record, defaults=(True,)):
     def epsilon(self) -> int:
         return 1 - self.sector.parity
 
-    @property
-    def first_index(self) -> int:
-        return self.r + 1
-
-    @property
-    def last_index(self) -> int:
-        return 2 * self.r + self.epsilon
-
-    def value(self, i: int):
-        if not self.first_index <= i <= self.last_index:
-            raise IndexError(f"index {i} outside {self.first_index}..{self.last_index}")
-        return self.zeta[i - self.first_index]
-
 
 def type_eigenvalues(lam: LambdaSequence) -> Dict[int, Scalar]:
     """Raw eigenvalue sums zeta_i for i = r+1 .. 2r+eps (no validity check)."""
-    return _eigenvalue_sums(lam.entries, lam.sector, ZERO)
+    return dict(enumerate(_type_sums(lam.entries, ZERO), lam.support_bound + 1))
 
 
-def _eigenvalue_sums(entries: Sequence[Sequence], sector: Sector, zero) -> Dict:
-    """zeta_i = (1/2) sum_{m+n=i-1} (lambda_m, lambda_n) for i = r+1 .. 2r+eps.
+def _type_sums(entries: Sequence[Sequence], zero) -> Tuple:
+    """The type by slot: entry k is (1/2) sum_{a+b=k+t} (entries[a], entries[b]).
 
-    ``entries`` holds lambda at its modes in ascending order (0, 1, ..., r
-    untwisted; 1/2, ..., r - 1/2 twisted), over either field; ``zero`` is
-    that field's zero.
+    ``entries`` holds lambda's slots over either field, slot a at mode
+    a + p/2, and t is the top slot; ``zero`` is that field's zero.  Modes
+    m + n = i - 1 are slots a + b = i - 1 - p, so entry k is zeta_{r+1+k}
+    in both sectors.
     """
-    p, count = sector.parity, len(entries)
-    r = max(0, count - 1 + p)
-    # slots a, b sit at modes a + p/2, b + p/2: they pair up in zeta_i when
-    # a + b + p = i - 1
-    return {i: _half_pair_sum(entries, i - 1 - p, 0, count - 1, zero)
-            for i in range(r + 1, 2 * r + 2 - p)}
+    t = len(entries) - 1
+    return tuple(_half_pair_sum(entries, k + t, k, t, zero) for k in range(t + 1))
 
 
 def _half_pair_sum(entries: Sequence[Sequence], total: int, lo: int, hi: int,
@@ -114,7 +102,7 @@ def whittaker_type_of(lam: LambdaSequence) -> WhittakerType:
     """
     if lam.is_zero:
         raise PreconditionError("the zero sequence has no Whittaker type")
-    zeta = tuple(type_eigenvalues(lam).values())
+    zeta = _type_sums(lam.entries, ZERO)
     if not zeta[-1]:
         raise IsotropicTopError(
             "top lambda entry is isotropic: (lambda_top, lambda_top) = 0")
@@ -287,14 +275,13 @@ def _back_substitute(zeta: WhittakerType, entries: List, basis: List[Tuple],
     present (the numeric refinement sweep) is corrected only along the top
     direction.
     """
-    top_slot = len(entries) - 1
-    top = entries[top_slot]
+    t = len(entries) - 1
+    top = entries[t]
     tt = bilinear(top, top)
-    for step, k in enumerate(reversed(range(top_slot))):
-        # zeta_i pairs this entry with the top: their modes sum to i - 1
-        i = k + top_slot + 2 - zeta.epsilon
-        rhs = field.coerce(zeta.value(i)) - _half_pair_sum(
-            entries, k + top_slot, k + 1, top_slot - 1, field.zero)
+    for step, k in enumerate(reversed(range(t))):
+        # type entry k pairs slot k with the top slot t
+        rhs = field.coerce(zeta.zeta[k]) - _half_pair_sum(
+            entries, k + t, k + 1, t - 1, field.zero)
         prev = entries[k]
         if prev is None:
             coef = rhs / tt
@@ -330,7 +317,7 @@ def solve_fiber(zeta: WhittakerType, rank: int,
         raise PreconditionError("rank must be >= 1")
     if sphere_point is not None and top_vector is not None:
         raise PreconditionError("give sphere_point or top_vector, not both")
-    steps = zeta.r - 1 + zeta.epsilon  # entries below the top one
+    steps = len(zeta.zeta) - 1  # entries below the top one
     if free_params is None:
         free_params = [[0] * (rank - 1) for _ in range(steps)]
     if len(free_params) != steps or any(len(p) != rank - 1 for p in free_params):
@@ -409,10 +396,13 @@ def solve_fiber(zeta: WhittakerType, rank: int,
 
 def numeric_type_residual(entries: Sequence[Sequence[complex]],
                           zeta: WhittakerType) -> float:
-    """Largest |zeta_i(entries) - zeta_i| over the type, in floating point."""
-    got = _eigenvalue_sums(entries, zeta.sector, 0j)
-    gaps = [abs(got[i] - complex(zeta.value(i)))
-            for i in range(zeta.first_index, zeta.last_index + 1)]
+    """Largest |zeta_i(entries) - zeta_i| over the type, in floating point,
+    for one lambda slot per type entry."""
+    if len(entries) != len(zeta.zeta):
+        raise PreconditionError(f"{len(entries)} lambda slots do not match "
+                                f"{len(zeta.zeta)} type entries")
+    gaps = [abs(got - complex(want))
+            for got, want in zip(_type_sums(entries, 0j), zeta.zeta)]
     # max() would drop a NaN that follows a number; report it instead
     return cmath.nan if any(map(cmath.isnan, gaps)) else max(gaps, default=0.0)
 

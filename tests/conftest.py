@@ -55,6 +55,6 @@ def anisotropic_lambda(rng, rank, sector, max_r=3):
     stream as one more ``random_lambda`` call does."""
     while True:
         lam = random_lambda(rng, rank, sector, max_r)
-        top = lam.entry2(lam.top_doubled)
+        top = lam.entries[-1]
         if bilinear(top, top):
             return lam

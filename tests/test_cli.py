@@ -694,6 +694,42 @@ def test_certify_check_unknown_case_exit_1(tmp_path):
         1, "", "schema error: certificate step 0: unknown case tag '4'\n")
 
 
+def test_fiber_exact_bad_sphere_scalar_names_its_entry(tmp_path):
+    zeta = write(tmp_path / "z.json", {
+        "sector": "untwisted", "r": 0, "zeta": ["1/2"]})
+    sphere = write(tmp_path / "s.json", [["1/2", "x"]])
+    assert run_cli_stderr("fiber", "--zeta", zeta, "--l", "2", "--exact",
+                          "--sphere", sphere) == (
+        1, "", "schema error: sphere[0]: bad scalar 'x'\n")
+
+
+@pytest.mark.parametrize("kind,doc,message", [
+    ("zeta", {"sector": "untwisted", "r": 0, "zeta": ["1/0"]},
+     "type zeta[0]: zero denominator in scalar '1/0'"),
+    ("vector", {"sector": "untwisted", "rank": 1,
+                "terms": [{"monomial": "x[1,1]", "coeff": "1"},
+                          {"monomial": "1", "coeff": "1/0"}]},
+     "vector term 1: zero denominator in scalar '1/0'")])
+def test_dump_bad_scalar_names_its_entry(tmp_path, kind, doc, message):
+    path = write(tmp_path / "doc.json", doc)
+    assert run_cli_stderr("dump", "--kind", kind, "--input", path) == (
+        1, "", f"schema error: {message}\n")
+
+
+@pytest.mark.parametrize("where,message", [
+    ("shift", "certificate step 0: zero denominator in scalar '1/0'"),
+    ("terminal", "certificate terminal: zero denominator in scalar '1/0'")])
+def test_certify_check_bad_scalar_names_its_entry(tmp_path, where, message):
+    doc = _twisted_certificate(tmp_path)
+    if where == "shift":
+        doc["steps"][0]["shift"] = "1/0"
+    else:
+        doc["terminal"] = "1/0"
+    bad = write(tmp_path / "bad.json", doc)
+    assert run_cli_stderr("certify", "--check", bad) == (
+        1, "", f"schema error: {message}\n")
+
+
 def test_certify_check_zero_terminal_exit_3(tmp_path):
     # a certificate must end on a nonzero constant; the verdict goes to
     # stdout like every other replay result

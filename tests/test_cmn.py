@@ -227,14 +227,15 @@ class TestTwistedModes:
                 for m2 in range(1, 2 * r, 2):
                     n2 = 2 * (j - 1) - m2
                     if 1 <= n2 <= 2 * r - 1:
-                        acc = acc + bilinear(lam.entry2(m2), lam.entry2(n2))
+                        acc = acc + sum(lam.pair2(m2, i) * lam.pair2(n2, i)
+                                         for i in (1, 2))
                 assert twisted_mode_apply(omega(2), j, v, lam) == v.scaled(acc / 2)
 
     def test_top_eigenvalue(self, rng):
         for _ in range(15):
             lam = random_lambda(rng, 2, Sector.TWISTED, max_r=3)
             r = lam.support_bound
-            top = lam.entry2(2 * r - 1)
+            top = lam.entries[-1]
             got = twisted_mode_apply(omega(2), 2 * r, one(2, Sector.TWISTED), lam)
             assert got == one(2, Sector.TWISTED).scaled(bilinear(top, top) / 2)
 

@@ -27,18 +27,18 @@ class TestLambdaSequence:
 
     def test_pairings_are_coordinates(self):
         lam = lam_of(Sector.UNTWISTED, 2, [0, 0], [sc(2), sc(0, 1)])
-        assert lam.pair(1, 1) == sc(2)
-        assert lam.pair(1, 2) == sc(0, 1)
-        assert lam.pair(5, 1) == sc(0)
+        assert lam.pair2(2, 1) == sc(2)
+        assert lam.pair2(2, 2) == sc(0, 1)
+        assert lam.pair2(10, 1) == sc(0)
 
     def test_twisted_indexing(self):
         lam = lam_of(Sector.TWISTED, 1, [sc(3)], [sc(4)])
         assert lam.support_bound == 2
         assert lam.top_doubled == 3
-        assert lam.pair(HALF, 1) == sc(3)
-        assert lam.pair(Fraction(3, 2), 1) == sc(4)
+        assert lam.pair2(1, 1) == sc(3)
+        assert lam.pair2(3, 1) == sc(4)
         with pytest.raises(ModeRangeError):
-            lam.pair(1, 1)
+            lam.pair2(2, 1)
 
     @pytest.mark.parametrize("i", [0, -1, 3])
     def test_pairing_index_outside_rank(self, i):

@@ -48,8 +48,6 @@ U, T = Sector.UNTWISTED, Sector.TWISTED
      PreconditionError, "derivative orders p, q must be >= 0"),
     (lambda: binom_transfer_matrix(1, 0),
      PreconditionError, "size must be >= 1"),
-    (lambda: WhittakerType(U, 0, (ONE,)).value(2),
-     IndexError, "index 2 outside 1..1"),
     (lambda: solve_fiber(WhittakerType(U, 0, (ONE,)), 1).to_lambda(),
      PreconditionError, "numeric fiber point has no exact lambda"),
     (lambda: fiber_dimension(0, 0, U), PreconditionError, "rank must be >= 1"),
@@ -68,8 +66,9 @@ def test_refusal(call, error, message):
 
 def test_entry_beyond_the_support_is_zero():
     lam = lam_of(U, 2, (1, 2))
-    assert lam.entry2(0) == (ONE, Scalar(2))
-    assert lam.entry2(2) == lam.entry2(40) == (ZERO, ZERO)
+    assert (lam.pair2(0, 1), lam.pair2(0, 2)) == (ONE, Scalar(2))
+    for i in (1, 2):
+        assert lam.pair2(2, i) == lam.pair2(40, i) == ZERO
 
 
 @pytest.mark.parametrize("sector", list(Sector))

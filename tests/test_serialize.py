@@ -37,8 +37,8 @@ class TestLambdaJson:
                "entries": [[["0", "0"], ["0", "0"]],
                            [["1/2", "0"], ["0", "-1/3"]]]}
         lam = lambda_from_json(doc)
-        assert lam.pair(1, 1) == sc(HALF)
-        assert lam.pair(1, 2) == sc(0, Fraction(-1, 3))
+        assert lam.pair2(2, 1) == sc(HALF)
+        assert lam.pair2(2, 2) == sc(0, Fraction(-1, 3))
 
     @pytest.mark.parametrize("doc", [
         {"sector": "nope", "rank": 1, "entries": []},
@@ -330,7 +330,11 @@ def reference_fock_from_json(doc):
             if not 1 <= i <= rank:
                 raise SchemaError(
                     f"vector term {idx}: boson index {i} outside 1..{rank}")
-        pairs.append((mono, parse_scalar(item["coeff"])))
+        try:
+            c = parse_scalar(item["coeff"])
+        except SchemaError as exc:
+            raise SchemaError(f"vector term {idx}: {exc}") from exc
+        pairs.append((mono, c))
     return _summed(rank, sector, pairs)
 
 

@@ -10,14 +10,18 @@ variable: every option is an argument or a documented constant.  Mode
 errors are raised in one module, ``fock``, whose checks every caller uses,
 and the weighted derivation and the fused coefficient write have their one
 home there too.  Type and fiber coordinates have one reader,
-``serialize._coordinate``, the only caller of ``_finite``.
+``serialize._coordinate``, the only caller of ``_finite``, and the type is
+read by lambda's slots below the public boundary, with no index or sector
+arithmetic.
 The package resolves each exported name on first access (PEP 562) to the
 object its home module defines, and ``dir`` and ``import *`` see every one.
 The docstring examples of every module run and pass.  Private code (a
 module-level function or class whose name, or whose module's name, starts
 with ``_``, and which the package does not export) has a caller in the
 package; the module hooks of PEP 562, which the interpreter calls, are
-exempt.
+exempt.  Every method of a class in the package is read as an attribute, or
+looked up by its name string, somewhere in the package outside its own
+definition.
 """
 
 import ast
@@ -227,6 +231,20 @@ def test_one_coordinate_reader():
         assert not calls["serialize.py", name] & {"parse_scalar", "_finite"}
 
 
+def test_type_is_read_by_slot():
+    # entry k of a type is the half pair sum over slots a + b = k + t: the
+    # sums, the solver and the residual name no index, parity or sector
+    tree = ast.parse((SOURCE / "whittaker.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    index_readers = {"epsilon", "parity", "first_index", "last_index", "value"}
+    for name in ("_type_sums", "_half_pair_sum", "_back_substitute",
+                 "solve_fiber", "numeric_type_residual", "whittaker_type_of"):
+        read = {node.attr for node in ast.walk(functions[name])
+                if isinstance(node, ast.Attribute)}
+        assert not read & index_readers, name
+
+
 def test_docstring_examples_pass():
     attempted = 0
     for module in _modules():
@@ -300,6 +318,43 @@ def test_private_code_has_a_caller():
                        for other in trees.values()):
                 uncalled.append(f"{module}.{name}")
     assert uncalled == []
+
+
+def _method_reads(node, skip):
+    """Attribute names that node reads, and its string constants (a name
+    ``hasattr`` or ``getattr`` looks up), outside the subtree ``skip``."""
+    names = set()
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if item is skip:
+            continue
+        if isinstance(item, ast.Attribute):
+            names.add(item.attr)
+        elif isinstance(item, ast.Constant) and isinstance(item.value, str):
+            names.add(item.value)
+        stack.extend(ast.iter_child_nodes(item))
+    return names
+
+
+def test_every_method_has_a_src_caller():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.rglob("*.py"))}
+    unread = set()
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = node.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if not any(name in _method_reads(other, skip=node)
+                           for other in trees.values()):
+                    unread.add(f"{module}.{cls.name}.{name}")
+    assert not unread, sorted(unread)
 
 
 def _functions():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -8,7 +9,7 @@ from heisenfock import (FockVector, IsotropicTopError, LambdaSequence,
                         solve_fiber, verify_whittaker_vector,
                         whittaker_type_of)
 from heisenfock.errors import PreconditionError, SchemaError
-from heisenfock.sampling import random_nonzero_scalar
+from heisenfock.sampling import random_nonzero_scalar, random_scalar
 from heisenfock.whittaker import (_EXACT, _NUMERIC, TOLERANCE,
                                   _complement_basis, numeric_type_residual,
                                   type_eigenvalues)
@@ -52,11 +53,49 @@ class TestTypeMap:
             for _ in range(10):
                 lam = anisotropic_lambda(rng, 2, sector)
                 wt = whittaker_type_of(lam)
-                report = verify_whittaker_vector(lam, wt.last_index + 3)
+                last = 2 * wt.r + wt.epsilon
+                report = verify_whittaker_vector(lam, last + 3)
                 assert report.all_ok and report.valid_type
                 for row in report.rows:
-                    if wt.first_index <= row.index <= wt.last_index:
-                        assert row.expected == wt.value(row.index)
+                    if wt.r + 1 <= row.index <= last:
+                        assert row.expected == wt.zeta[row.index - wt.r - 1]
+
+
+class TestTypeBySlot:
+    def test_slot_sums_match_the_index_formula(self):
+        # zeta_i = (1/2) sum over modes m + n = i - 1 of (lambda_m, lambda_n),
+        # read through pair2, is entry i - r - 1 of the type; the slots below
+        # the top are zero half the time
+        rng = Random(30)
+        zero_slots = 0
+        for sector in Sector:
+            p = sector.parity
+            for _ in range(40):
+                rank, r = rng.randint(1, 3), rng.randint(p, 4)
+                rows = [[0] * rank if rng.random() < 0.5
+                        else [random_scalar(rng) for _ in range(rank)]
+                        for _ in range(r - p)]
+                zero_slots += sum(not any(row) for row in rows)
+                top = [0] * rank
+                while not bilinear(top, top):
+                    top = [random_scalar(rng) for _ in range(rank)]
+                lam = lam_of(sector, rank, *rows, top)
+                assert lam.support_bound == r
+                wt = whittaker_type_of(lam)
+                assert len(wt.zeta) == r + 1 - p
+                for k, value in enumerate(wt.zeta):
+                    i = r + 1 + k
+                    total = sum(lam.pair2(m2, j) * lam.pair2(2 * i - 2 - m2, j)
+                                for m2 in range(p, 2 * i - 1, 2)
+                                for j in range(1, rank + 1))
+                    assert value == total / 2, (sector, rank, r, k)
+                assert type_eigenvalues(lam) == {
+                    r + 1 + k: value for k, value in enumerate(wt.zeta)}
+        assert zero_slots
+
+    def test_zero_sequence_has_no_eigenvalues(self):
+        for sector in Sector:
+            assert type_eigenvalues(LambdaSequence.zero(2, sector)) == {}
 
 
 class TestVerifyReport:
@@ -165,7 +204,8 @@ class TestFiberSolver:
         # an exactly scaled top vector sidesteps the square root: (1,1) has
         # self-pairing 2
         point = solve_fiber(wt, 2, exact=True, top_vector=[sc(1), sc(1)])
-        assert point.to_lambda().entry2(0) == (sc(1), sc(1))
+        lam = point.to_lambda()
+        assert (lam.pair2(0, 1), lam.pair2(0, 2)) == (sc(1), sc(1))
 
     def test_zero_top_rejected(self):
         with pytest.raises(PreconditionError):
@@ -231,6 +271,16 @@ class TestFiberSolver:
         nan = complex(float("nan"), 0)
         assert math.isnan(numeric_type_residual([(nan, 0j), (1 + 0j, 0j)], wt))
         assert numeric_type_residual([(0j, 0j), (1 + 0j, 1 + 0j)], wt) == 1.0
+
+    def test_residual_refuses_a_slot_count_mismatch(self):
+        # one lambda slot per type entry: fewer or more is refused, never
+        # truncated to the shorter of the two
+        wt = WhittakerType(Sector.UNTWISTED, 1, (1 + 0j, 1 + 0j), exact=False)
+        for entries in ([(1 + 0j,)], [(0j,), (1 + 0j,), (1 + 0j,)]):
+            with pytest.raises(PreconditionError,
+                               match=f"{len(entries)} lambda slots do not "
+                                     f"match 2 type entries"):
+                numeric_type_residual(entries, wt)
 
     @pytest.mark.parametrize("zeta", [(1e30 + 0j, 3 + 0j),
                                       (1234567 + 0.5j, 2345678 - 1j)],
