@@ -37,9 +37,8 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ._record import Record
-from .errors import (HighestWeightError, PreconditionError, ReductionError,
-                     SchemaError)
-from .fock import FockVector
+from .errors import HighestWeightError, PreconditionError, ReductionError
+from .fock import FockVector, _check_agree
 from .heisenberg import (LambdaSequence, QuadraticElement, _compose_quadratic,
                          quadratic_act)
 
@@ -86,7 +85,7 @@ def reduce_step(lam: LambdaSequence,
 
     By the module docstring's four cases the result is nonzero and of lower
     degree; ``ReductionError`` means the rule or the arithmetic is broken."""
-    lam._check_vector(a)
+    _check_agree(lam, a)
     if not a:
         raise PreconditionError("cannot reduce the zero vector")
     deg_before = a.degree
@@ -108,7 +107,7 @@ def reduce_step(lam: LambdaSequence,
 
 def certify_cyclic(lam: LambdaSequence, a: FockVector) -> ReductionCertificate:
     """Reduce a nonzero vector to a nonzero constant, recording each step."""
-    lam._check_vector(a)
+    _check_agree(lam, a)
     if not a:
         raise PreconditionError("cannot certify the zero vector")
     steps: List[ReductionStep] = []
@@ -131,8 +130,8 @@ def verify_certificate(lam: LambdaSequence, a: FockVector,
     recorded terminal constant.
     """
     try:
-        lam._check_vector(a)
-    except (PreconditionError, SchemaError):
+        _check_agree(lam, a)
+    except PreconditionError:
         return False
     current, degree = a, a.degree
     for step in cert.steps:

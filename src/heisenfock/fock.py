@@ -11,6 +11,8 @@ and convert it once; below them a mode is only its *doubled* integer ``2n``,
 checked by ``_check_parity`` and ``_check_positive``.  The sector fixes the
 parity of every doubled mode, ``Sector.parity``: 0 untwisted, 1 twisted; the
 other lattice facts (where lambda entry k sits, a type's epsilon) follow.
+Lambda data, vectors and states each live on the Fock space of one sector
+and rank; ``_check_agree`` refuses two operands that do not share it.
 
 Every coefficient written goes through one loop, the weighted-derivation
 kernel ``_add_weighted_partial2``; each ring operation is its shift pass.
@@ -160,7 +162,7 @@ class FockVector:
     def __add__(self, other) -> "FockVector":
         if not isinstance(other, FockVector):
             return NotImplemented
-        self._check_compatible(other)
+        _check_agree(self, other)
         acc = dict(self.terms)
         _add_weighted_partial2(acc, 0, 0, other.terms, ONE)
         return FockVector(self.rank, self.sector, acc)
@@ -168,7 +170,7 @@ class FockVector:
     def __sub__(self, other) -> "FockVector":
         if not isinstance(other, FockVector):
             return NotImplemented
-        self._check_compatible(other)
+        _check_agree(self, other)
         acc = dict(self.terms)
         _add_weighted_partial2(acc, 0, 0, other.terms, _MINUS_ONE)
         return FockVector(self.rank, self.sector, acc)
@@ -180,7 +182,7 @@ class FockVector:
 
     def __mul__(self, other) -> "FockVector":
         if isinstance(other, FockVector):
-            self._check_compatible(other)
+            _check_agree(self, other)
             acc: Dict[Monomial, Scalar] = {}
             # c1 * m1 * other is the kernel's shift term c1 with creators m1
             # and no derivative (d2 = 0)
@@ -267,14 +269,6 @@ class FockVector:
         return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]),
                       reverse=True)
 
-    def _check_compatible(self, other: "FockVector"):
-        if self.sector is not other.sector:
-            raise SectorMismatchError(
-                f"cannot combine {self.sector.value} and {other.sector.value} vectors")
-        if self.rank != other.rank:
-            raise BosonIndexError(
-                f"cannot combine vectors of rank {self.rank} and {other.rank}")
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -301,6 +295,18 @@ def _factor_text(i: int, d2: int, e: int) -> str:
     """One factor of a monomial's text: ``x[i,n]``, or ``x[i,n]^e`` for e > 1."""
     base = f"x[{i},{mode_text(d2)}]"
     return base if e == 1 else f"{base}^{_ratio_text(e, 1)}"
+
+
+def _check_agree(x, y) -> None:
+    """Refuse two operands, each lambda data, a vector or a state, that live
+    on different Fock spaces: another sector, or another rank."""
+    if x.sector is not y.sector:
+        raise SectorMismatchError(f"cannot combine {x.sector.value} "
+                                  f"{type(x).__name__} and {y.sector.value} "
+                                  f"{type(y).__name__}")
+    if x.rank != y.rank:
+        raise BosonIndexError(f"cannot combine rank-{x.rank} {type(x).__name__} "
+                              f"and rank-{y.rank} {type(y).__name__}")
 
 
 def _check_boson(i: int, rank: int):

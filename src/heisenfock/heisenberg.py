@@ -27,8 +27,8 @@ from typing import Dict, Iterator, Sequence
 from ._record import Record
 from .errors import BosonIndexError, SchemaError, SectorMismatchError
 from .fock import (FockVector, ModeLike, Monomial, Sector,
-                   _add_weighted_partial2, _check_boson, _check_parity,
-                   _check_positive, doubled_mode)
+                   _add_weighted_partial2, _check_agree, _check_boson,
+                   _check_parity, _check_positive, doubled_mode)
 from .scalars import ZERO, Scalar, as_scalar
 
 
@@ -99,25 +99,14 @@ class LambdaSequence(Record):
             if d2 > 0 and any(row):
                 yield d2
 
-    def _check_vector(self, f: FockVector):
-        if f.sector is not self.sector:
-            raise SectorMismatchError(
-                f"{self.sector.value} lambda data cannot act on a "
-                f"{f.sector.value} vector")
-        if f.rank != self.rank:
-            raise SchemaError(
-                f"lambda rank {self.rank} does not match vector rank {f.rank}")
-
 
 # -- mode actions --------------------------------------------------------------
 
 def act_mode(lam: LambdaSequence, i: int, mode: ModeLike,
              f: FockVector) -> FockVector:
     """Dispatch h_i(mode): negative modes create, the rest annihilate."""
-    d2 = doubled_mode(mode, f.sector)
-    if d2 >= 0:
-        lam._check_vector(f)
-    return act_mode2(lam, i, d2, f)
+    _check_agree(lam, f)
+    return act_mode2(lam, i, doubled_mode(mode, f.sector), f)
 
 
 def act_mode2(lam: LambdaSequence, i: int, d2: int, f: FockVector) -> FockVector:
@@ -133,6 +122,7 @@ def act_mode2(lam: LambdaSequence, i: int, d2: int, f: FockVector) -> FockVector
 def commutator_check(i: int, j: int, m: ModeLike, n: ModeLike,
                      f: FockVector, lam: LambdaSequence) -> bool:
     """Exact check of [h_i(m), h_j(n)] f = m delta(m+n) delta(i,j) f."""
+    _check_agree(lam, f)
     md2 = doubled_mode(m, f.sector)
     nd2 = doubled_mode(n, f.sector)
     lhs = (act_mode2(lam, i, md2, act_mode2(lam, j, nd2, f))
@@ -183,7 +173,7 @@ def quadratic_act(lam: LambdaSequence, q: QuadraticElement,
     element adds (lambda_n,h_j) d_im f in a third call when that pairing is
     nonzero.
     """
-    lam._check_vector(f)
+    _check_agree(lam, f)
     if q.sector is not f.sector:
         raise SectorMismatchError("quadratic element sector does not match vector")
     # the pairings check both boson indices before any derivation runs

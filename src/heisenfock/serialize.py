@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence
 
 import heisenfock as hf
 
-from .errors import SchemaError, _quoted
+from .errors import ModeRangeError, PreconditionError, SchemaError, _quoted
 from .fock import (FockVector, Monomial, Sector, _check_positive,
                    _factor_text, _sorted_monomial, mode_text)
 from .heisenberg import LambdaSequence, QuadraticElement
@@ -161,15 +161,10 @@ def _doubled(digits: str, half: Optional[str]) -> int:
     return int(digits) if half else 2 * int(digits)
 
 
-def parse_monomial(text: str, sector: Sector) -> Monomial:
-    """Read ``1``, or ``x[i,n]^e`` pieces joined by ``*`` in any order with
-    repeats summed; the first bad piece raises."""
-    return _monomial(text, sector, {})
-
-
 def _monomial(text: str, sector: Sector, factors: Dict) -> Monomial:
-    """``parse_monomial``, reading each piece through the table ``factors``
-    of the pieces a document has already parsed."""
+    """Read ``1``, or ``x[i,n]^e`` pieces joined by ``*`` in any order with
+    repeats summed, each piece through the table ``factors`` of the pieces a
+    document has already parsed; the first bad piece raises."""
     text = text.strip()
     if text == "1":
         return ()
@@ -240,16 +235,16 @@ def fock_from_json(doc) -> FockVector:
             where = f"vector term {idx}"
             mono_text = _expect(item, "monomial", str, where)
             coeff_text = _expect(item, "coeff", str, where)
-        mono = _monomial(mono_text, sector, factors)
-        # sorted by boson index: only the ends can fall outside the rank
-        if mono and (mono[0][0] < 1 or mono[-1][0] > rank):
-            i = next(i for i, _, _ in mono if not 1 <= i <= rank)
-            raise SchemaError(
-                f"vector term {idx}: boson index {_quoted(i)} outside 1..{rank}")
         try:
+            mono = _monomial(mono_text, sector, factors)
+            # sorted by boson index: only the ends can fall outside the rank
+            if mono and (mono[0][0] < 1 or mono[-1][0] > rank):
+                i = next(i for i, _, _ in mono if not 1 <= i <= rank)
+                raise SchemaError(
+                    f"boson index {_quoted(i)} outside 1..{rank}")
             c = parse_scalar(coeff_text)
-        except SchemaError as exc:  # the location is written only on refusal
-            raise SchemaError(f"vector term {idx}: {exc}") from exc
+        except (SchemaError, PreconditionError) as exc:  # named on refusal
+            raise type(exc)(f"vector term {idx}: {exc}") from exc
         if mono in acc:  # a repeated monomial: its coefficients summed
             c = acc.pop(mono) + c
         if c:
@@ -276,6 +271,10 @@ def whittaker_type_from_json(doc) -> hf.WhittakerType:
     _check_marker(doc, "type")
     sector = parse_sector(_expect(doc, "sector", str, "type"))
     r = _expect(doc, "r", int, "type")
+    epsilon = doc.get("epsilon", 1 - sector.parity)
+    if type(epsilon) is not int or epsilon != 1 - sector.parity:
+        raise SchemaError(f"type: epsilon {_quoted(epsilon)} is not "
+                          f"{1 - sector.parity}, the {sector.value} value")
     zeta_raw = _expect(doc, "zeta", list, "type")
     numeric = doc.get("numeric", False)
     if not isinstance(numeric, bool):
@@ -325,9 +324,13 @@ def certificate_from_json(doc):
                 raise SchemaError(
                     f"{where}: boson index {key}={_quoted(index)} "
                     f"outside 1..{lam.rank}")
-        m2 = _step_mode(_expect(raw, "m", str, where), lam.sector, where)
-        n2 = _step_mode(_expect(raw, "n", str, where), lam.sector, where)
+        m2 = _step_mode(_expect(raw, "m", str, where), where)
+        n2 = _step_mode(_expect(raw, "n", str, where), where)
         shift = _scalar(_expect(raw, "shift", str, where), where)
+        try:  # the element refuses a mode of the wrong sector or sign
+            q = QuadraticElement(i, j, m2, n2, lam.sector, shift)
+        except ModeRangeError as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
         case = _expect(raw, "case", str, where)
         if case not in ("1", "2", "3a", "3b"):
             raise SchemaError(f"{where}: unknown case tag {_quoted(case)}")
@@ -340,22 +343,20 @@ def certificate_from_json(doc):
         retries = raw.get("retries", 0)
         if not isinstance(retries, int) or isinstance(retries, bool) or retries < 0:
             raise SchemaError(f"{where}: bad retries value {_quoted(retries)}")
-        q = QuadraticElement(i, j, m2, n2, lam.sector, shift)
         steps.append(hf.ReductionStep(q, case, before, after, retries))
     terminal = _scalar(_expect(doc, "terminal", str, "certificate"),
                        "certificate terminal")
     return lam, hf.ReductionCertificate(initial, tuple(steps), terminal)
 
 
-def _step_mode(text: str, sector: Sector, where: str) -> int:
+def _step_mode(text: str, where: str) -> int:
     m = _MODE_TEXT.fullmatch(text)
     if m is None:
         raise SchemaError(f"{where}: bad mode {_quoted(text)}")
     try:
-        d2 = _doubled(m[1], m[2])
+        return _doubled(m[1], m[2])
     except ValueError as exc:  # more digits than int() converts
         raise SchemaError(f"{where}: over-long mode {_quoted(text)}") from exc
-    return _check_positive(d2, sector)
 
 
 # -- reports and fibers ------------------------------------------------------------------

@@ -80,10 +80,10 @@ from math import comb, factorial, gcd
 from typing import Dict, List, Tuple, Union
 
 from ._record import Record
-from .errors import PreconditionError, SectorMismatchError
+from .errors import BosonIndexError, PreconditionError, SectorMismatchError
 from .fock import (FockVector, ModeLike, Monomial, Sector,
-                   _add_weighted_partial2, _check_integer, _doubled_value,
-                   _insert_variable, doubled_mode)
+                   _add_weighted_partial2, _check_agree, _check_integer,
+                   _doubled_value, _insert_variable, doubled_mode)
 from .heisenberg import LambdaSequence, act_mode2
 from .scalars import ONE, Scalar, _reduced
 
@@ -112,7 +112,7 @@ def _as_state(u: FockVector, rank: int) -> FockVector:
     if u.sector is not Sector.UNTWISTED:
         raise SectorMismatchError("free-boson states live in the untwisted sector")
     if u.rank != rank:
-        raise PreconditionError(f"state rank {u.rank} does not match {rank}")
+        raise BosonIndexError(f"state rank {u.rank} does not match {rank}")
     return u
 
 
@@ -337,7 +337,7 @@ def mode_apply(u: FockVector, k: ModeLike, f: FockVector,
                lam: LambdaSequence) -> FockVector:
     """The k-th mode of the state u on f, in the sector of f and lam: any k in
     (1/2)Z twisted, an integer untwisted."""
-    lam._check_vector(f)
+    _check_agree(lam, f)
     k2 = _doubled_value(k) if f.sector.parity else doubled_mode(k, f.sector)
     return _modes_on(_field_parts(_as_state(u, f.rank), f.sector), k2, f, lam)
 
@@ -347,7 +347,7 @@ def mode_apply(u: FockVector, k: ModeLike, f: FockVector,
 def virasoro_mode(n: int, f: FockVector, lam: LambdaSequence) -> FockVector:
     """L_n, n an integer: mode n + 1 of omega, read off omega's parts in the
     sector of f; twisted, the rank/16 shift enters through Delta_z."""
-    lam._check_vector(f)
+    _check_agree(lam, f)
     k2 = _check_integer(_doubled_value(n)) + 2
     return _modes_on(_omega_parts(f.rank, f.sector), k2, f, lam)
 

@@ -358,6 +358,21 @@ def test_certify_and_check(tmp_path, lambda_file):
     assert json.loads(out2)["valid"] is True
 
 
+def test_certify_rank_mismatch_exit_2(tmp_path):
+    # lambda data of rank 2 cannot act on a rank-1 vector: a precondition,
+    # refused like a sector mismatch
+    lam = write(tmp_path / "lam2.json", {
+        "sector": "untwisted", "rank": 2,
+        "entries": [[["0", "0"], ["0", "0"]], [["1", "0"], ["0", "0"]]]})
+    vec = write(tmp_path / "vec1.json", {
+        "sector": "untwisted", "rank": 1,
+        "terms": [{"monomial": "x[1,1]", "coeff": "1"}]})
+    code, out, err = run_cli_stderr("certify", "--lambda", lam, "--vector", vec)
+    assert (code, out) == (2, "")
+    assert err == ("precondition violated: cannot combine rank-2 "
+                   "LambdaSequence and rank-1 FockVector\n")
+
+
 def test_certify_check_with_lambda_exit_1(tmp_path, lambda_file):
     vec = write(tmp_path / "vec.json", {
         "sector": "untwisted", "rank": 1,
@@ -609,6 +624,27 @@ def test_certify_check_step_mode_range_and_length(tmp_path, text, exit_code):
     assert run_cli("certify", "--check", bad) == (exit_code, "")
 
 
+def test_certify_check_step_mode_names_its_step(tmp_path):
+    doc = _twisted_certificate(tmp_path)
+    doc["steps"][1]["n"] = "1"
+    bad = write(tmp_path / "bad.json", doc)
+    assert run_cli_stderr("certify", "--check", bad) == (
+        2, "", "precondition violated: certificate step 1: mode 1 not "
+               "twisted\n")
+
+
+def test_certify_check_on_a_vector_of_another_rank_is_invalid(tmp_path):
+    # the replay refuses the disagreeing vector as a verdict, not an error
+    doc = _twisted_certificate(tmp_path)
+    cert = write(tmp_path / "cert.json", doc)
+    vec = write(tmp_path / "vec2.json", {
+        "sector": "twisted", "rank": 2,
+        "terms": [{"monomial": "x[1,1/2]*x[2,3/2]", "coeff": "2"}]})
+    assert run_cli_stderr("certify", "--check", cert, "--vector", vec) == (
+        3, '{\n  "schema": "certify-check/1",\n  "valid": false,\n'
+           '  "steps": 2\n}\n', "")
+
+
 @pytest.mark.parametrize("marker", ["no", "true", 1, 0, None, [True]])
 def test_fiber_non_boolean_numeric_marker_exit_1(tmp_path, marker):
     zeta = write(tmp_path / "z.json", {
@@ -714,6 +750,34 @@ def test_dump_bad_scalar_names_its_entry(tmp_path, kind, doc, message):
     path = write(tmp_path / "doc.json", doc)
     assert run_cli_stderr("dump", "--kind", kind, "--input", path) == (
         1, "", f"schema error: {message}\n")
+
+
+@pytest.mark.parametrize("monomial,line", [
+    ("y[1,1]", "schema error: vector term 1: bad monomial factor 'y[1,1]'"),
+    ("x[2,1]", "schema error: vector term 1: boson index 2 outside 1..1"),
+    ("x[1,1/2]", "precondition violated: vector term 1: mode 1/2 not "
+                 "untwisted")])
+def test_dump_bad_monomial_names_its_term(tmp_path, monomial, line):
+    # a mode of the wrong parity stays a precondition violation (exit 2)
+    path = write(tmp_path / "vec.json", {
+        "sector": "untwisted", "rank": 1,
+        "terms": [{"monomial": "x[1,1]", "coeff": "1"},
+                  {"monomial": monomial, "coeff": "1"}]})
+    code = 2 if line.startswith("precondition") else 1
+    assert run_cli_stderr("dump", "--kind", "vector", "--input", path) == (
+        code, "", line + "\n")
+
+
+@pytest.mark.parametrize("sector,epsilon,zeta", [
+    ("untwisted", "x", ["0", "2"]), ("untwisted", 0, ["0", "2"]),
+    ("untwisted", True, ["0", "2"]), ("twisted", 1, ["2"])])
+def test_dump_type_refuses_a_contradicting_epsilon(tmp_path, sector,
+                                                   epsilon, zeta):
+    path = write(tmp_path / "z.json", {"sector": sector, "r": 1,
+                                       "epsilon": epsilon, "zeta": zeta})
+    code, out, err = run_cli_stderr("dump", "--kind", "zeta", "--input", path)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"schema error: type: epsilon {epsilon!r} is not ")
 
 
 @pytest.mark.parametrize("where,message", [

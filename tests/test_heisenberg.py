@@ -75,7 +75,8 @@ class TestModeActions:
         lam, lam2 = LambdaSequence.zero(1), LambdaSequence.zero(2)
         assert act_mode(lam, 1, -1, one(1)) == x(1, 1, 1)
         assert act_mode(lam2, 2, -3, x(1, 1, 2)) == x(1, 1, 2) * x(2, 3, 2)
-        tw = act_mode(lam, 1, -HALF, one(1, Sector.TWISTED))
+        tw = act_mode(LambdaSequence.zero(1, Sector.TWISTED), 1, -HALF,
+                      one(1, Sector.TWISTED))
         assert tw == x(1, HALF, 1, Sector.TWISTED)
 
     def test_vacuum_annihilation(self):

@@ -10,12 +10,14 @@ import pytest
 
 from heisenfock import (BosonIndexError, FockVector, IsotropicTopError,
                         LambdaSequence, ModeRangeError, PreconditionError,
-                        QuadraticElement, Scalar, SchemaError, Sector,
-                        SectorMismatchError, WhittakerType,
-                        binom_mode_identity_check, binom_transfer_matrix,
-                        certify_cyclic, extract_fiber_data, fiber_dimension,
+                        QuadraticElement, ReductionCertificate, Scalar,
+                        SchemaError, Sector, SectorMismatchError,
+                        WhittakerType, act_mode, binom_mode_identity_check,
+                        binom_transfer_matrix, certify_cyclic,
+                        commutator_check, extract_fiber_data, fiber_dimension,
                         mode_apply, omega, quadratic_act, reduce_step,
-                        scalar_sqrt, solve_fiber, verify_certificate)
+                        scalar_sqrt, solve_fiber, verify_certificate,
+                        virasoro_mode)
 from heisenfock.scalars import ONE, ZERO
 
 from conftest import lam_of, one, sc, x
@@ -39,7 +41,7 @@ U, T = Sector.UNTWISTED, Sector.TWISTED
     (lambda: mode_apply(one(1, T), 0, one(1), LambdaSequence.zero(1)),
      SectorMismatchError, "free-boson states live in the untwisted sector"),
     (lambda: mode_apply(omega(2), 0, one(1), LambdaSequence.zero(1)),
-     PreconditionError, "state rank 2 does not match 1"),
+     BosonIndexError, "state rank 2 does not match 1"),
     (lambda: binom_mode_identity_check(1, 1, 0, 0, 0, one(1, T),
                                        LambdaSequence.zero(1, T), 1),
      SectorMismatchError, "the transfer identity is an untwisted check"),
@@ -62,6 +64,60 @@ def test_refusal(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+# every operation on lambda data and a vector, as a call on (lam, f) with f
+# untwisted: its modes are read in f's sector
+PAIRED = {
+    "create": lambda lam, f: act_mode(lam, 1, -1, f),
+    "annihilate": lambda lam, f: act_mode(lam, 1, 1, f),
+    "commutator_check": lambda lam, f: commutator_check(1, 1, 1, -1, f, lam),
+    "quadratic_act": lambda lam, f: quadratic_act(
+        lam, QuadraticElement(1, 1, 2, 2, U, ZERO), f),
+    "reduce_step": reduce_step,
+    "certify_cyclic": certify_cyclic,
+    "mode_apply": lambda lam, f: mode_apply(omega(1), 1, f, lam),
+    "virasoro_mode": lambda lam, f: virasoro_mode(0, f, lam),
+}
+
+# every operation on two vectors
+RING = {"+": lambda f, g: f + g, "-": lambda f, g: f - g,
+        "*": lambda f, g: f * g}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRED))
+@pytest.mark.parametrize("lam, error, message", [
+    (LambdaSequence.zero(2), BosonIndexError,
+     "cannot combine rank-2 LambdaSequence and rank-1 FockVector"),
+    (LambdaSequence.zero(1, T), SectorMismatchError,
+     "cannot combine twisted LambdaSequence and untwisted FockVector"),
+])
+def test_lambda_and_vector_must_agree(name, lam, error, message):
+    # creation and the commutator check included: each refuses before it
+    # reads a mode, so a twisted lambda never meets an untwisted mode
+    with pytest.raises(error) as info:
+        PAIRED[name](lam, x(1, 1, 1))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(RING))
+@pytest.mark.parametrize("g, error, message", [
+    (one(2), BosonIndexError,
+     "cannot combine rank-1 FockVector and rank-2 FockVector"),
+    (one(1, T), SectorMismatchError,
+     "cannot combine untwisted FockVector and twisted FockVector"),
+])
+def test_two_vectors_must_agree(name, g, error, message):
+    with pytest.raises(error) as info:
+        RING[name](x(1, 1, 1), g)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("lam", [LambdaSequence.zero(2),
+                                 LambdaSequence.zero(1, T)])
+def test_replay_on_a_disagreeing_vector_fails(lam):
+    a = x(1, 1, 1)
+    assert not verify_certificate(lam, a, ReductionCertificate(a, (), ONE))
 
 
 def test_entry_beyond_the_support_is_zero():

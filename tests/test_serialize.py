@@ -6,16 +6,16 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heisenfock import (FockVector, LambdaSequence, Scalar, SchemaError,
-                        Sector, WhittakerType, certify_cyclic, cmn_table,
-                        serialize)
+from heisenfock import (FockVector, LambdaSequence, PreconditionError,
+                        Scalar, SchemaError, Sector, WhittakerType,
+                        certify_cyclic, cmn_table, serialize)
 from heisenfock.fock import _check_positive, mode_text
 from heisenfock.sampling import random_fock, random_lambda, random_scalar
 from heisenfock.scalars import format_scalar, parse_scalar
 from heisenfock.serialize import (certificate_from_json, certificate_to_json,
                                   cmn_to_json, fock_from_json, fock_to_json,
-                                  lambda_from_json, lambda_to_json,
-                                  parse_monomial, vectors_from_json,
+                                  _monomial, lambda_from_json,
+                                  lambda_to_json, vectors_from_json,
                                   whittaker_type_from_json,
                                   whittaker_type_to_json)
 
@@ -68,14 +68,14 @@ class TestVectorJson:
         assert fock_from_json(doc) == f
 
     def test_parse_twisted_monomial(self):
-        mono = parse_monomial("x[1,1/2]*x[1,3/2]^2", Sector.TWISTED)
+        mono = _monomial("x[1,1/2]*x[1,3/2]^2", Sector.TWISTED, {})
         assert mono == ((1, 1, 1), (1, 3, 2))
 
     @pytest.mark.parametrize("text", ["x[1]", "y[1,1]", "x[1,1]^0",
                                       "x[1,1/3]", "x[1,1]x[1,2]"])
     def test_rejects_bad_monomials(self, text):
         with pytest.raises(SchemaError):
-            parse_monomial(text, Sector.UNTWISTED)
+            _monomial(text, Sector.UNTWISTED, {})
 
     @pytest.mark.parametrize("mono", ["x[2,1]", "x[0,1]"])
     def test_index_outside_rank_rejected(self, mono):
@@ -325,15 +325,15 @@ def reference_fock_from_json(doc):
     rank = doc["rank"]
     pairs = []
     for idx, item in enumerate(doc["terms"]):
-        mono = reference_parse_monomial(item["monomial"], sector)
-        for i, _, _ in mono:
-            if not 1 <= i <= rank:
-                raise SchemaError(
-                    f"vector term {idx}: boson index {i} outside 1..{rank}")
         try:
+            mono = reference_parse_monomial(item["monomial"], sector)
+            for i, _, _ in mono:
+                if not 1 <= i <= rank:
+                    raise SchemaError(f"boson index {i} outside 1..{rank}")
             c = parse_scalar(item["coeff"])
-        except SchemaError as exc:
-            raise SchemaError(f"vector term {idx}: {exc}") from exc
+        except (SchemaError, PreconditionError) as exc:
+            # every refusal names its term, in the class it was raised in
+            raise type(exc)(f"vector term {idx}: {exc}") from exc
         pairs.append((mono, c))
     return _summed(rank, sector, pairs)
 
@@ -399,7 +399,7 @@ _CODEC = settings(max_examples=250, derandomize=True, deadline=None,
 @given(data=st.data(), sector=_SECTORS)
 def test_parse_monomial_matches_reference(data, sector):
     text = data.draw(_monomial_texts(sector))
-    assert (_outcome(parse_monomial, text, sector)
+    assert (_outcome(_monomial, text, sector, {})
             == _outcome(reference_parse_monomial, text, sector))
 
 

@@ -15,13 +15,14 @@ read by lambda's slots below the public boundary, with no index or sector
 arithmetic.
 The package resolves each exported name on first access (PEP 562) to the
 object its home module defines, and ``dir`` and ``import *`` see every one.
-The docstring examples of every module run and pass.  Private code (a
-module-level function or class whose name, or whose module's name, starts
-with ``_``, and which the package does not export) has a caller in the
-package; the module hooks of PEP 562, which the interpreter calls, are
-exempt.  Every method of a class in the package is read as an attribute, or
-looked up by its name string, somewhere in the package outside its own
-definition.
+The docstring examples of every module run and pass.  Every module-level
+function or class that the package does not export has a caller in the
+package, so no code is kept for the tests alone; the module hooks of PEP
+562, which the interpreter calls, are exempt.  Every method of a class in
+the package is read as an attribute, or looked up by its name string,
+somewhere in the package outside its own definition.  Lambda data, vectors
+and states are checked against each other by one function, whose every
+two-operand operation calls it.
 """
 
 import ast
@@ -245,6 +246,42 @@ def test_type_is_read_by_slot():
         assert not read & index_readers, name
 
 
+# every operation on two of lambda data, vectors and states, by module and
+# (class, method) or function name
+AGREEMENT_CALLERS = {
+    "fock.py": {("FockVector", "__add__"), ("FockVector", "__sub__"),
+                ("FockVector", "__mul__")},
+    "heisenberg.py": {"act_mode", "commutator_check", "quadratic_act"},
+    "certify.py": {"reduce_step", "certify_cyclic", "verify_certificate"},
+    "vertex.py": {"mode_apply", "virasoro_mode"},
+}
+
+
+def test_agreement_has_one_home():
+    # one check refuses operands of another sector or rank: defined once,
+    # in fock, and called by every operation on two of them
+    defined, callers = [], {}
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [(None, node) for node in tree.body
+                     if isinstance(node, ast.FunctionDef)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                functions += [(cls.name, node) for node in cls.body
+                              if isinstance(node, ast.FunctionDef)]
+        for owner, node in functions:
+            if node.name in ("_check_agree", "_check_vector",
+                             "_check_compatible"):
+                defined.append((path.name, node.name))
+            if any(isinstance(call, ast.Call)
+                   and getattr(call.func, "id", None) == "_check_agree"
+                   for call in ast.walk(node)):
+                callers.setdefault(path.name, set()).add(
+                    node.name if owner is None else (owner, node.name))
+    assert defined == [("fock.py", "_check_agree")]
+    assert callers == AGREEMENT_CALLERS
+
+
 def test_docstring_examples_pass():
     attempted = 0
     for module in _modules():
@@ -309,8 +346,7 @@ def test_private_code_has_a_caller():
                                      ast.ClassDef)):
                 continue
             name = node.name
-            if name in heisenfock.__all__ or not (
-                    name.startswith("_") or module.startswith("_")):
+            if name in heisenfock.__all__:
                 continue
             if name in PEP_562_HOOKS:  # the interpreter calls them
                 continue
