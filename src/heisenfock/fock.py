@@ -11,8 +11,8 @@ and convert it once; below them a mode is only its *doubled* integer ``2n``,
 checked by ``_check_parity`` and ``_check_positive``.  The sector fixes the
 parity of every doubled mode, ``Sector.parity``: 0 untwisted, 1 twisted; the
 other lattice facts (where lambda entry k sits, a type's epsilon) follow.
-Lambda data, vectors and states each live on the Fock space of one sector
-and rank; ``_check_agree`` refuses two operands that do not share it.
+Lambda data and a vector, or two vectors, live on the Fock space of one
+sector and rank; ``_check_agree`` refuses two operands that do not share it.
 
 Every coefficient written goes through one loop, the weighted-derivation
 kernel ``_add_weighted_partial2``; each ring operation is its shift pass.
@@ -298,8 +298,8 @@ def _factor_text(i: int, d2: int, e: int) -> str:
 
 
 def _check_agree(x, y) -> None:
-    """Refuse two operands, each lambda data, a vector or a state, that live
-    on different Fock spaces: another sector, or another rank."""
+    """Refuse two operands, lambda data and a vector or two vectors, that
+    live on different Fock spaces: another sector, or another rank."""
     if x.sector is not y.sector:
         raise SectorMismatchError(f"cannot combine {x.sector.value} "
                                   f"{type(x).__name__} and {y.sector.value} "
