@@ -38,8 +38,8 @@ _EXPORTS = {
                "virasoro_mode"),
     "whittaker": ("FiberPoint", "WhittakerReport", "WhittakerType",
                   "bilinear", "extract_fiber_data", "fiber_dimension",
-                  "solve_fiber", "type_eigenvalues",
-                  "verify_whittaker_vector", "whittaker_type_of"),
+                  "solve_fiber", "verify_whittaker_vector",
+                  "whittaker_type_of"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

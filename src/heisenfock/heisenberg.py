@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, Sequence
 
 from ._record import Record
-from .errors import BosonIndexError, SchemaError, SectorMismatchError
+from .errors import BosonIndexError, SectorMismatchError
 from .fock import (FockVector, ModeLike, Monomial, Sector,
                    _add_weighted_partial2, _check_agree, _check_boson,
                    _check_parity, _check_positive, doubled_mode)
@@ -54,7 +54,7 @@ class LambdaSequence(Record):
         for entry in entries:
             row = tuple(as_scalar(v) for v in entry)
             if len(row) != rank:
-                raise SchemaError(
+                raise BosonIndexError(
                     f"lambda entry of length {len(row)} does not match rank {rank}")
             rows.append(row)
         while rows and not any(rows[-1]):

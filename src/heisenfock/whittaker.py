@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ._record import Record
 from .errors import (IsotropicTopError, NonSquareError, NumericFailure,
@@ -65,11 +65,6 @@ class WhittakerType(Record, defaults=(True,)):
     @property
     def epsilon(self) -> int:
         return 1 - self.sector.parity
-
-
-def type_eigenvalues(lam: LambdaSequence) -> Dict[int, Scalar]:
-    """Raw eigenvalue sums zeta_i for i = r+1 .. 2r+eps (no validity check)."""
-    return dict(enumerate(_type_sums(lam.entries, ZERO), lam.support_bound + 1))
 
 
 def _type_sums(entries: Sequence[Sequence], zero) -> Tuple:
@@ -116,7 +111,9 @@ class ReportRow(Record):
 
 
 class WhittakerReport(Record):
-    __slots__ = ("sector", "r", "epsilon", "bound", "valid_type", "rows")
+    __slots__ = ("sector", "r", "bound", "valid_type", "rows")
+
+    epsilon = WhittakerType.epsilon
 
     @property
     def all_ok(self) -> bool:
@@ -127,28 +124,28 @@ def verify_whittaker_vector(lam: LambdaSequence, bound: int) -> WhittakerReport:
     """Check the Virasoro mode spectrum on the constant vector 1.
 
     For i = r+1 .. bound the i-th omega mode of 1 is computed through the
-    vertex engine and compared against the closed-form eigenvalue (zero
-    beyond 2r+eps).  Only the zero sequence reaches row 1, where the twisted
-    sector adds the vacuum energy rank/16 of L_0.  Exact equality per row;
-    a bound <= r, which leaves no row, is refused.
+    vertex engine and compared against slot sum k = i - r - 1 of the type
+    (zero past the top one), whose last sum gives ``valid_type``.  Only the
+    zero sequence reaches row 1, where the twisted sector adds the vacuum
+    energy rank/16 of L_0.  Exact equality per row; a bound <= r, which
+    leaves no row, is refused.
     """
     from .vertex import virasoro_mode
     r = lam.support_bound
     if bound <= r:
         raise PreconditionError(f"bound {bound} must exceed r = {r}")
-    eps = 1 - lam.sector.parity
-    eig = type_eigenvalues(lam)
+    sums = _type_sums(lam.entries, ZERO)
     one = FockVector.constant(1, lam.rank, lam.sector)
     rows: List[ReportRow] = []
-    for i in range(r + 1, bound + 1):
+    for k, i in enumerate(range(r + 1, bound + 1)):  # row i reads slot sum k
         got = virasoro_mode(i - 1, one, lam)  # omega_i = L_(i-1)
-        expected = eig.get(i, ZERO)
+        expected = sums[k] if k < len(sums) else ZERO
         if i == 1 and lam.sector is Sector.TWISTED:  # vacuum energy of L_0
             expected = expected + Fraction(lam.rank, 16)
         ok = got == one.scaled(expected)
         rows.append(ReportRow(i, expected, str(got), ok))
-    top = eig.get(2 * r + eps, ZERO)
-    return WhittakerReport(lam.sector, r, eps, bound, bool(top), tuple(rows))
+    return WhittakerReport(lam.sector, r, bound, bool(sums and sums[-1]),
+                           tuple(rows))
 
 
 # -- the fiber over a type --------------------------------------------------------
@@ -256,13 +253,19 @@ def _complement_basis(top: Tuple, field: _Field) -> Tuple[List[Tuple],
 
 
 def _vector_of(values: Sequence, rank: int, name: str, field: _Field):
-    """The vector and its self-pairing, refused when floats overflow it."""
+    """The vector and its self-pairing, refused when floats overflow it or
+    when it is isotropic: (v, v) = 0 exactly, or numerically
+    |(v, v)| <= 1e-14 * sum |v_i|^2, so a vector's length does not matter."""
     vec = tuple(field.coerce(c) for c in values)
     if len(vec) != rank:
         raise PreconditionError(f"{name} has wrong length")
     vv = bilinear(vec, vec)
     if not field.exact and not cmath.isfinite(vv):
         raise PreconditionError(f"{name} pairs to a non-finite value with itself")
+    isotropic = not vv if field.exact else (
+        abs(vv) <= 1e-14 * sum(abs(c) * abs(c) for c in vec))
+    if isotropic:
+        raise IsotropicTopError(f"{name} pairs to zero with itself")
     return vec, vv
 
 
@@ -308,7 +311,8 @@ def solve_fiber(zeta: WhittakerType, rank: int,
     owns an exactly scaled top vector may pass it as ``top_vector`` to avoid
     the square-root requirement; in numeric mode ``top_vector`` only fixes
     the direction of the top entry.  At most one of ``sphere_point`` and
-    ``top_vector`` may be given.  When 2*zeta_top has no square root in
+    ``top_vector`` may be given, and an isotropic one raises
+    IsotropicTopError.  When 2*zeta_top has no square root in
     Q(i) and neither is given, an exact solve at rank >= 2 takes the top
     ``((1+t)/2, i(1-t)/2, 0, ...)`` with ``t = 2*zeta_top``, and the
     point's ``sphere_point`` is None; at rank 1 it raises NonSquareError.
@@ -329,8 +333,6 @@ def solve_fiber(zeta: WhittakerType, rank: int,
         raise PreconditionError("2 * zeta_top is beyond the float range")
     if top_vector is not None:
         top, tt = _vector_of(top_vector, rank, "top_vector", field)
-        if not tt:
-            raise IsotropicTopError("top_vector pairs to zero with itself")
         if exact and tt != two_top:
             raise PreconditionError(
                 "top_vector does not satisfy (T, T) = 2 * zeta_top")
@@ -339,12 +341,9 @@ def solve_fiber(zeta: WhittakerType, rank: int,
             sp = tuple(field.one if c == 0 else field.zero for c in range(rank))
         else:
             sp, norm2 = _vector_of(sphere_point, rank, "sphere_point", field)
-            if exact:
-                if norm2 != field.one:
-                    raise PreconditionError("sphere_point is not on the unit sphere")
-            else:
-                if abs(norm2) <= 1e-14 * sum(abs(c) * abs(c) for c in sp):
-                    raise PreconditionError("sphere_point is numerically isotropic")
+            if exact and norm2 != field.one:
+                raise PreconditionError("sphere_point is not on the unit sphere")
+            if not exact:
                 root = field.sqrt(norm2)
                 sp = tuple(c / root for c in sp)
         s = field.sqrt(two_top)
@@ -369,16 +368,17 @@ def solve_fiber(zeta: WhittakerType, rank: int,
         _back_substitute(zeta, entries, basis, params, field)
 
     lam_entries = tuple(entries)
+    values = [field.coerce(z) for z in zeta.zeta]
+    gaps = [got - want
+            for got, want in zip(_type_sums(lam_entries, field.zero), values)]
     if exact:
-        lam = LambdaSequence.make(zeta.sector, rank, lam_entries)
-        wanted = WhittakerType(zeta.sector, zeta.r,
-                               tuple(field.coerce(z) for z in zeta.zeta))
-        if whittaker_type_of(lam) != wanted:
+        if any(gaps):
             raise NumericFailure("exact fiber solve failed to reproduce the type")
         residual = Fraction(0)
     else:
-        values = [field.coerce(z) for z in zeta.zeta]
-        residual = numeric_type_residual(lam_entries, zeta)
+        sizes = list(map(abs, gaps))
+        # max() would drop a NaN that follows a number; report it instead
+        residual = cmath.nan if any(map(cmath.isnan, sizes)) else max(sizes)
         if not cmath.isfinite(residual) and all(map(cmath.isfinite, values)):
             raise PreconditionError(
                 "the fiber residual overflows: the type is beyond the float range")
@@ -392,19 +392,6 @@ def solve_fiber(zeta: WhittakerType, rank: int,
     sphere = None if root is None else tuple(c / root for c in top)
     return FiberPoint(zeta.sector, rank, zeta.r, exact, sphere, top,
                       tuple(params), lam_entries, residual)
-
-
-def numeric_type_residual(entries: Sequence[Sequence[complex]],
-                          zeta: WhittakerType) -> float:
-    """Largest |zeta_i(entries) - zeta_i| over the type, in floating point,
-    for one lambda slot per type entry."""
-    if len(entries) != len(zeta.zeta):
-        raise PreconditionError(f"{len(entries)} lambda slots do not match "
-                                f"{len(zeta.zeta)} type entries")
-    gaps = [abs(got - complex(want))
-            for got, want in zip(_type_sums(entries, 0j), zeta.zeta)]
-    # max() would drop a NaN that follows a number; report it instead
-    return cmath.nan if any(map(cmath.isnan, gaps)) else max(gaps, default=0.0)
 
 
 def extract_fiber_data(lam: LambdaSequence) -> Tuple[Tuple[Scalar, ...],

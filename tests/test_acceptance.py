@@ -26,7 +26,7 @@ from heisenfock import (FockVector, LambdaSequence, QuadraticElement, Sector,
 from heisenfock.cli import main as cli_main
 from heisenfock.sampling import (random_fock, random_lambda,
                                  random_nonzero_scalar)
-from heisenfock.whittaker import numeric_type_residual
+from heisenfock.whittaker import _type_sums
 
 from conftest import anisotropic_lambda
 from test_binom import exact_determinant
@@ -248,7 +248,10 @@ def test_criterion_8_fiber_solver():
                    for _ in range(rank - 1)] for _ in range(r)]
         point = solve_fiber(wt, rank, free_params=params, exact=False)
         assert point.residual <= NUMERIC_TOLERANCE
-        assert numeric_type_residual(point.lambda_entries, wt) <= NUMERIC_TOLERANCE
+        # the point's type, recomputed from its lambda slots
+        got = _type_sums(point.lambda_entries, 0j)
+        assert len(got) == len(zeta)
+        assert max(abs(g - z) for g, z in zip(got, zeta)) <= NUMERIC_TOLERANCE
         assert fiber_dimension(rank, r, Sector.UNTWISTED) == \
             (rank - 1, (rank - 1) * r)
         solved += 1

@@ -235,13 +235,17 @@ def test_fiber_exact_on_numeric_type_exit_2(tmp_path):
     assert (code, out) == (2, "")
 
 
-@pytest.mark.parametrize("top", [[[0, 0]], [[1, [0, 1]]]])
-def test_fiber_numeric_isotropic_top_exit_2(tmp_path, top):
+@pytest.mark.parametrize("top", [[[0, 0]], [[1, [0, 1]]], [[1, [1e-15, 1]]]])
+@pytest.mark.parametrize("flag, name", [("--top", "top_vector"),
+                                        ("--sphere", "sphere_point")])
+def test_fiber_numeric_isotropic_top_exit_2(tmp_path, flag, name, top):
+    # one rule for either flag: (1, 1e-15 + i) pairs to 2e-15 i with itself,
+    # so it is refused, never solved into a failed residual check
     zeta = write(tmp_path / "z.json", {
-        "sector": "untwisted", "r": 1, "zeta": ["1", "1"]})
+        "sector": "untwisted", "r": 1, "zeta": ["1", "2"]})
     path = write(tmp_path / "top.json", top)
-    code, out = run_cli("fiber", "--zeta", zeta, "--l", "2", "--top", path)
-    assert (code, out) == (2, "")
+    assert run_cli_stderr("fiber", "--zeta", zeta, "--l", "2", flag, path) == (
+        2, "", f"precondition violated: {name} pairs to zero with itself\n")
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400"])
@@ -397,6 +401,21 @@ def test_certify_check_tampered_exit_3(tmp_path, lambda_file):
     doc["terminal"] = "5"
     bad = write(tmp_path / "bad.json", doc)
     code, out2 = run_cli("certify", "--check", bad)
+    assert code == 3
+    assert json.loads(out2)["valid"] is False
+
+
+def test_certify_check_wrong_degree_before_exit_3(tmp_path, lambda_file):
+    # x[1,1]^2 has degree 2: a ledger that claims 3 before step 0 is invalid
+    vec = write(tmp_path / "vec.json", {
+        "sector": "untwisted", "rank": 1,
+        "terms": [{"monomial": "x[1,1]^2", "coeff": "1"}]})
+    code, out = run_cli("certify", "--lambda", lambda_file, "--vector", vec)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["steps"][0]["deg_before"] == "2"
+    doc["steps"][0]["deg_before"] = "3"
+    code, out2 = run_cli("certify", "--check", write(tmp_path / "bad.json", doc))
     assert code == 3
     assert json.loads(out2)["valid"] is False
 

@@ -87,7 +87,6 @@ class ReportRow:
 class WhittakerReport:
     sector: Sector
     r: int
-    epsilon: int
     bound: int
     valid_type: bool
     rows: tuple

@@ -11,13 +11,12 @@ import pytest
 from heisenfock import (BosonIndexError, FockVector, IsotropicTopError,
                         LambdaSequence, ModeRangeError, PreconditionError,
                         QuadraticElement, ReductionCertificate, Scalar,
-                        SchemaError, Sector, SectorMismatchError,
-                        WhittakerType, act_mode, binom_mode_identity_check,
-                        binom_transfer_matrix, certify_cyclic,
-                        commutator_check, extract_fiber_data, fiber_dimension,
-                        mode_apply, omega, quadratic_act, reduce_step,
-                        scalar_sqrt, solve_fiber, verify_certificate,
-                        virasoro_mode)
+                        Sector, SectorMismatchError, WhittakerType, act_mode,
+                        binom_mode_identity_check, binom_transfer_matrix,
+                        certify_cyclic, commutator_check, extract_fiber_data,
+                        fiber_dimension, mode_apply, omega, quadratic_act,
+                        reduce_step, scalar_sqrt, solve_fiber,
+                        verify_certificate, virasoro_mode)
 from heisenfock.scalars import ONE, ZERO
 
 from conftest import lam_of, one, sc, x
@@ -30,7 +29,7 @@ U, T = Sector.UNTWISTED, Sector.TWISTED
      ModeRangeError, "mode 1/3 is not in (1/2)Z"),
     (lambda: FockVector(0, U, {}), BosonIndexError, "rank must be >= 1, got 0"),
     (lambda: LambdaSequence.make(U, 2, [[1]]),
-     SchemaError, "lambda entry of length 1 does not match rank 2"),
+     BosonIndexError, "lambda entry of length 1 does not match rank 2"),
     (lambda: quadratic_act(LambdaSequence.zero(1), QuadraticElement(
         1, 1, 1, 1, T, ZERO), one(1)),
      SectorMismatchError, "quadratic element sector does not match vector"),

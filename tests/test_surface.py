@@ -50,9 +50,8 @@ PUBLIC = [
     "mode_text", "monomial_text", "omega", "parse_scalar", "quadratic_act",
     "quadratic_check", "reduce_step", "scalar_sqrt", "solve_fiber",
     "theta_involution", "twisted_mode_apply", "twisted_virasoro_mode",
-    "type_eigenvalues", "verify_certificate", "verify_whittaker_vector",
-    "virasoro_bracket_check", "virasoro_mode", "weighted_partial",
-    "whittaker_type_of",
+    "verify_certificate", "verify_whittaker_vector", "virasoro_bracket_check",
+    "virasoro_mode", "weighted_partial", "whittaker_type_of",
 ]
 
 # exported names that no module of the package calls: user-facing
@@ -109,7 +108,7 @@ def test_star_import_binds_every_export():
     namespace = {}
     exec("from heisenfock import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
-    assert len(PUBLIC) == 54
+    assert len(PUBLIC) == 53
 
 
 def test_unknown_name_raises_attribute_error():
@@ -234,16 +233,24 @@ def test_one_coordinate_reader():
 
 def test_type_is_read_by_slot():
     # entry k of a type is the half pair sum over slots a + b = k + t: the
-    # sums, the solver and the residual name no index, parity or sector
+    # sums, the solver and the report name no index, parity or sector, and
+    # the fiber check and the report read the type through the slot sums,
+    # never through the type map or a rebuilt type
     tree = ast.parse((SOURCE / "whittaker.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body
                  if isinstance(node, ast.FunctionDef)}
     index_readers = {"epsilon", "parity", "first_index", "last_index", "value"}
     for name in ("_type_sums", "_half_pair_sum", "_back_substitute",
-                 "solve_fiber", "numeric_type_residual", "whittaker_type_of"):
+                 "solve_fiber", "verify_whittaker_vector", "whittaker_type_of"):
         read = {node.attr for node in ast.walk(functions[name])
                 if isinstance(node, ast.Attribute)}
         assert not read & index_readers, name
+    for name in ("solve_fiber", "verify_whittaker_vector"):
+        called = {getattr(call.func, "id", getattr(call.func, "attr", None))
+                  for call in ast.walk(functions[name])
+                  if isinstance(call, ast.Call)}
+        assert "_type_sums" in called, name
+        assert not called & {"whittaker_type_of", "WhittakerType", "make"}, name
 
 
 # every operation on two of lambda data, vectors and states, by module and

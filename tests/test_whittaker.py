@@ -8,15 +8,22 @@ from heisenfock import (FockVector, IsotropicTopError, LambdaSequence,
                         bilinear, extract_fiber_data, fiber_dimension,
                         solve_fiber, verify_whittaker_vector,
                         whittaker_type_of)
-from heisenfock.errors import PreconditionError, SchemaError
+from heisenfock.errors import NumericFailure, PreconditionError
 from heisenfock.sampling import random_nonzero_scalar, random_scalar
 from heisenfock.whittaker import (_EXACT, _NUMERIC, TOLERANCE,
-                                  _complement_basis, numeric_type_residual,
-                                  type_eigenvalues)
+                                  _complement_basis, _type_sums)
 
 from conftest import anisotropic_lambda, lam_of, sc
 
 HALF = Fraction(1, 2)
+
+
+def _largest_gap(point, zeta):
+    """Largest |gap| between a numeric point's type, recomputed from its
+    lambda slots, and the type ``zeta`` it was solved for."""
+    got = _type_sums(point.lambda_entries, 0j)
+    assert len(got) == len(zeta)
+    return max(abs(g - complex(z)) for g, z in zip(got, zeta))
 
 
 class TestTypeMap:
@@ -89,13 +96,19 @@ class TestTypeBySlot:
                                 for m2 in range(p, 2 * i - 1, 2)
                                 for j in range(1, rank + 1))
                     assert value == total / 2, (sector, rank, r, k)
-                assert type_eigenvalues(lam) == {
-                    r + 1 + k: value for k, value in enumerate(wt.zeta)}
         assert zero_slots
 
-    def test_zero_sequence_has_no_eigenvalues(self):
+    def test_zero_sequence_has_no_slot_sums(self):
+        # no slot, no sum: every row expects zero but the twisted row 1,
+        # which holds the vacuum energy rank/16, and no type is valid
         for sector in Sector:
-            assert type_eigenvalues(LambdaSequence.zero(2, sector)) == {}
+            lam = LambdaSequence.zero(2, sector)
+            assert _type_sums(lam.entries, sc(0)) == ()
+            report = verify_whittaker_vector(lam, 3)
+            assert report.all_ok and not report.valid_type
+            vacuum = sc(HALF / 4) if sector is Sector.TWISTED else sc(0)
+            assert [row.expected for row in report.rows] == [
+                vacuum, sc(0), sc(0)]
 
 
 class TestVerifyReport:
@@ -188,7 +201,7 @@ class TestFiberSolver:
                       for _ in range(r if eps else r - 1)]
             point = solve_fiber(wt, rank, free_params=params, exact=False)
             assert point.residual <= 1e-10
-            assert numeric_type_residual(point.lambda_entries, wt) <= 1e-10
+            assert point.residual == _largest_gap(point, zeta)
             count += 1
 
     def test_exact_needs_square_or_top(self):
@@ -221,11 +234,20 @@ class TestFiberSolver:
         with pytest.raises(PreconditionError):
             solve_fiber(wt, 1, exact=True)
 
-    @pytest.mark.parametrize("top", [[0, 0], [1, 1j]])
+    @pytest.mark.parametrize("top", [[0, 0], [1, 1j], [1, 1e-15 + 1j]])
     def test_numeric_isotropic_top_rejected(self, top):
+        # the sphere point's rule: |(T, T)| <= 1e-14 * sum |T_i|^2
         wt = WhittakerType(Sector.UNTWISTED, 1, (1 + 0j, 1 + 0j), exact=False)
-        with pytest.raises(IsotropicTopError):
+        with pytest.raises(IsotropicTopError,
+                           match="top_vector pairs to zero with itself"):
             solve_fiber(wt, 2, top_vector=top)
+
+    @pytest.mark.parametrize("key", ["sphere_point", "top_vector"])
+    def test_exact_isotropic_top_rejected(self, key):
+        wt = WhittakerType(Sector.UNTWISTED, 1, (sc(1), sc(2)))
+        with pytest.raises(IsotropicTopError,
+                           match=f"{key} pairs to zero with itself"):
+            solve_fiber(wt, 2, exact=True, **{key: [sc(1), sc(0, 1)]})
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("key", ["sphere_point", "top_vector"])
@@ -252,35 +274,40 @@ class TestFiberSolver:
         point = solve_fiber(wt, 2, sphere_point=[3e-9, 4e-9])
         assert point.residual <= 1e-10
 
-    @pytest.mark.parametrize("sphere", [[0, 0], [1, 1j], [1e-8, 1e-8j]])
+    @pytest.mark.parametrize("sphere", [[0, 0], [1, 1j], [1e-8, 1e-8j],
+                                        [1, 1e-15 + 1j]])
     def test_isotropic_sphere_point_rejected(self, sphere):
         wt = WhittakerType(Sector.UNTWISTED, 0, (0.5 + 0j,), exact=False)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(IsotropicTopError,
+                           match="sphere_point pairs to zero with itself"):
             solve_fiber(wt, 2, sphere_point=sphere)
 
     def test_non_finite_residual_fails(self):
-        from heisenfock.errors import NumericFailure
         wt = WhittakerType(Sector.UNTWISTED, 0, (complex(float("nan"), 0),),
                            exact=False)
         with pytest.raises(NumericFailure):
             solve_fiber(wt, 2)
 
-    def test_residual_reports_nan(self):
-        import math
-        wt = WhittakerType(Sector.UNTWISTED, 1, (1 + 0j, 1 + 0j), exact=False)
-        nan = complex(float("nan"), 0)
-        assert math.isnan(numeric_type_residual([(nan, 0j), (1 + 0j, 0j)], wt))
-        assert numeric_type_residual([(0j, 0j), (1 + 0j, 1 + 0j)], wt) == 1.0
+    @pytest.mark.parametrize("top, error, message", [
+        ((1 + 0j, 1 + 0j), NumericFailure, r"fiber residual 1\.000e\+00 exceeds"),
+        # (T, T) = inf - inf: the gaps are (1, NaN), and max() alone would
+        # keep the 1
+        ((1e200 + 0j, 1e200j), PreconditionError, "the fiber residual overflows"),
+    ], ids=["largest-gap", "nan-after-a-number"])
+    def test_residual_reports_nan(self, monkeypatch, top, error, message):
+        # the solved entries are replaced by (0, top): type entry 0 reads 0
+        # against zeta_2 = 1, so its gap is 1
+        from heisenfock import whittaker
+        solve = whittaker._back_substitute
 
-    def test_residual_refuses_a_slot_count_mismatch(self):
-        # one lambda slot per type entry: fewer or more is refused, never
-        # truncated to the shorter of the two
+        def planted(zeta, entries, *rest):
+            solve(zeta, entries, *rest)
+            entries[:] = [(0j, 0j), top]
+
+        monkeypatch.setattr(whittaker, "_back_substitute", planted)
         wt = WhittakerType(Sector.UNTWISTED, 1, (1 + 0j, 1 + 0j), exact=False)
-        for entries in ([(1 + 0j,)], [(0j,), (1 + 0j,), (1 + 0j,)]):
-            with pytest.raises(PreconditionError,
-                               match=f"{len(entries)} lambda slots do not "
-                                     f"match 2 type entries"):
-                numeric_type_residual(entries, wt)
+        with pytest.raises(error, match=message):
+            solve_fiber(wt, 2)
 
     @pytest.mark.parametrize("zeta", [(1e30 + 0j, 3 + 0j),
                                       (1234567 + 0.5j, 2345678 - 1j)],
@@ -290,14 +317,13 @@ class TestFiberSolver:
         # by the tolerance times the largest |zeta_i|
         wt = WhittakerType(Sector.UNTWISTED, 1, zeta, exact=False)
         point = solve_fiber(wt, 2)
-        assert point.residual == numeric_type_residual(point.lambda_entries, wt)
+        assert point.residual == _largest_gap(point, zeta)
         assert TOLERANCE < point.residual <= TOLERANCE * max(map(abs, zeta))
 
     @pytest.mark.parametrize("zeta", [(1 + 0j, 3 + 0j),
                                       (1234567 + 0.5j, 2345678 - 1j)],
                              ids=["1", "1e6"])
     def test_planted_wrong_entry_fails(self, plant_wrong_entry, zeta):
-        from heisenfock.errors import NumericFailure
         wt = WhittakerType(Sector.UNTWISTED, 1, zeta, exact=False)
         bound = TOLERANCE * max(1.0, *map(abs, zeta))
         with pytest.raises(NumericFailure,
